@@ -22,7 +22,7 @@ class PSumNoConvergence(NoConvergence):
 
 
 class NonPositiveDeterminant(CasimirCylError):
-    """det(1 - M) came out non-positive; the matrix is outside the valid regime."""
+    """1 - M not positive definite; the matrix is outside the valid regime."""
 
 
 class StencilDomain(CasimirCylError):

@@ -13,17 +13,26 @@ exact) and reattach it inside the determinant.
 Assembly notes.  At fixed xi the scaled matrix is a positively weighted
 sum over the intermediate angular index p,
 
-    S_mn = pref(m, n) * sum_p r(p) T(p, m) T(p, n),
+    S_mn = e^{num(n) - den(m)} * sum_p r(p) T(p, m) T(p, n),
 
-so S factors as X^T Y with X, Y built from half the ratio log plus the
-translation log plus the prefactor split between the two sides.  Each X, Y
-entry is bounded by the square root of a partial-wave term times a slowly
-varying factor, so the BLAS product never sees the huge intermediate
-magnitudes a naive ratio-times-translation evaluation would hit.  Elements
-whose X or Y factors underflow are themselves negligible in the
-determinant.  One N-type boundary letter flips the sign of every element
-through the primed-Bessel ratios; the sign is factored out and applied
-once.
+with num/den the logs of the prefactor Bessel functions of cylinder a, r
+the reflection ratio of cylinder b and T the translation factors.
+Conjugating by diag(e^{(num + den)/2}) makes it the Gram matrix G = Z^T Z
+with
+
+    Z[p, m] = exp(ratio(p)/2 + trans(p, m) + (num(m) - den(m))/2),
+
+so S has the spectrum of a symmetric positive semidefinite matrix.  Each
+Z entry is the square root of a partial-wave term times a slowly varying
+factor, so the BLAS products never see the huge intermediate magnitudes a
+naive ratio-times-translation evaluation would hit; entries that underflow
+are negligible in the determinant.  Z[-p, -m] = Z[p, m] and the p-window
+is symmetric, so G commutes with m -> -m: folding the columns into even
+and odd combinations splits it into blocks of size N+1 and N, and the rows
+p < 0 repeat the rows p > 0, which are built once with weight 2.  One
+N-type boundary letter flips the sign of every element through the
+primed-Bessel ratios; the sign is factored out and applied once, and
+ln det(1 - M) is read off a Cholesky factor of each block.
 """
 from __future__ import annotations
 
@@ -53,18 +62,26 @@ _SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
 _BASE_NODES = 32
 _MAX_QUAD_LEVEL = 12
 _SMALL_RUN = 10            # consecutive negligible p-terms that end the sum
+_HALF_LN2 = 0.5 * math.log(2.0)
 
 
 @dataclass(frozen=True)
 class RoundTripMatrix:
-    """Scaled round-trip operator truncated to |m|, |n| <= half_width.
+    """Round-trip operator for |m|, |n| <= half_width, in parity blocks.
 
-    entries[i, j] holds the element at m = i - half_width, n = j - half_width
-    with the global factor e^{-2 d xi} removed; prefactor_log = -2 d xi.
+    The scaled operator S (elements with e^{-2 d xi} removed) is similar to
+    the symmetric positive semidefinite Gram matrix G = Z^T Z, and G commutes
+    with m -> -m.  ``even`` is G on the even combinations, (N+1)x(N+1) with
+    row k for |m| = k; ``odd`` is G on the odd ones, NxN with row k for
+    |m| = k + 1 (N = half_width).  The round-trip operator is
+    M = sign * e^{prefactor_log} * G, with sign = -1 when exactly one
+    boundary letter is N and prefactor_log = -2 d xi.
     """
 
     half_width: int
-    entries: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    sign: float
     prefactor_log: float
 
 
@@ -225,18 +242,44 @@ def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
     return tables.sign * math.exp(base + l_ref + math.log(acc))
 
 
-def _slab_product(tables: _XiTables, ms: np.ndarray, p_lo: int, p_hi: int,
-                  num: np.ndarray, den: np.ndarray,
-                  flip: int) -> np.ndarray:
-    """Contribution of p in [p_lo, p_hi] to the scaled matrix, as X^T Y."""
-    ps = np.arange(p_lo, p_hi + 1)
-    j_idx = np.abs(ps[:, None] + flip * ms[None, :])
-    ratio = tables.ratio_log(int(max(abs(p_lo), abs(p_hi))))
-    trans = tables.trans_log(int(j_idx.max()))
-    logs = 0.5 * ratio[np.abs(ps)][:, None] + trans[j_idx]
-    x = np.exp(logs - den[np.abs(ms)][None, :])
-    y = np.exp(logs + num[np.abs(ms)][None, :])
-    return x.T @ y
+def _slab_gram(tables: _XiTables, p_from: int, p_to: int, half: np.ndarray,
+               flip: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd Gram blocks of the rows p_from..p_to (p >= 0) of Z.
+
+    The rows are folded first: column k of the even part is
+    (Z[p, k] + Z[p, -k])/sqrt 2 (Z[p, 0] for k = 0), of the odd part
+    (Z[p, k+1] - Z[p, -k-1])/sqrt 2.  Rows p > 0 carry a factor sqrt 2
+    standing in for the mirror row -p, whose outer products are the same.
+    Both factors ride in the exponent.
+    """
+    n = half.size - 1
+    ps = np.arange(p_from, p_to + 1)
+    row = 0.5 * tables.ratio_log(p_to)[ps] + np.where(ps > 0, _HALF_LN2, 0.0)
+    col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
+    # row p of the window views the translation logs at orders |p - n| ..
+    # |p + n|; sliding_window_view would leave a reference cycle that keeps
+    # each buffer alive until the garbage collector runs
+    trans = tables.trans_log(p_to + n)
+    orders = trans[np.abs(np.arange(p_from - n, p_to + n + 1))]
+    window = np.ndarray((ps.size, 2 * n + 1), buffer=orders,
+                        strides=2 * orders.strides)
+    ahead, behind = window[:, n:], window[:, n::-1]   # |p + k|, |p - k|
+    plus, minus = (ahead, behind) if flip > 0 else (behind, ahead)
+    base = row[:, None] + col[None, :]
+    even = base + plus
+    np.exp(even, out=even)
+    mirror = base[:, 1:] + minus[:, 1:]
+    np.exp(mirror, out=mirror)
+    odd = even[:, 1:] - mirror
+    even[:, 1:] += mirror
+    return even.T @ even, odd.T @ odd
+
+
+def _quiet(delta: np.ndarray, total: np.ndarray, tol: float) -> bool:
+    """Whether every element of delta is negligible against total."""
+    mag = np.abs(total)
+    scale = mag + 1e-14 * mag.max(initial=0.0) + 1e-300
+    return bool(np.all(np.abs(delta) <= tol * scale))
 
 
 def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
@@ -247,46 +290,42 @@ def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
     if not xi > 0:
         raise DomainError("xi must be positive")
     tables = _XiTables(pair, bc, xi)
-    ms = np.arange(-half_width, half_width + 1)
     flip = -1 if pair.kind is Kind.INTERIOR else 1
     num, den = tables.prefactor_logs(half_width)
+    half = 0.5 * (num[:half_width + 1] - den[:half_width + 1])
 
+    # the p-centre is odd and nondecreasing in m, so the window is symmetric
+    # (p_lo = -p_hi) and only its p >= 0 half is built
     span = int(math.ceil(tables.zd)) + 20
-    centers = np.array([_p_center(pair, int(m), -half_width - span,
-                                  half_width + span) for m in ms])
+    center = _p_center(pair, half_width, -half_width - span, half_width + span)
     width = int(math.ceil(tables.zd)) + 40
-    p_lo = int(centers.min()) - half_width - width
-    p_hi = int(centers.max()) + half_width + width
-    cap = _default_p_cap(tables.zd, half_width, half_width) + p_hi - p_lo
+    p_hi = center + half_width + width
+    cap = _default_p_cap(tables.zd, half_width, half_width) + 2 * p_hi
 
-    total = _slab_product(tables, ms, p_lo, p_hi, num, den, flip)
+    even, odd = _slab_gram(tables, 0, p_hi, half, flip)
     small_slabs = 0
     slab = width
     while small_slabs < 2:
-        if p_hi - p_lo > 2 * cap:
+        if p_hi > cap:
             raise PSumNoConvergence(
                 f"matrix p-window exceeded cap {cap} at xi={xi}, N={half_width}")
-        left = _slab_product(tables, ms, p_lo - slab, p_lo - 1, num, den, flip)
-        right = _slab_product(tables, ms, p_hi + 1, p_hi + slab, num, den, flip)
-        p_lo -= slab
+        d_even, d_odd = _slab_gram(tables, p_hi + 1, p_hi + slab, half, flip)
         p_hi += slab
-        delta = left + right
-        total += delta
-        scale = np.abs(total) + 1e-14 * np.abs(total).max() + 1e-300
-        if np.all(np.abs(delta) <= tol * scale):
+        even += d_even
+        odd += d_odd
+        if _quiet(d_even, even, tol) and _quiet(d_odd, odd, tol):
             small_slabs += 1
         else:
             small_slabs = 0
         slab *= 2
-    entries = tables.sign * total
-    mat = RoundTripMatrix(half_width=half_width, entries=entries,
-                          prefactor_log=-2.0 * pair.d * xi)
-    return mat, p_hi - p_lo + 1
+    mat = RoundTripMatrix(half_width=half_width, even=even, odd=odd,
+                          sign=tables.sign, prefactor_log=-2.0 * pair.d * xi)
+    return mat, 2 * p_hi + 1
 
 
 def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
                  half_width: int, tol: float = 1e-12) -> RoundTripMatrix:
-    """All scaled elements with |m|, |n| <= half_width at one frequency."""
+    """Parity blocks of the round-trip operator with |m|, |n| <= half_width."""
     mat, _ = _build_matrix_stats(pair, bc, xi, half_width, tol)
     return mat
 
@@ -295,29 +334,39 @@ _SERIES_CUT = 1e-8
 
 
 def log_det_one_minus(mat: RoundTripMatrix) -> float:
-    """ln det(1 - e^{prefactor_log} * entries).
+    """ln det(1 - sign * e^{prefactor_log} * G), summed over both blocks.
 
-    Once the operator norm bound drops below _SERIES_CUT the matrix 1 - M
-    rounds to the identity in doubles and a factorization returns exactly
-    zero, so the far tail switches to the trace expansion
+    Each block of 1 - M is factored by Cholesky; a failed factorization means
+    some eigenvalue of M reaches 1, which is outside the physical regime.
+    With c = e^{prefactor_log}, c * tr G bounds every eigenvalue of M because
+    G is positive semidefinite.  Once that bound drops below _SERIES_CUT,
+    1 - M rounds to the identity in doubles and a factorization returns
+    exactly zero, so the far tail switches to the trace expansion
     -tr M - tr(M^2)/2, whose truncation error is cubic in the bound.
     """
-    if mat.entries.ndim != 2 or mat.entries.shape[0] != mat.entries.shape[1]:
-        raise DomainError("entries must form a square matrix")
-    size = mat.entries.shape[0]
+    n = mat.half_width
+    for name, block, size in (("even", mat.even, n + 1), ("odd", mat.odd, n)):
+        if block.shape != (size, size):
+            raise DomainError(
+                f"{name} block must be {size}x{size} at half_width {n}, "
+                f"got shape {block.shape}")
     scale = math.exp(mat.prefactor_log)
-    bound = scale * size * float(np.abs(mat.entries).max())
-    if bound < _SERIES_CUT:
-        tr1 = float(np.trace(mat.entries))
-        tr2 = float(np.sum(mat.entries * mat.entries.T))
-        return -scale * tr1 - 0.5 * scale * scale * tr2
-    a = np.eye(size) - scale * mat.entries
-    sign, logabs = np.linalg.slogdet(a)
-    if not sign > 0:
-        raise NonPositiveDeterminant(
-            "det(1 - M) not positive; truncation too small or geometry "
-            "outside the convergent regime")
-    return float(logabs)
+    blocks = (mat.even, mat.odd)      # odd is 0x0 at half_width 0
+    trace = sum(float(np.trace(b)) for b in blocks)
+    if scale * trace < _SERIES_CUT:
+        frob2 = sum(float(np.sum(b * b)) for b in blocks)
+        return -mat.sign * scale * trace - 0.5 * scale * scale * frob2
+    total = 0.0
+    for block in blocks:
+        a = np.eye(block.shape[0]) - (mat.sign * scale) * block
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDeterminant(
+                "1 - M not positive definite; truncation too small or "
+                "geometry outside the convergent regime") from None
+        total += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+    return total
 
 
 def _xi_grid(d: float, level: int) -> tuple[np.ndarray, np.ndarray]:

@@ -106,28 +106,50 @@ def test_element_p_sum_window_cap():
         matrix_element(INT_05, BoundaryPair.DD, 0, 0, 1.0, p_cap=3)
 
 
+def _parity_bases(half_width):
+    """Columns of the even and odd m -> -m combinations, rows m = -N..N."""
+    size = 2 * half_width + 1
+    even = np.zeros((size, half_width + 1))
+    odd = np.zeros((size, half_width))
+    even[half_width, 0] = 1.0
+    for k in range(1, half_width + 1):
+        even[half_width + k, k] = even[half_width - k, k] = math.sqrt(0.5)
+        odd[half_width + k, k - 1] = math.sqrt(0.5)
+        odd[half_width - k, k - 1] = -math.sqrt(0.5)
+    return even, odd
+
+
 def test_matrix_matches_scalar_elements():
     mat = build_matrix(INT_05, BoundaryPair.DN, 1.0, 3)
     assert mat.half_width == 3
     assert mat.prefactor_log == -2.0 * 0.5 * 1.0
-    for i in range(7):
-        for j in range(7):
-            ref = matrix_element(INT_05, BoundaryPair.DN, i - 3, j - 3, 1.0)
-            assert abs(mat.entries[i, j] - ref) <= 1e-11 * abs(ref)
+    s = np.array([[matrix_element(INT_05, BoundaryPair.DN, m, n, 1.0)
+                   for n in range(-3, 4)] for m in range(-3, 4)])
+    assert np.all(np.sign(s) == mat.sign)
+    # S = D G D^{-1} with G symmetric, so |G_mn| = sqrt(S_mn S_nm)
+    g_ref = np.sqrt(s * s.T)
+    even, odd = _parity_bases(3)
+    for block, basis in ((mat.even, even), (mat.odd, odd)):
+        ref = basis.T @ g_ref @ basis
+        assert block.shape == ref.shape
+        assert np.all(np.abs(block - ref) <= 1e-11 * np.abs(ref))
 
 
 def test_matrix_zero_half_width():
     mat = build_matrix(INT_05, BoundaryPair.DD, 1.0, 0)
-    assert mat.entries.shape == (1, 1)
+    assert mat.even.shape == (1, 1)
+    assert mat.odd.shape == (0, 0)
     ref = matrix_element(INT_05, BoundaryPair.DD, 0, 0, 1.0)
-    assert abs(mat.entries[0, 0] - ref) <= 1e-11 * abs(ref)
+    assert abs(mat.sign * mat.even[0, 0] - ref) <= 1e-11 * abs(ref)
 
 
 def test_matrix_leading_block_stable_under_widening():
     # entries with |m|,|n| <= 2 do not depend on the truncation width
-    small = build_matrix(INT_05, BoundaryPair.DD, 1.0, 2).entries
-    wide = build_matrix(INT_05, BoundaryPair.DD, 1.0, 5).entries[3:8, 3:8]
-    assert np.max(np.abs(wide - small) / np.abs(small)) <= 1e-12
+    small = build_matrix(INT_05, BoundaryPair.DD, 1.0, 2)
+    wide = build_matrix(INT_05, BoundaryPair.DD, 1.0, 5)
+    for got, want in ((wide.even[:3, :3], small.even),
+                      (wide.odd[:2, :2], small.odd)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 def test_matrix_argument_validation():
@@ -156,49 +178,123 @@ def test_exterior_relabel_spectrum_invariance():
     assert abs(ld_f - ld_r) <= 1e-8 * abs(ld_f)
 
 
+def _blocks(half_width, even, odd=None, sign=1.0, prefactor_log=0.0):
+    if odd is None:
+        odd = np.zeros((half_width, half_width))
+    return RoundTripMatrix(half_width=half_width, even=np.asarray(even),
+                           odd=np.asarray(odd), sign=sign,
+                           prefactor_log=prefactor_log)
+
+
 def test_logdet_zero_matrix():
-    mat = RoundTripMatrix(half_width=1, entries=np.zeros((3, 3)),
-                          prefactor_log=-1.0)
+    mat = _blocks(1, np.zeros((2, 2)), prefactor_log=-1.0)
     assert log_det_one_minus(mat) == 0.0
 
 
 def test_logdet_single_entry():
-    mat = RoundTripMatrix(half_width=0, entries=np.array([[0.25]]),
-                          prefactor_log=-0.5)
+    mat = _blocks(0, [[0.25]], prefactor_log=-0.5)
     want = math.log1p(-0.25 * math.exp(-0.5))
     assert abs(log_det_one_minus(mat) - want) <= 1e-14 * abs(want)
 
 
 def test_logdet_series_branch():
     # tiny rescaled entries take the trace expansion, not the dense solve
-    mat = RoundTripMatrix(half_width=0, entries=np.array([[1e-6]]),
-                          prefactor_log=math.log(1e-3))
+    mat = _blocks(0, [[1e-6]], prefactor_log=math.log(1e-3))
     want = math.log1p(-1e-9)
     assert abs(log_det_one_minus(mat) - want) <= 1e-12 * abs(want)
 
 
 def test_logdet_random_contraction_matches_eigenvalues():
     rng = np.random.default_rng(20240811)
-    entries = rng.standard_normal((6, 6))
-    entries *= 0.5 / np.max(np.abs(np.linalg.eigvals(entries)))
-    mat = RoundTripMatrix(half_width=3, entries=entries, prefactor_log=0.0)
-    want = np.sum(np.log(1.0 - np.linalg.eigvals(entries)))
-    assert abs(want.imag) <= 1e-13
-    assert abs(log_det_one_minus(mat) - want.real) <= 1e-12
+    blocks = []
+    for size in (4, 3):
+        z = rng.standard_normal((size + 2, size))
+        g = z.T @ z
+        blocks.append(g * 0.5 / np.max(np.linalg.eigvalsh(g)))
+    for sign in (1.0, -1.0):
+        mat = _blocks(3, *blocks, sign=sign)
+        want = sum(np.sum(np.log(1.0 - sign * np.linalg.eigvalsh(g)))
+                   for g in blocks)
+        assert abs(log_det_one_minus(mat) - want) <= 1e-12
 
 
 def test_logdet_rejects_nonpositive_determinant():
-    mat = RoundTripMatrix(half_width=0, entries=np.array([[2.0]]),
-                          prefactor_log=0.0)
+    mat = _blocks(0, [[2.0]])
+    with pytest.raises(NonPositiveDeterminant):
+        log_det_one_minus(mat)
+
+
+def test_logdet_rejects_pair_of_unstable_modes():
+    # two eigenvalues above 1 give det(1 - M) > 0; every one must be checked
+    mat = _blocks(1, np.diag([2.0, 3.0]))
     with pytest.raises(NonPositiveDeterminant):
         log_det_one_minus(mat)
 
 
 def test_logdet_shape_validation():
-    for bad in (np.zeros((2, 3)), np.zeros(4)):
+    good_even, good_odd = np.zeros((2, 2)), np.zeros((1, 1))
+    for even, odd in ((np.zeros((2, 3)), good_odd), (np.zeros(4), good_odd),
+                      (good_even, np.zeros((1, 2))),
+                      (np.zeros((3, 3)), good_odd),
+                      (good_even, np.zeros((2, 2)))):
         with pytest.raises(DomainError):
-            log_det_one_minus(RoundTripMatrix(half_width=1, entries=bad,
-                                              prefactor_log=0.0))
+            log_det_one_minus(_blocks(1, even, odd))
+
+
+def _mp_log_det(mp, pair, bc, xi, half_width, p_max=40):
+    """ln det(1 - M) from the closed element formula, summed directly.
+
+    M_mn = (I_n(a xi)/K_m(a xi)) sum_p (K_p(b xi)/I_p(b xi)) I_{p-m} I_{p-n}
+    at delta xi for interior pairs; exterior pairs swap I and K in the ratio
+    and translate with K_{p+m} K_{p+n}.  An N letter takes the primed
+    functions of its cylinder.  Every Bessel value is computed once.
+    """
+    def bessel_i(n, z, prime):
+        if prime:
+            return (mp.besseli(n - 1, z) + mp.besseli(n + 1, z)) / 2
+        return mp.besseli(n, z)
+
+    def bessel_k(n, z, prime):
+        if prime:
+            return -(mp.besselk(n - 1, z) + mp.besselk(n + 1, z)) / 2
+        return mp.besselk(n, z)
+
+    interior = pair.kind is Kind.INTERIOR
+    inner, outer = (letter == "N" for letter in bc.name)
+    a, b, d = (mp.mpf(v) for v in (pair.a, pair.b, pair.d))
+    xi = mp.mpf(xi)
+    delta = b - a - d if interior else a + b + d
+    num = [bessel_i(n, a * xi, inner) for n in range(half_width + 1)]
+    den = [bessel_k(n, a * xi, inner) for n in range(half_width + 1)]
+    ratio = [bessel_k(p, b * xi, outer) / bessel_i(p, b * xi, outer)
+             for p in range(p_max + 1)]
+    if not interior:
+        ratio = [1 / r for r in ratio]
+    trans_fn = mp.besseli if interior else mp.besselk
+    trans = [trans_fn(j, delta * xi) for j in range(p_max + half_width + 1)]
+    flip = -1 if interior else 1
+    ms = range(-half_width, half_width + 1)
+    one_minus = mp.matrix(len(ms), len(ms))
+    for i, m in enumerate(ms):
+        for j, n in enumerate(ms):
+            acc = mp.fsum(ratio[abs(p)] * trans[abs(p + flip * m)]
+                          * trans[abs(p + flip * n)]
+                          for p in range(-p_max, p_max + 1))
+            one_minus[i, j] = (i == j) - num[abs(n)] / den[abs(m)] * acc
+    return mp.log(mp.det(one_minus))
+
+
+@pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN,
+                                BoundaryPair.DN, BoundaryPair.ND])
+@pytest.mark.parametrize("pair,xi", [(INT_05, 1.0), (EXT_08, 0.7)],
+                         ids=["interior", "exterior"])
+def test_logdet_matches_mpmath_oracle(pair, xi, bc):
+    # independent of the log-scaled tables and of the parity-split assembly
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = float(_mp_log_det(mp, pair, bc, xi, 4))
+    got = log_det_one_minus(build_matrix(pair, bc, xi, 4, tol=1e-13))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_single_mode_dominance_limit():
@@ -207,7 +303,7 @@ def test_single_mode_dominance_limit():
     pair = CylinderPair(kind=Kind.INTERIOR, a=1e-6, b=1.5, d=1.0)
     mat = build_matrix(pair, BoundaryPair.DD, 20.0, 3)
     ld = log_det_one_minus(mat)
-    m00 = mat.entries[3, 3] * math.exp(mat.prefactor_log)
+    m00 = mat.sign * mat.even[0, 0] * math.exp(mat.prefactor_log)
     assert abs(ld) < 1e-18
     assert abs(ld + m00) <= 1e-7 * abs(ld)
 

@@ -25,7 +25,6 @@ from .errors import (
     NoConvergence,
     NonPositiveDeterminant,
     PSumNoConvergence,
-    StencilDomain,
 )
 from .geometry import (
     BoundaryPair,
@@ -69,7 +68,6 @@ __all__ = [
     "PfaResult",
     "QuadratureSpec",
     "RoundTripMatrix",
-    "StencilDomain",
     "build_matrix",
     "casimir_energy_exact",
     "casimir_force_exact",

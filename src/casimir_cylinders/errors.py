@@ -23,7 +23,3 @@ class PSumNoConvergence(NoConvergence):
 
 class NonPositiveDeterminant(CasimirCylError):
     """1 - M not positive definite; the matrix is outside the valid regime."""
-
-
-class StencilDomain(CasimirCylError):
-    """A finite-difference stencil would leave the valid geometry domain."""

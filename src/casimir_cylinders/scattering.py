@@ -1,8 +1,10 @@
-"""Exact interaction energy from the round-trip determinant.
+"""Exact interaction energy and force from the round-trip operator.
 
-The interaction energy per unit length of two parallel cylinders is
+The interaction energy and force per unit length of two parallel
+cylinders are
 
     E/L = (1/4 pi) int_0^inf  xi ln det(1 - M(xi)) d xi,
+    F/L = -d(E/L)/dd = (1/4 pi) int_0^inf  xi tr[(1 - M)^{-1} d_d M] d xi,
 
 where M(xi) couples the angular channels of one cylinder to the other
 through modified-Bessel reflection ratios and translation factors.  Every
@@ -33,6 +35,13 @@ p < 0 repeat the rows p > 0, which are built once with weight 2.  One
 N-type boundary letter flips the sign of every element through the
 primed-Bessel ratios; the sign is factored out and applied once, and
 ln det(1 - M) is read off a Cholesky factor of each block.
+
+Only the translation factors depend on the gap d.  The force builds
+W = Z o D next to Z, with D the log-derivative of the unscaled translation
+factor of each entry, folds it the same way and sums H = Z^T W next to G;
+then d_d M = sign e^{-2 d xi} (H + H^T), and each block contributes
+2 sign e^{-2 d xi} tr[(1 - M)^{-1} H] from a solve against 1 - M.  Energy
+and force share one adaptive xi / truncation driver.
 """
 from __future__ import annotations
 
@@ -49,11 +58,9 @@ from .bessel import (
 )
 from .errors import (
     DomainError,
-    InvalidGeometry,
     NoConvergence,
     NonPositiveDeterminant,
     PSumNoConvergence,
-    StencilDomain,
 )
 from .geometry import BoundaryPair, CylinderPair, Kind, derive_params
 from .quadrature import _leggauss
@@ -62,7 +69,8 @@ _SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
 _BASE_NODES = 32
 _MAX_QUAD_LEVEL = 12
 _SMALL_RUN = 10            # consecutive negligible p-terms that end the sum
-_HALF_LN2 = 0.5 * math.log(2.0)
+_LN2 = math.log(2.0)
+_HALF_LN2 = 0.5 * _LN2
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,7 @@ class _XiTables:
         self.za = pair.a * xi
         self.zb = pair.b * xi
         self.zd = params.delta * xi
+        self.log_xi = math.log(xi)
         inner, outer = bc.name[0], bc.name[1]
         self._inner_prime = inner == "N"
         self._outer_prime = outer == "N"
@@ -151,6 +160,18 @@ class _XiTables:
             self._trans = (log_i_scaled_table(self.zd, j_max) if self.interior
                            else log_k_scaled_table(self.zd, j_max))
         return self._trans
+
+    def trans_deriv_log(self, j_max: int) -> np.ndarray:
+        """ln|d/dd B_j(delta xi)| for j = 0..j_max, scaled like trans_log.
+
+        B = I (d delta/dd = -1) for interior pairs and B = K (d delta/dd = +1,
+        K' < 0) for exterior ones, so the derivative is -xi |B'_j| for both,
+        and |B'_j| = (B_{|j-1|} + B_{j+1}) / 2 is read off the translation
+        logs one order past j_max.
+        """
+        t = self.trans_log(j_max + 1)
+        lower = np.concatenate((t[1:2], t[:j_max]))       # order |j - 1|
+        return self.log_xi - _LN2 + np.logaddexp(lower, t[1:j_max + 2])
 
 
 def _p_center(pair: CylinderPair, m: int, lo: int, hi: int) -> int:
@@ -242,37 +263,69 @@ def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
     return tables.sign * math.exp(base + l_ref + math.log(acc))
 
 
-def _slab_gram(tables: _XiTables, p_from: int, p_to: int, half: np.ndarray,
-               flip: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd Gram blocks of the rows p_from..p_to (p >= 0) of Z.
+def _order_window(table: np.ndarray, p_from: int, p_to: int, n: int,
+                  flip: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a per-order table at |p + flip k| and |p - flip k|.
 
-    The rows are folded first: column k of the even part is
-    (Z[p, k] + Z[p, -k])/sqrt 2 (Z[p, 0] for k = 0), of the odd part
-    (Z[p, k+1] - Z[p, -k-1])/sqrt 2.  Rows p > 0 carry a factor sqrt 2
-    standing in for the mirror row -p, whose outer products are the same.
-    Both factors ride in the exponent.
+    Rows run over p_from..p_to and columns over k = 0..n.  Both views share
+    one 1-D gather; sliding_window_view would leave a reference cycle that
+    keeps each buffer alive until the garbage collector runs.
     """
-    n = half.size - 1
-    ps = np.arange(p_from, p_to + 1)
-    row = 0.5 * tables.ratio_log(p_to)[ps] + np.where(ps > 0, _HALF_LN2, 0.0)
-    col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
-    # row p of the window views the translation logs at orders |p - n| ..
-    # |p + n|; sliding_window_view would leave a reference cycle that keeps
-    # each buffer alive until the garbage collector runs
-    trans = tables.trans_log(p_to + n)
-    orders = trans[np.abs(np.arange(p_from - n, p_to + n + 1))]
-    window = np.ndarray((ps.size, 2 * n + 1), buffer=orders,
+    orders = table[np.abs(np.arange(p_from - n, p_to + n + 1))]
+    window = np.ndarray((p_to - p_from + 1, 2 * n + 1), buffer=orders,
                         strides=2 * orders.strides)
     ahead, behind = window[:, n:], window[:, n::-1]   # |p + k|, |p - k|
-    plus, minus = (ahead, behind) if flip > 0 else (behind, ahead)
-    base = row[:, None] + col[None, :]
+    return (ahead, behind) if flip > 0 else (behind, ahead)
+
+
+def _fold_gram(base: np.ndarray, plus: np.ndarray, minus: np.ndarray,
+               left: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """Parity-folded F = exp(base + plus/minus) and its block products.
+
+    Returns ((F_even, F_odd), [L_even^T F_even, L_odd^T F_odd]), with the
+    folded left factors L = F unless ``left`` gives them.
+    """
     even = base + plus
     np.exp(even, out=even)
     mirror = base[:, 1:] + minus[:, 1:]
     np.exp(mirror, out=mirror)
     odd = even[:, 1:] - mirror
     even[:, 1:] += mirror
-    return even.T @ even, odd.T @ odd
+    l_even, l_odd = (even, odd) if left is None else left
+    return (even, odd), [l_even.T @ even, l_odd.T @ odd]
+
+
+def _slab_blocks(tables: _XiTables, p_from: int, p_to: int, half: np.ndarray,
+                 flip: int, derivative: bool) -> list[np.ndarray]:
+    """Parity blocks of the rows p_from..p_to (p >= 0) of the window.
+
+    The rows of Z are folded first: column k of the even part is
+    (Z[p, k] + Z[p, -k])/sqrt 2 (Z[p, 0] for k = 0), of the odd part
+    (Z[p, k+1] - Z[p, -k-1])/sqrt 2.  Rows p > 0 carry a factor sqrt 2
+    standing in for the mirror row -p, whose outer products are the same.
+    Both factors ride in the exponent.  Returns [G_even, G_odd], followed
+    with ``derivative`` by [H_even, H_odd]: H = Z^T W, where W is Z with its
+    translation factor replaced by that factor's d-derivative (W = Z o D
+    for the log-derivative D), built in the exponent and folded the same way.
+    """
+    n = half.size - 1
+    ps = np.arange(p_from, p_to + 1)
+    row = 0.5 * tables.ratio_log(p_to)[ps] + np.where(ps > 0, _HALF_LN2, 0.0)
+    col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
+    if derivative:
+        # read first: it grows the translation table one order past the
+        # window, so the next line reuses that table instead of a second one
+        d_trans = tables.trans_deriv_log(p_to + n)
+    plus, minus = _order_window(tables.trans_log(p_to + n),
+                                p_from, p_to, n, flip)
+    base = row[:, None] + col[None, :]
+    z, blocks = _fold_gram(base, plus, minus)
+    if derivative:
+        _, (h_even, h_odd) = _fold_gram(
+            base, *_order_window(d_trans, p_from, p_to, n, flip), left=z)
+        blocks += [-h_even, -h_odd]      # the derivative is negative
+    return blocks
 
 
 def _quiet(delta: np.ndarray, total: np.ndarray, tol: float) -> bool:
@@ -282,8 +335,10 @@ def _quiet(delta: np.ndarray, total: np.ndarray, tol: float) -> bool:
     return bool(np.all(np.abs(delta) <= tol * scale))
 
 
-def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                        half_width: int, tol: float) -> tuple[RoundTripMatrix, int]:
+def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
+                   half_width: int, tol: float, derivative: bool
+                   ) -> tuple[float, list[np.ndarray], int]:
+    """(sign, blocks of ``_slab_blocks`` over the converged window, width)."""
     _check_scalar_bc(bc)
     if half_width < 0:
         raise DomainError("half_width must be >= 0")
@@ -302,25 +357,34 @@ def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
     p_hi = center + half_width + width
     cap = _default_p_cap(tables.zd, half_width, half_width) + 2 * p_hi
 
-    even, odd = _slab_gram(tables, 0, p_hi, half, flip)
+    blocks = _slab_blocks(tables, 0, p_hi, half, flip, derivative)
     small_slabs = 0
     slab = width
     while small_slabs < 2:
         if p_hi > cap:
             raise PSumNoConvergence(
                 f"matrix p-window exceeded cap {cap} at xi={xi}, N={half_width}")
-        d_even, d_odd = _slab_gram(tables, p_hi + 1, p_hi + slab, half, flip)
+        deltas = _slab_blocks(tables, p_hi + 1, p_hi + slab, half, flip,
+                              derivative)
         p_hi += slab
-        even += d_even
-        odd += d_odd
-        if _quiet(d_even, even, tol) and _quiet(d_odd, odd, tol):
+        for total, delta in zip(blocks, deltas):
+            total += delta
+        if all(_quiet(delta, total, tol)
+               for delta, total in zip(deltas, blocks)):
             small_slabs += 1
         else:
             small_slabs = 0
         slab *= 2
+    return tables.sign, blocks, 2 * p_hi + 1
+
+
+def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
+                        half_width: int, tol: float) -> tuple[RoundTripMatrix, int]:
+    sign, (even, odd), p_used = _window_blocks(pair, bc, xi, half_width, tol,
+                                               False)
     mat = RoundTripMatrix(half_width=half_width, even=even, odd=odd,
-                          sign=tables.sign, prefactor_log=-2.0 * pair.d * xi)
-    return mat, 2 * p_hi + 1
+                          sign=sign, prefactor_log=-2.0 * pair.d * xi)
+    return mat, p_used
 
 
 def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
@@ -358,15 +422,19 @@ def log_det_one_minus(mat: RoundTripMatrix) -> float:
         return -mat.sign * scale * trace - 0.5 * scale * scale * frob2
     total = 0.0
     for block in blocks:
-        a = np.eye(block.shape[0]) - (mat.sign * scale) * block
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            raise NonPositiveDeterminant(
-                "1 - M not positive definite; truncation too small or "
-                "geometry outside the convergent regime") from None
+        chol = _cholesky(np.eye(block.shape[0]) - (mat.sign * scale) * block)
         total += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
     return total
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one block of 1 - M; every eigenvalue is checked."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NonPositiveDeterminant(
+            "1 - M not positive definite; truncation too small or "
+            "geometry outside the convergent regime") from None
 
 
 def _xi_grid(d: float, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,15 +453,49 @@ def _xi_grid(d: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     return xi, weight
 
 
-def _energy_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
-               level: int, tol_elem: float, stats: dict) -> float:
+def _force_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
+                  half_width: int, tol: float
+                  ) -> tuple[tuple[float, list[np.ndarray]], int]:
+    """((sign e^{-2 d xi}, [G_even, G_odd, H_even, H_odd]), window width)."""
+    sign, blocks, p_used = _window_blocks(pair, bc, xi, half_width, tol, True)
+    return (sign * math.exp(-2.0 * pair.d * xi), blocks), p_used
+
+
+def _force_trace(built: tuple[float, list[np.ndarray]]) -> float:
+    """tr[(1 - M)^{-1} d_d M] at one xi, summed over both parity blocks.
+
+    With the unscaled translation derivative the e^{-2 d xi} of M cancels
+    against the scaling of the translation factors, so
+    d_d M = sign c (H + H^T) with c = e^{-2 d xi}, and the trace is
+    2 sign c tr[(1 - sign c G)^{-1} H] per block.  No series branch is
+    needed: the trace has no cancellation in the far tail.
+    """
+    scale, (g_even, g_odd, h_even, h_odd) = built
+    total = 0.0
+    for g, h in ((g_even, h_even), (g_odd, h_odd)):
+        a = np.eye(g.shape[0]) - scale * g
+        _cholesky(a)       # raises once an eigenvalue of M reaches 1
+        total += float(np.trace(np.linalg.solve(a, h)))
+    return 2.0 * scale * total
+
+
+def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
+                 level: int, tol_elem: float, stats: dict, term) -> float:
+    """(1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
+
+    ``term`` is (assemble, evaluate): assemble(pair, bc, xi, half_width,
+    tol) returns (blocks, window width) and evaluate(blocks) the integrand.
+    """
+    assemble, evaluate = term
     xi, wt = _xi_grid(pair.d, level)
     vals = np.empty_like(xi)
     for i in range(xi.size):
-        mat, p_used = _build_matrix_stats(pair, bc, float(xi[i]),
-                                          half_width, tol_elem)
+        # built stays referenced until the next node's assembly returns:
+        # freeing it first lets glibc's malloc trim and re-fault the heap at
+        # every node (~70k against ~5k minor faults per d=0.1 energy)
+        built, p_used = assemble(pair, bc, float(xi[i]), half_width, tol_elem)
         stats["p_max"] = max(stats["p_max"], p_used)
-        vals[i] = xi[i] * log_det_one_minus(mat)
+        vals[i] = xi[i] * evaluate(built)
     return float(np.sum(wt * vals)) / (4.0 * math.pi)
 
 
@@ -403,8 +505,12 @@ def _initial_half_width(pair: CylinderPair) -> int:
     return int(math.ceil(4.0 + 3.0 * radius / pair.d))
 
 
-def _energy_pipeline(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
-                     n_cap: int) -> tuple[EnergyResult, int, int]:
+def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
+                       n_cap: int, term) -> EnergyResult:
+    """(1/4 pi) int xi term(xi) d xi for the energy or the force term.
+
+    The scheme is the one ``casimir_energy_exact`` describes.
+    """
     _check_scalar_bc(bc)
     if rel_tol < 1e-10:
         raise DomainError("rel_tol must be >= 1e-10")
@@ -414,9 +520,9 @@ def _energy_pipeline(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     stats = {"p_max": 0}
 
     n_half = _initial_half_width(pair)
-    value = _energy_at(pair, bc, n_half, 0, tol_elem, stats)
+    value = _integral_at(pair, bc, n_half, 0, tol_elem, stats, term)
     for level in range(1, _MAX_QUAD_LEVEL + 1):
-        new = _energy_at(pair, bc, n_half, level, tol_elem, stats)
+        new = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
         err_quad = abs(new - value)
         value = new
         if err_quad <= quad_tol * abs(value):
@@ -432,16 +538,16 @@ def _energy_pipeline(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
                 f"matrix truncation still moving at N={n_half} "
                 f"({_BASE_NODES << level} xi nodes); cap {n_cap}")
         n_half *= 2
-        new = _energy_at(pair, bc, n_half, level, tol_elem, stats)
+        new = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
         delta = abs(new - value)
         value = new
         if delta <= trunc_tol * abs(value):
             break
 
-    deep = _energy_at(pair, bc, n_half, level + 1, tol_elem, stats)
+    deep = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats, term)
     err_quad = abs(deep - value)
     err_est = err_quad + delta
-    result = EnergyResult(
+    return EnergyResult(
         value_per_length=deep,
         err_est=err_est,
         n_matrix=n_half,
@@ -449,7 +555,6 @@ def _energy_pipeline(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
         xi_nodes=_BASE_NODES << (level + 1),
         converged=bool(err_est <= rel_tol * abs(deep)),
     )
-    return result, n_half, level + 1
 
 
 def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
@@ -463,53 +568,20 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
     pass at the final truncation supplies the reported value and the
     quadrature part of err_est.
     """
-    result, _, _ = _energy_pipeline(pair, bc, rel_tol, n_cap)
-    return result
+    return _adaptive_integral(pair, bc, rel_tol, n_cap,
+                              (_build_matrix_stats, log_det_one_minus))
 
 
 def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
                         rel_tol: float = 1e-4,
                         n_cap: int = 4096) -> EnergyResult:
-    """Force per unit length, F = -dE/dd, by five-point differencing.
+    """Force per unit length, F = -dE/dd, from the trace formula.
 
-    Uses steps h and h/2 with one Richardson combination.  All six stencil
-    energies are evaluated with the truncation and grid level fixed by an
-    adaptive run at the central gap, so grid error varies smoothly across
-    the stencil and largely cancels in the differences.
+    F/L = (1/4 pi) int_0^inf xi tr[(1 - M)^{-1} d_d M] d xi, with d_d M
+    assembled next to M from the derivative of the translation factors.
+    The run is the energy's adaptive driver with this per-xi term, at the
+    same rel_tol, so err_est comes from the same xi-level and truncation
+    estimates as an energy's.  Negative (attractive) for DD and NN.
     """
-    _check_scalar_bc(bc)
-    h = 1e-3 * pair.d
-    offsets = (-2.0 * h, -h, -0.5 * h, 0.5 * h, h, 2.0 * h)
-    gaps = []
-    for off in offsets:
-        try:
-            gaps.append(CylinderPair(pair.kind, pair.a, pair.b,
-                                     pair.d + off, pair.L))
-        except InvalidGeometry as exc:
-            raise StencilDomain(
-                f"gap {pair.d + off} outside the valid domain: {exc}") from exc
-
-    sub_tol = max(1e-10, 1e-3 * rel_tol)
-    center, n_half, level = _energy_pipeline(pair, bc, sub_tol, n_cap)
-
-    stats = {"p_max": center.p_terms_max}
-    tol_elem = max(1e-13, 1e-3 * sub_tol)
-    e = [_energy_at(g, bc, n_half, level, tol_elem, stats) for g in gaps]
-    em2, em1, emh, eph, ep1, ep2 = e
-
-    d_h = (em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * h)
-    d_h2 = (em1 - 8.0 * emh + 8.0 * eph - ep1) / (6.0 * h)
-    d_rich = (16.0 * d_h2 - d_h) / 15.0
-    force = -d_rich
-
-    err_stencil = abs(d_rich - d_h2)
-    err_prop = 3.3 * center.err_est / h
-    err_est = err_stencil + err_prop
-    return EnergyResult(
-        value_per_length=force,
-        err_est=err_est,
-        n_matrix=n_half,
-        p_terms_max=stats["p_max"],
-        xi_nodes=center.xi_nodes,
-        converged=bool(center.converged and err_est <= rel_tol * abs(force)),
-    )
+    return _adaptive_integral(pair, bc, rel_tol, n_cap,
+                              (_force_blocks, _force_trace))

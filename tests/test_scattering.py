@@ -21,9 +21,12 @@ from casimir_cylinders.errors import (
     NoConvergence,
     NonPositiveDeterminant,
     PSumNoConvergence,
-    StencilDomain,
 )
-from casimir_cylinders.scattering import RoundTripMatrix
+from casimir_cylinders.scattering import (
+    RoundTripMatrix,
+    _force_blocks,
+    _force_trace,
+)
 
 INT_05 = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.5)
 EXT_08 = CylinderPair(kind=Kind.EXTERIOR, a=1.0, b=1.5, d=0.8)
@@ -297,6 +300,24 @@ def test_logdet_matches_mpmath_oracle(pair, xi, bc):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN,
+                                BoundaryPair.DN, BoundaryPair.ND])
+@pytest.mark.parametrize("kind,b", [(Kind.INTERIOR, 2.0),
+                                    (Kind.EXTERIOR, 1.5)],
+                         ids=["interior", "exterior"])
+def test_force_term_matches_logdet_difference(kind, b, bc):
+    # tr[(1 - M)^{-1} d_d M] against -d/dd ln det(1 - M) by central difference
+    d = 0.4
+    xi, h = 0.3 / d, 1e-4 * d
+    built, _ = _force_blocks(CylinderPair(kind, 1.0, b, d), bc, xi, 6, 1e-14)
+    got = _force_trace(built)
+    hi, lo = (log_det_one_minus(build_matrix(CylinderPair(kind, 1.0, b, g),
+                                             bc, xi, 6, tol=1e-14))
+              for g in (d + h, d - h))
+    want = -(hi - lo) / (2.0 * h)
+    assert abs(got - want) <= 1e-6 * abs(want)
+
+
 def test_single_mode_dominance_limit():
     # a hairline inner cylinder far from the wall: the m=n=0 entry carries
     # the whole determinant, so ln det(1-M) collapses to -M_00
@@ -320,11 +341,17 @@ def test_energy_truncation_cap_raises():
         casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6, n_cap=8)
 
 
-def test_force_stencil_needs_room():
-    # widest stencil offset would push the gap past b - a
-    pair = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.9995)
-    with pytest.raises(StencilDomain):
-        casimir_force_exact(pair, BoundaryPair.DD)
+def test_force_near_concentric_limit():
+    # the force is odd in delta = b - a - d, so F/delta levels off as the
+    # cylinders approach the concentric position
+    ratios = []
+    for d in (0.999, 0.9995):
+        res = casimir_force_exact(
+            CylinderPair(Kind.INTERIOR, 1.0, 2.0, d), BoundaryPair.DD, 1e-3)
+        assert res.converged
+        assert res.value_per_length < 0.0
+        ratios.append(res.value_per_length / (2.0 - 1.0 - d))
+    assert abs(ratios[0] - ratios[1]) <= 1e-4 * abs(ratios[0])
 
 
 def test_energy_interior_reference(energy_dd_01):
@@ -391,3 +418,25 @@ def test_force_matches_central_difference():
     res = casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3)
     assert abs(fd - res.value_per_length) \
         <= res.err_est + 3e-3 * abs(res.value_per_length)
+
+
+def test_force_exterior_matches_central_difference():
+    hi = casimir_energy_exact(
+        CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.51), BoundaryPair.DN, 1e-5)
+    lo = casimir_energy_exact(
+        CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.49), BoundaryPair.DN, 1e-5)
+    fd = -(hi.value_per_length - lo.value_per_length) / 0.02
+    res = casimir_force_exact(
+        CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.5), BoundaryPair.DN, 1e-3)
+    assert abs(fd - res.value_per_length) \
+        <= res.err_est + 3e-3 * abs(res.value_per_length)
+
+
+def test_force_err_est_bounds_reference():
+    # reference: the five-point Richardson stencil over energies (the
+    # route this package used before the trace formula) at rel_tol 1e-5,
+    # whose own err_est was 1.7e-7
+    ref = -0.5419063432015647
+    res = casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3)
+    assert res.converged
+    assert abs(res.value_per_length - ref) <= res.err_est

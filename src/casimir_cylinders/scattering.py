@@ -34,14 +34,22 @@ and odd combinations splits it into blocks of size N+1 and N, and the rows
 p < 0 repeat the rows p > 0, which are built once with weight 2.  One
 N-type boundary letter flips the sign of every element through the
 primed-Bessel ratios; the sign is factored out and applied once, and
-ln det(1 - M) is read off a Cholesky factor of each block.
+ln det(1 - M) is read off a Cholesky factor L of each block.
 
 Only the translation factors depend on the gap d.  The force builds
 W = Z o D next to Z, with D the log-derivative of the unscaled translation
 factor of each entry, folds it the same way and sums H = Z^T W next to G;
 then d_d M = sign e^{-2 d xi} (H + H^T), and each block contributes
-2 sign e^{-2 d xi} tr[(1 - M)^{-1} H] from a solve against 1 - M.  Energy
-and force share one adaptive xi / truncation driver.
+2 sign e^{-2 d xi} tr[L^{-1} H L^{-T}].
+
+Truncation.  Both blocks are ordered by |m|, and the Cholesky factor of a
+leading principal block is the leading block of the full factor.  So the
+per-xi terms are sums of per-|m| rows: 2 log L_kk for the energy and
+2 sign e^{-2 d xi} (L^{-1} H L^{-T})_kk for the force (row k of the
+even block and row k - 1 of the odd one carry |m| = k), and the sum of the
+first N' + 1 rows is the term of the N' truncation.  Energy and force share
+one adaptive xi / truncation driver, which reads the truncation error of a
+build off the decay of its xi-integrated rows.
 """
 from __future__ import annotations
 
@@ -400,13 +408,24 @@ _SERIES_CUT = 1e-8
 def log_det_one_minus(mat: RoundTripMatrix) -> float:
     """ln det(1 - sign * e^{prefactor_log} * G), summed over both blocks.
 
-    Each block of 1 - M is factored by Cholesky; a failed factorization means
-    some eigenvalue of M reaches 1, which is outside the physical regime.
-    With c = e^{prefactor_log}, c * tr G bounds every eigenvalue of M because
-    G is positive semidefinite.  Once that bound drops below _SERIES_CUT,
-    1 - M rounds to the identity in doubles and a factorization returns
-    exactly zero, so the far tail switches to the trace expansion
-    -tr M - tr(M^2)/2, whose truncation error is cubic in the bound.
+    The sum of the rows of ``_log_det_rows``.
+    """
+    return float(np.sum(_log_det_rows(mat)))
+
+
+def _log_det_rows(mat: RoundTripMatrix) -> np.ndarray:
+    """Per-|m| rows r[0..N] of ln det(1 - M); r[:N'+1] sums to the N' term.
+
+    Each block of 1 - M is factored by Cholesky, and row k holds 2 log L_kk;
+    a failed factorization means some eigenvalue of M reaches 1, which is
+    outside the physical regime.  With c = e^{prefactor_log}, c * tr G
+    bounds every eigenvalue of M because G is positive semidefinite.  Once
+    that bound drops below _SERIES_CUT, 1 - M rounds to the identity in
+    doubles and a factorization returns exactly zero, so the far tail
+    switches to the trace expansion -tr M - tr(M^2)/2, whose truncation
+    error is cubic in the bound.  Its row k is
+    -sign c G_kk - c^2 (G_kk^2 / 2 + sum_{j<k} G_kj^2), so that every leading
+    block keeps its own tr(M^2).
     """
     n = mat.half_width
     for name, block, size in (("even", mat.even, n + 1), ("odd", mat.odd, n)):
@@ -415,16 +434,20 @@ def log_det_one_minus(mat: RoundTripMatrix) -> float:
                 f"{name} block must be {size}x{size} at half_width {n}, "
                 f"got shape {block.shape}")
     scale = math.exp(mat.prefactor_log)
-    blocks = (mat.even, mat.odd)      # odd is 0x0 at half_width 0
-    trace = sum(float(np.trace(b)) for b in blocks)
-    if scale * trace < _SERIES_CUT:
-        frob2 = sum(float(np.sum(b * b)) for b in blocks)
-        return -mat.sign * scale * trace - 0.5 * scale * scale * frob2
-    total = 0.0
-    for block in blocks:
-        chol = _cholesky(np.eye(block.shape[0]) - (mat.sign * scale) * block)
-        total += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    return total
+    blocks = ((mat.even, 0), (mat.odd, 1))   # odd is 0x0 at half_width 0
+    series = scale * sum(float(np.trace(b)) for b, _ in blocks) < _SERIES_CUT
+    rows = np.zeros(n + 1)
+    for block, lo in blocks:
+        if series:
+            diag = np.diagonal(block)
+            lower = np.tril(block, -1)
+            square = 0.5 * diag * diag + np.sum(lower * lower, axis=1)
+            rows[lo:] -= mat.sign * scale * diag + scale * scale * square
+        else:
+            chol = _cholesky(np.eye(block.shape[0])
+                             - (mat.sign * scale) * block)
+            rows[lo:] += 2.0 * np.log(np.diagonal(chol))
+    return rows
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -462,41 +485,78 @@ def _force_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
 
 
 def _force_trace(built: tuple[float, list[np.ndarray]]) -> float:
-    """tr[(1 - M)^{-1} d_d M] at one xi, summed over both parity blocks.
+    """tr[(1 - M)^{-1} d_d M] at one xi: the sum of ``_force_rows``."""
+    return float(np.sum(_force_rows(built)))
+
+
+def _force_rows(built: tuple[float, list[np.ndarray]]) -> np.ndarray:
+    """Per-|m| rows r[0..N] of tr[(1 - M)^{-1} d_d M], like ``_log_det_rows``.
 
     With the unscaled translation derivative the e^{-2 d xi} of M cancels
     against the scaling of the translation factors, so
     d_d M = sign c (H + H^T) with c = e^{-2 d xi}, and the trace is
-    2 sign c tr[(1 - sign c G)^{-1} H] per block.  No series branch is
-    needed: the trace has no cancellation in the far tail.
+    2 sign c tr[(1 - sign c G)^{-1} H] per block.  With 1 - M = L L^T that
+    is 2 sign c tr[L^{-1} H L^{-T}], and row k holds its k-th diagonal
+    entry, d(2 log L_kk) = (L^{-1} d(1 - M) L^{-T})_kk.  No series branch
+    is needed: the trace has no cancellation in the far tail.
     """
     scale, (g_even, g_odd, h_even, h_odd) = built
-    total = 0.0
-    for g, h in ((g_even, h_even), (g_odd, h_odd)):
-        a = np.eye(g.shape[0]) - scale * g
-        _cholesky(a)       # raises once an eigenvalue of M reaches 1
-        total += float(np.trace(np.linalg.solve(a, h)))
-    return 2.0 * scale * total
+    rows = np.zeros(g_even.shape[0])
+    for g, h, lo in ((g_even, h_even, 0), (g_odd, h_odd, 1)):
+        inv = np.linalg.inv(_cholesky(np.eye(g.shape[0]) - scale * g))
+        rows[lo:] += np.einsum("ij,ij->i", inv @ h, inv)
+    return 2.0 * scale * rows
 
 
 def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
-                 level: int, tol_elem: float, stats: dict, term) -> float:
-    """(1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
+                 level: int, tol_elem: float, stats: dict, term) -> np.ndarray:
+    """Rows of (1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
 
     ``term`` is (assemble, evaluate): assemble(pair, bc, xi, half_width,
-    tol) returns (blocks, window width) and evaluate(blocks) the integrand.
+    tol) returns (blocks, window width) and evaluate(blocks) the per-|m|
+    rows of the integrand, r[0..half_width].
     """
     assemble, evaluate = term
     xi, wt = _xi_grid(pair.d, level)
-    vals = np.empty_like(xi)
+    rows = np.zeros(half_width + 1)
     for i in range(xi.size):
         # built stays referenced until the next node's assembly returns:
         # freeing it first lets glibc's malloc trim and re-fault the heap at
         # every node (~70k against ~5k minor faults per d=0.1 energy)
         built, p_used = assemble(pair, bc, float(xi[i]), half_width, tol_elem)
         stats["p_max"] = max(stats["p_max"], p_used)
-        vals[i] = xi[i] * evaluate(built)
-    return float(np.sum(wt * vals)) / (4.0 * math.pi)
+        rows += (wt[i] * xi[i]) * evaluate(built)
+    return rows / (4.0 * math.pi)
+
+
+def _tail_bound(rows: np.ndarray) -> tuple[float, float]:
+    """(bound on the rows past the last one, slowest decay ratio q).
+
+    The tail beyond N is taken as geometric at the slowest ratio q of the
+    last max(4, N/8) rows, with a margin of 2: 2 |r_N| q / (1 - q).  Rows
+    that do not decay (q >= 1) give an infinite bound.
+    """
+    last = abs(float(rows[-1]))
+    if last == 0.0:
+        return 0.0, 0.0
+    n = rows.size - 1
+    if n == 0:
+        return math.inf, math.inf
+    window = np.abs(rows[n - min(n, max(4, n // 8)):])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = float(np.max(window[1:] / window[:-1]))
+    if not q < 1.0:
+        return math.inf, q
+    return 2.0 * last * q / (1.0 - q), q
+
+
+def _grown_half_width(n_half: int, bound: float, q: float,
+                      target: float) -> int:
+    """Truncation at which the geometric tail bound meets target, <= 2N + 1."""
+    if not (q < 1.0 and target > 0.0):
+        return 2 * n_half + 1
+    extra = math.ceil(math.log(target / bound) / math.log(q))
+    return n_half + min(max(extra, 1), n_half + 1)
 
 
 def _initial_half_width(pair: CylinderPair) -> int:
@@ -509,7 +569,13 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
                        n_cap: int, term) -> EnergyResult:
     """(1/4 pi) int xi term(xi) d xi for the energy or the force term.
 
-    The scheme is the one ``casimir_energy_exact`` describes.
+    The xi quadrature is refined at the initial truncation N0 until two
+    levels agree to a quarter of rel_tol.  The xi-integrated rows of that
+    level then bound the truncation error (``_tail_bound``); while the bound
+    exceeds half of rel_tol, N grows to where the geometric bound meets it
+    (at most doubling per step) and the level is rebuilt.  One pass one
+    level deeper at the final N gives the reported value; err_est is the
+    difference from the previous level plus the tail bound of the deep rows.
     """
     _check_scalar_bc(bc)
     if rel_tol < 1e-10:
@@ -520,9 +586,14 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     stats = {"p_max": 0}
 
     n_half = _initial_half_width(pair)
-    value = _integral_at(pair, bc, n_half, 0, tol_elem, stats, term)
+    if n_half > n_cap:
+        raise NoConvergence(
+            f"initial truncation N={n_half} exceeds cap {n_cap}")
+    rows = _integral_at(pair, bc, n_half, 0, tol_elem, stats, term)
+    value = float(np.sum(rows))
     for level in range(1, _MAX_QUAD_LEVEL + 1):
-        new = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
+        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
+        new = float(np.sum(rows))
         err_quad = abs(new - value)
         value = new
         if err_quad <= quad_tol * abs(value):
@@ -533,20 +604,21 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
             f"nodes (N={n_half})")
 
     while True:
-        if 2 * n_half > n_cap:
-            raise NoConvergence(
-                f"matrix truncation still moving at N={n_half} "
-                f"({_BASE_NODES << level} xi nodes); cap {n_cap}")
-        n_half *= 2
-        new = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
-        delta = abs(new - value)
-        value = new
-        if delta <= trunc_tol * abs(value):
+        bound, q = _tail_bound(rows)
+        target = trunc_tol * abs(value)
+        if bound <= target:
             break
+        if n_half >= n_cap:
+            raise NoConvergence(
+                f"matrix truncation tail {bound:.3e} above {target:.3e} at "
+                f"N={n_half} ({_BASE_NODES << level} xi nodes); cap {n_cap}")
+        n_half = min(_grown_half_width(n_half, bound, q, target), n_cap)
+        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
+        value = float(np.sum(rows))
 
-    deep = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats, term)
-    err_quad = abs(deep - value)
-    err_est = err_quad + delta
+    rows = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats, term)
+    deep = float(np.sum(rows))
+    err_est = abs(deep - value) + _tail_bound(rows)[0]
     return EnergyResult(
         value_per_length=deep,
         err_est=err_est,
@@ -562,14 +634,15 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
                          n_cap: int = 4096) -> EnergyResult:
     """Interaction energy per unit length; negative for DD and NN.
 
-    The xi quadrature is refined first at the initial truncation, the
-    truncation is then doubled on that frozen grid until the energy moves
-    by less than the budgeted share of rel_tol, and one deeper quadrature
-    pass at the final truncation supplies the reported value and the
-    quadrature part of err_est.
+    The xi quadrature is refined first at the initial truncation.  The
+    per-|m| rows of ln det on that grid then bound the truncation error,
+    and the truncation grows straight to where that bound meets its share
+    of rel_tol.  One deeper quadrature pass at the final truncation supplies
+    the reported value; err_est is its difference from the previous level
+    plus the truncation bound.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap,
-                              (_build_matrix_stats, log_det_one_minus))
+                              (_build_matrix_stats, _log_det_rows))
 
 
 def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
@@ -584,4 +657,4 @@ def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
     estimates as an energy's.  Negative (attractive) for DD and NN.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap,
-                              (_force_blocks, _force_trace))
+                              (_force_blocks, _force_rows))

@@ -25,7 +25,11 @@ from casimir_cylinders.errors import (
 from casimir_cylinders.scattering import (
     RoundTripMatrix,
     _force_blocks,
+    _force_rows,
     _force_trace,
+    _grown_half_width,
+    _log_det_rows,
+    _tail_bound,
 )
 
 INT_05 = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.5)
@@ -318,6 +322,25 @@ def test_force_term_matches_logdet_difference(kind, b, bc):
     assert abs(got - want) <= 1e-6 * abs(want)
 
 
+@pytest.mark.parametrize("xi_d", [0.05, 0.3, 2.0, 12.0])
+@pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN,
+                                BoundaryPair.DN, BoundaryPair.ND])
+@pytest.mark.parametrize("pair", [INT_05, EXT_08],
+                         ids=["interior", "exterior"])
+def test_rows_sum_to_every_leading_truncation(pair, bc, xi_d):
+    # the rows of one N=12 build hold the energy and force terms of every
+    # smaller truncation: the truncation driver reads its tail off them
+    xi = xi_d / pair.d
+    energy = _log_det_rows(build_matrix(pair, bc, xi, 12, tol=1e-14))
+    force = _force_rows(_force_blocks(pair, bc, xi, 12, 1e-14)[0])
+    assert energy.shape == force.shape == (13,)
+    for n in (0, 1, 3, 7, 12):
+        want = log_det_one_minus(build_matrix(pair, bc, xi, n, tol=1e-14))
+        assert abs(np.sum(energy[:n + 1]) - want) <= 1e-10 * abs(want)
+        want = _force_trace(_force_blocks(pair, bc, xi, n, 1e-14)[0])
+        assert abs(np.sum(force[:n + 1]) - want) <= 1e-10 * abs(want)
+
+
 def test_single_mode_dominance_limit():
     # a hairline inner cylinder far from the wall: the m=n=0 entry carries
     # the whole determinant, so ln det(1-M) collapses to -M_00
@@ -339,6 +362,30 @@ def test_energy_argument_validation():
 def test_energy_truncation_cap_raises():
     with pytest.raises(NoConvergence):
         casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6, n_cap=8)
+
+
+def test_energy_tail_cap_raises():
+    # N0 = 10 fits under the cap, but the row tail still asks for more
+    with pytest.raises(NoConvergence, match="cap 12"):
+        casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6, n_cap=12)
+
+
+def test_tail_bound_geometric_rows():
+    rows = -0.5 ** np.arange(41.0)
+    bound, q = _tail_bound(rows)
+    assert q == 0.5
+    assert bound == 2.0 * 0.5 ** 40     # twice the true tail
+    grown = _grown_half_width(40, bound, q, bound / 100.0)
+    assert grown == 47                  # 0.5^7 <= 1/100 < 0.5^6
+
+
+def test_tail_bound_edge_rows():
+    assert _tail_bound(np.array([-1.0, -0.5, 0.0])) == (0.0, 0.0)
+    bound, q = _tail_bound(np.array([-1.0, -0.5, -0.5, -0.25, -0.2]))
+    assert q == 1.0 and bound == math.inf      # a row that does not decay
+    assert _grown_half_width(4, bound, q, 1e-3) == 9
+    # however far the geometric bound reaches, one step at most doubles N
+    assert _grown_half_width(4, 1.0, 0.99, 1e-12) == 9
 
 
 def test_force_near_concentric_limit():

@@ -34,7 +34,7 @@ from .geometry import (
     derive_params,
 )
 from .pfa import PfaMethod, PfaResult, pfa_force_integral, pfa_force_leading
-from .quadrature import QuadratureSpec, gauss_hermite, integrate_finite, integrate_semi_infinite
+from .quadrature import QuadratureSpec, gauss_hermite, integrate_finite
 from .scattering import (
     EnergyResult,
     RoundTripMatrix,
@@ -42,7 +42,6 @@ from .scattering import (
     casimir_energy_exact,
     casimir_force_exact,
     log_det_one_minus,
-    matrix_element,
 )
 
 __version__ = "0.1.0"
@@ -78,10 +77,8 @@ __all__ = [
     "force_expansion",
     "gauss_hermite",
     "integrate_finite",
-    "integrate_semi_infinite",
     "limit_consistency_check",
     "log_det_one_minus",
-    "matrix_element",
     "pfa_force_integral",
     "pfa_force_leading",
     "__version__",

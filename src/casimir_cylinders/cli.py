@@ -34,7 +34,7 @@ from .bessel import (
     log_bessel_k_scaled,
     scaled_pair,
 )
-from .errors import CasimirCylError, InvalidGeometry, NoConvergence
+from .errors import CasimirCylError, NoConvergence
 from .geometry import (
     COMPOSITE_PAIRS,
     SCALAR_PAIRS,
@@ -138,13 +138,9 @@ def _run_task(task: tuple) -> tuple[dict, int, str]:
                    else force_expansion)(pair, bc)
             value = exp.amplitude * (1.0 + exp.bracket * d)
             err = 0.0
-    except UsageError as exc:
-        code, diag = 2, str(exc)
-    except (InvalidGeometry,) as exc:
-        code, diag = 2, str(exc)
     except NoConvergence as exc:
         code, diag = 3, str(exc)
-    except CasimirCylError as exc:
+    except (UsageError, CasimirCylError) as exc:
         code, diag = 2, str(exc)
     wall = time.perf_counter() - t0 if timing else 0.0
     record = {
@@ -465,10 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidGeometry, CasimirCylError) as exc:
+    except (UsageError, CasimirCylError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

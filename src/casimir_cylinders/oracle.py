@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence
 from .geometry import BoundaryPair, CylinderPair, Kind, derive_params
-from .quadrature import QuadratureSpec, gauss_hermite, integrate_finite
+from .quadrature import (QuadratureSpec, _hermgauss, gauss_hermite,
+                         integrate_finite)
 
 _SWAP_PAIRS = (BoundaryPair.NN, BoundaryPair.ND)
 _SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
@@ -310,7 +311,7 @@ def _chain_nodes(pt: PerturbationPoint):
     """
     s = pt.s
     c = pt.beta * pt.tau / (4.0 * pt.m)
-    x, w = np.polynomial.hermite.hermgauss(_GH_NODES)
+    x, w = _hermgauss(_GH_NODES)
     mesh = np.meshgrid(*([x] * s), indexing="ij")
     y = np.stack([g.ravel() for g in mesh])
     wmesh = np.meshgrid(*([w] * s), indexing="ij")
@@ -384,15 +385,25 @@ def i_endpoint_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int) -> float
 
 def _power_tail(p: float, k_start: int, alternating: bool) -> float:
     """sum_{k >= k_start} k^{-p}, plain (Euler-Maclaurin) or with (-1)^k
-    (pairwise combination, sign of the k_start term positive)."""
+    (sign of the k_start term positive; 32 terms summed directly, the rest
+    by Euler-Boole)."""
     if not alternating:
         k = float(k_start)
         return (k ** (1.0 - p) / (p - 1.0) + 0.5 * k ** -p
                 + p / 12.0 * k ** (-p - 1.0)
                 - p * (p + 1.0) * (p + 2.0) / 720.0 * k ** (-p - 3.0))
-    ks = k_start + 2.0 * np.arange(2_000_000)
-    pairs = ks ** -p - (ks + 1.0) ** -p
-    return float(np.sum(pairs[::-1]))
+    ks = k_start + 2.0 * np.arange(16)
+    direct = float(np.sum((ks ** -p - (ks + 1.0) ** -p)[::-1]))
+    # sum_{j >= 0} (-1)^j f(x + j) = (1 + e^D)^{-1} f
+    #   = f/2 - f'/4 + f'''/48 - f^(5)/480 + 17 f^(7)/80640 - ...,
+    # and the n-th derivative of x^-p is (-1)^n p (p+1)...(p+n-1) x^(-p-n)
+    x = float(k_start + 32)
+    p3 = p * (p + 1.0) * (p + 2.0)
+    p5 = p3 * (p + 3.0) * (p + 4.0)
+    p7 = p5 * (p + 5.0) * (p + 6.0)
+    return direct + x ** -p * (0.5 + p / (4.0 * x) - p3 / (48.0 * x ** 3)
+                               + p5 / (480.0 * x ** 5)
+                               - 17.0 * p7 / (80640.0 * x ** 7))
 
 
 def e0_coefficient_check(chi: int) -> float:

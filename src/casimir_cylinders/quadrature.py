@@ -1,8 +1,7 @@
 """One-dimensional integration primitives.
 
-Gauss-Legendre with node doubling on finite intervals, a logarithmic map for
-semi-infinite integrands with a known exponential decay rate, and
-Gauss-Hermite rules for Gaussian-weighted integrals.
+Gauss-Legendre with node doubling on finite intervals and Gauss-Hermite
+rules for Gaussian-weighted integrals.
 
 Integrands are called with a numpy array of abscissas and must return the
 array of values (vectorized contract); every caller in this package complies.
@@ -19,19 +18,17 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence
 
+_BASE_NODES = 32        # first rung of every Gauss-Legendre doubling ladder
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     rel_tol: float = 1e-8
     max_doublings: int = 12
-    base_nodes: int = 32
-    decay_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be > 0")
-        if self.base_nodes < 2:
-            raise DomainError("base_nodes must be >= 2")
 
 
 def _leggauss_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,33 +104,16 @@ def integrate_finite(f: Callable, lo: float, hi: float,
     def g(t: np.ndarray) -> np.ndarray:
         return np.asarray(f(lo + t * t)) * 2.0 * t
 
-    value = _gauss_legendre(g, 0.0, width, spec.base_nodes)
+    value = _gauss_legendre(g, 0.0, width, _BASE_NODES)
     err = math.inf
     for k in range(1, spec.max_doublings + 1):
-        new = _gauss_legendre(g, 0.0, width, spec.base_nodes * 2 ** k)
+        new = _gauss_legendre(g, 0.0, width, _BASE_NODES * 2 ** k)
         err = abs(new - value)
         value = new
         if err <= spec.rel_tol * abs(value) + 1e-300:
             return value, err
     raise NoConvergence(
         f"integrate_finite: {spec.max_doublings} doublings reached, err {err:.3e}")
-
-
-def integrate_semi_infinite(f: Callable,
-                            spec: QuadratureSpec) -> tuple[float, float]:
-    """Integrate f on (0, inf) assuming an e^{-decay_rate*x} tail.
-
-    Maps x = -ln(u)/rate onto u in (0,1) and reuses integrate_finite.
-    """
-    rate = spec.decay_rate
-    if not rate > 0:
-        raise DomainError("decay_rate must be > 0")
-
-    def g(u: np.ndarray) -> np.ndarray:
-        x = -np.log(u) / rate
-        return np.asarray(f(x)) / (rate * u)
-
-    return integrate_finite(g, 0.0, 1.0, spec)
 
 
 def gauss_hermite(f: Callable, lam: float, n_nodes: int) -> float:

@@ -36,10 +36,16 @@ N-type boundary letter flips the sign of every element through the
 primed-Bessel ratios; the sign is factored out and applied once, and
 ln det(1 - M) is read off a Cholesky factor L of each block.
 
+The p-window is cut once, before any exp: log Z is a sum of three table
+lookups, and the window ends at the last row whose largest exponent is
+within (1/2) ln(tol * 1e-14) of the largest exponent of Z.  The rows are
+formed again twice as far only while that cut reaches the last one formed.
+
 Only the translation factors depend on the gap d.  The force builds
 W = Z o D next to Z, with D the log-derivative of the unscaled translation
-factor of each entry, folds it the same way and sums H = Z^T W next to G;
-then d_d M = sign e^{-2 d xi} (H + H^T), and each block contributes
+factor of each entry, cuts its rows against its own largest exponent like
+those of Z, folds it the same way and sums H = Z^T W next to G; then
+d_d M = sign e^{-2 d xi} (H + H^T), and each block contributes
 2 sign e^{-2 d xi} tr[L^{-1} H L^{-T}].
 
 Truncation.  Both blocks are ordered by |m|, and the Cholesky factor of a
@@ -71,12 +77,10 @@ from .errors import (
     PSumNoConvergence,
 )
 from .geometry import BoundaryPair, CylinderPair, Kind, derive_params
-from .quadrature import _leggauss
+from .quadrature import _BASE_NODES, _leggauss
 
 _SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
-_BASE_NODES = 32
 _MAX_QUAD_LEVEL = 12
-_SMALL_RUN = 10            # consecutive negligible p-terms that end the sum
 _LN2 = math.log(2.0)
 _HALF_LN2 = 0.5 * _LN2
 
@@ -196,157 +200,92 @@ def _default_p_cap(zd: float, m: int, n: int) -> int:
     return int(10.0 * (zd + abs(m) + abs(n) + 50.0))
 
 
-def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
-                   xi: float, tol: float = 1e-12,
-                   p_cap: int | None = None) -> float:
-    """One scaled element, p-sum walked outward from its peak.
-
-    The sum stops once ``_SMALL_RUN`` consecutive terms each contribute less
-    than tol of the running total; all terms share one sign, so the total
-    grows monotonically and the stopping test is safe.
-    """
-    _check_scalar_bc(bc)
-    if not xi > 0:
-        raise DomainError("xi must be positive")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    m, n = int(m), int(n)
-    tables = _XiTables(pair, bc, xi)
-    cap = _default_p_cap(tables.zd, m, n) if p_cap is None else int(p_cap)
-    flip = -1 if pair.kind is Kind.INTERIOR else 1   # translation index p -+ m
-
-    # summand support: translation factors die superexponentially once the
-    # index outruns zd, so the peak lives inside this box whatever the
-    # saddle estimate says; never stop before the walk has covered it
-    span = int(math.ceil(tables.zd)) + 20
-    box_lo = min(-flip * m, -flip * n, 0) - span
-    box_hi = max(-flip * m, -flip * n, 0) + span
-    center = _p_center(pair, m, box_lo, box_hi)
-    k_min = (box_hi - box_lo) // 2 + 1
-
-    num, den = tables.prefactor_logs(max(abs(m), abs(n)))
-    base = num[abs(n)] - den[abs(m)]
-
-    ratio = tables.ratio_log(max(abs(box_lo), abs(box_hi), 8))
-    trans = tables.trans_log(max(abs(box_lo), abs(box_hi), 8)
-                             + max(abs(m), abs(n)))
-
-    def term_log(p: int) -> float:
-        need = max(abs(p), abs(p + flip * m), abs(p + flip * n))
-        nonlocal ratio, trans
-        if need >= len(ratio) or need >= len(trans):
-            ratio = tables.ratio_log(2 * need)
-            trans = tables.trans_log(2 * need)
-        return (ratio[abs(p)] + trans[abs(p + flip * m)]
-                + trans[abs(p + flip * n)])
-
-    l_ref = term_log(center)
-    acc = 1.0 if l_ref > -math.inf else 0.0
-    small_run = 0
-    for k in range(1, cap + 2):
-        for p in (center + k, center - k):
-            lt = term_log(p)
-            if lt == -math.inf:
-                small_run += 1
-                continue
-            if l_ref == -math.inf:
-                l_ref, acc, small_run = lt, 1.0, 0
-                continue
-            c_log = lt - l_ref
-            if c_log > 60.0:
-                acc = acc * math.exp(-c_log) + 1.0
-                l_ref = lt
-                small_run = 0
-                continue
-            c = math.exp(c_log)
-            acc += c
-            small_run = small_run + 1 if c < tol * acc else 0
-        if small_run >= _SMALL_RUN and k >= k_min:
-            break
-    else:
-        raise PSumNoConvergence(
-            f"p-sum window exceeded cap {cap} at m={m}, n={n}, xi={xi}")
-    if l_ref == -math.inf:
-        return 0.0
-    return tables.sign * math.exp(base + l_ref + math.log(acc))
-
-
-def _order_window(table: np.ndarray, p_from: int, p_to: int, n: int,
+def _order_window(table: np.ndarray, p_to: int, n: int,
                   flip: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of a per-order table at |p + flip k| and |p - flip k|.
 
-    Rows run over p_from..p_to and columns over k = 0..n.  Both views share
+    Rows run over p = 0..p_to and columns over k = 0..n.  Both views share
     one 1-D gather; sliding_window_view would leave a reference cycle that
     keeps each buffer alive until the garbage collector runs.
     """
-    orders = table[np.abs(np.arange(p_from - n, p_to + n + 1))]
-    window = np.ndarray((p_to - p_from + 1, 2 * n + 1), buffer=orders,
+    orders = table[np.abs(np.arange(-n, p_to + n + 1))]
+    window = np.ndarray((p_to + 1, 2 * n + 1), buffer=orders,
                         strides=2 * orders.strides)
     ahead, behind = window[:, n:], window[:, n::-1]   # |p + k|, |p - k|
     return (ahead, behind) if flip > 0 else (behind, ahead)
 
 
-def _fold_gram(base: np.ndarray, plus: np.ndarray, minus: np.ndarray,
-               left: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
-    """Parity-folded F = exp(base + plus/minus) and its block products.
+def _row_logs(tables: _XiTables, p_to: int, half: np.ndarray, flip: int,
+              derivative: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exponents of the rows p = 0..p_to (p >= 0) of the window, unfolded.
 
-    Returns ((F_even, F_odd), [L_even^T F_even, L_odd^T F_odd]), with the
-    folded left factors L = F unless ``left`` gives them.
-    """
-    even = base + plus
-    np.exp(even, out=even)
-    mirror = base[:, 1:] + minus[:, 1:]
-    np.exp(mirror, out=mirror)
-    odd = even[:, 1:] - mirror
-    even[:, 1:] += mirror
-    l_even, l_odd = (even, odd) if left is None else left
-    return (even, odd), [l_even.T @ even, l_odd.T @ odd]
-
-
-def _slab_blocks(tables: _XiTables, p_from: int, p_to: int, half: np.ndarray,
-                 flip: int, derivative: bool) -> list[np.ndarray]:
-    """Parity blocks of the rows p_from..p_to (p >= 0) of the window.
-
-    The rows of Z are folded first: column k of the even part is
-    (Z[p, k] + Z[p, -k])/sqrt 2 (Z[p, 0] for k = 0), of the odd part
-    (Z[p, k+1] - Z[p, -k-1])/sqrt 2.  Rows p > 0 carry a factor sqrt 2
-    standing in for the mirror row -p, whose outer products are the same.
-    Both factors ride in the exponent.  Returns [G_even, G_odd], followed
-    with ``derivative`` by [H_even, H_odd]: H = Z^T W, where W is Z with its
-    translation factor replaced by that factor's d-derivative (W = Z o D
-    for the log-derivative D), built in the exponent and folded the same way.
+    Returns [(Z at +k, Z at -k for k >= 1)], followed with ``derivative`` by
+    the same pair for W: Z with its translation factor replaced by that
+    factor's d-derivative (W = Z o D for the log-derivative D).  Rows p > 0
+    carry a factor sqrt 2 standing in for the mirror row -p, whose outer
+    products are the same, and columns k > 0 the 1/sqrt 2 of the parity
+    fold; both ride in the exponent.
     """
     n = half.size - 1
-    ps = np.arange(p_from, p_to + 1)
+    ps = np.arange(p_to + 1)
     row = 0.5 * tables.ratio_log(p_to)[ps] + np.where(ps > 0, _HALF_LN2, 0.0)
     col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
     if derivative:
         # read first: it grows the translation table one order past the
         # window, so the next line reuses that table instead of a second one
         d_trans = tables.trans_deriv_log(p_to + n)
-    plus, minus = _order_window(tables.trans_log(p_to + n),
-                                p_from, p_to, n, flip)
+    trans = [tables.trans_log(p_to + n)] + ([d_trans] if derivative else [])
     base = row[:, None] + col[None, :]
-    z, blocks = _fold_gram(base, plus, minus)
-    if derivative:
-        _, (h_even, h_odd) = _fold_gram(
-            base, *_order_window(d_trans, p_from, p_to, n, flip), left=z)
-        blocks += [-h_even, -h_odd]      # the derivative is negative
+    logs = []
+    for table in trans:
+        plus, minus = _order_window(table, p_to, n, flip)
+        logs.append((base + plus, base[:, 1:] + minus[:, 1:]))
+    return logs
+
+
+def _fold(plus: np.ndarray, minus: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts of the exponentiated rows, in place on ``plus``.
+
+    Column k of the even part is (Z[p, k] + Z[p, -k])/sqrt 2 (Z[p, 0] for
+    k = 0), of the odd part (Z[p, k+1] - Z[p, -k-1])/sqrt 2.
+    """
+    np.exp(plus, out=plus)
+    np.exp(minus, out=minus)
+    odd = plus[:, 1:] - minus
+    plus[:, 1:] += minus
+    return plus, odd
+
+
+def _gram_blocks(logs: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> list[np.ndarray]:
+    """[G_even, G_odd] from the row exponents of Z, then [H_even, H_odd]
+    with H = Z^T W when ``logs`` carries W."""
+    z = _fold(*logs[0])
+    blocks = [f.T @ f for f in z]
+    if len(logs) > 1:
+        w = _fold(*logs[1])
+        blocks += [-(f.T @ g) for f, g in zip(z, w)]   # the derivative is negative
     return blocks
 
 
-def _quiet(delta: np.ndarray, total: np.ndarray, tol: float) -> bool:
-    """Whether every element of delta is negligible against total."""
-    mag = np.abs(total)
-    scale = mag + 1e-14 * mag.max(initial=0.0) + 1e-300
-    return bool(np.all(np.abs(delta) <= tol * scale))
+def _slab_blocks(tables: _XiTables, p_to: int, half: np.ndarray,
+                 flip: int, derivative: bool) -> list[np.ndarray]:
+    """Parity blocks summed over every row p = 0..p_to of the window."""
+    return _gram_blocks(_row_logs(tables, p_to, half, flip, derivative))
 
 
 def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
                    half_width: int, tol: float, derivative: bool
                    ) -> tuple[float, list[np.ndarray], int]:
-    """(sign, blocks of ``_slab_blocks`` over the converged window, width)."""
+    """(sign, parity blocks over the envelope window, window width).
+
+    Each row's envelope is its largest exponent, less the largest exponent
+    of its array (Z or W).  The window ends at the last row whose envelope
+    is within (1/2) ln(tol * 1e-14) of the top, so every dropped product is
+    below tol * 1e-14 of the largest one; the rows are doubled only while
+    that cut reaches the last row formed.
+    """
     _check_scalar_bc(bc)
     if half_width < 0:
         raise DomainError("half_width must be >= 0")
@@ -361,29 +300,25 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
     # (p_lo = -p_hi) and only its p >= 0 half is built
     span = int(math.ceil(tables.zd)) + 20
     center = _p_center(pair, half_width, -half_width - span, half_width + span)
-    width = int(math.ceil(tables.zd)) + 40
-    p_hi = center + half_width + width
+    p_hi = center + half_width + int(math.ceil(tables.zd)) + 40
     cap = _default_p_cap(tables.zd, half_width, half_width) + 2 * p_hi
-
-    blocks = _slab_blocks(tables, 0, p_hi, half, flip, derivative)
-    small_slabs = 0
-    slab = width
-    while small_slabs < 2:
+    floor = 0.5 * math.log(tol * 1e-14)
+    while True:
+        logs = _row_logs(tables, p_hi, half, flip, derivative)
+        rows = [np.maximum(plus.max(axis=1),
+                           minus.max(axis=1, initial=-np.inf))
+                for plus, minus in logs]
+        envelope = np.max([r - r.max() for r in rows], axis=0)
+        cut = int(np.flatnonzero(envelope >= floor)[-1])
+        if cut < p_hi:
+            break
         if p_hi > cap:
             raise PSumNoConvergence(
                 f"matrix p-window exceeded cap {cap} at xi={xi}, N={half_width}")
-        deltas = _slab_blocks(tables, p_hi + 1, p_hi + slab, half, flip,
-                              derivative)
-        p_hi += slab
-        for total, delta in zip(blocks, deltas):
-            total += delta
-        if all(_quiet(delta, total, tol)
-               for delta, total in zip(deltas, blocks)):
-            small_slabs += 1
-        else:
-            small_slabs = 0
-        slab *= 2
-    return tables.sign, blocks, 2 * p_hi + 1
+        p_hi *= 2
+    blocks = _gram_blocks([(plus[:cut + 1], minus[:cut + 1])
+                           for plus, minus in logs])
+    return tables.sign, blocks, 2 * cut + 1
 
 
 def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
@@ -397,7 +332,12 @@ def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
 
 def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
                  half_width: int, tol: float = 1e-12) -> RoundTripMatrix:
-    """Parity blocks of the round-trip operator with |m|, |n| <= half_width."""
+    """Parity blocks of the round-trip operator with |m|, |n| <= half_width.
+
+    The p-sum keeps the rows of Z up to the last one whose largest entry is
+    within a factor sqrt(tol * 1e-14) of the largest entry of Z, so every
+    dropped term of G is below tol * 1e-14 of the largest term.
+    """
     mat, _ = _build_matrix_stats(pair, bc, xi, half_width, tol)
     return mat
 
@@ -463,10 +403,10 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 def _xi_grid(d: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Frozen xi nodes and weights at one refinement level.
 
-    Same maps as integrate_semi_infinite with decay_rate = 2d (u = e^{-2 d xi}
-    onto (0,1), then the endpoint-softening u = t^2), evaluated on the
-    Gauss-Legendre ladder; the grid depends only on (d, level), so every
-    truncation order is integrated on identical nodes.
+    The map u = e^{-2 d xi} takes (0, inf) onto (0, 1), where the integrand
+    decays like the round-trip prefactor, and u = t^2 softens the endpoint;
+    t runs over the Gauss-Legendre ladder.  The grid depends only on
+    (d, level), so every truncation order is integrated on identical nodes.
     """
     n = _BASE_NODES << level
     x, w = _leggauss(n)

@@ -30,7 +30,7 @@ from casimir_cylinders.oracle import (
     m_frak,
     q_integral_rate,
 )
-from casimir_cylinders.oracle import _chain_nodes
+from casimir_cylinders.oracle import _chain_nodes, _power_tail
 
 
 def pt(**kw):
@@ -296,6 +296,18 @@ def test_e0_zeta_sums():
     assert abs(alt / like - 7.0 / 8.0) <= 1e-12
     with pytest.raises(DomainError):
         e0_coefficient_check(2)
+
+
+@pytest.mark.parametrize("k_start", [51, 202, 203])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_alternating_power_tail_matches_hurwitz_zeta(p, k_start):
+    # sum_{j >= 0} (-1)^j (K + j)^-p = 2^-p [zeta(p, K/2) - zeta(p, (K+1)/2)]
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = mp.mpf(2) ** -p * (mp.zeta(p, mp.mpf(k_start) / 2)
+                                  - mp.zeta(p, mp.mpf(k_start + 1) / 2))
+        got = _power_tail(p, k_start, alternating=True)
+        assert abs(got / want - 1) <= 1e-13
 
 
 def test_e1_bracket_matches_expansion():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_cylinders import QuadratureSpec, gauss_hermite, integrate_finite, integrate_semi_infinite
+from casimir_cylinders import QuadratureSpec, gauss_hermite, integrate_finite
 from casimir_cylinders.errors import DomainError, NoConvergence
 
 
@@ -44,35 +44,11 @@ def test_finite_rejects_empty_interval():
         integrate_finite(lambda x: x, 1.0, 1.0, QuadratureSpec())
 
 
-def test_semi_infinite_exponential():
-    value, _ = integrate_semi_infinite(
-        lambda x: np.exp(-2.0 * x), QuadratureSpec(decay_rate=2.0))
-    assert abs(value - 0.5) < 1e-12
-
-
-def test_semi_infinite_gamma4():
-    value, _ = integrate_semi_infinite(
-        lambda x: x ** 3 * np.exp(-x), QuadratureSpec(decay_rate=1.0))
-    assert abs(value - 6.0) < 6.0 * 1e-8
-
-
-def test_semi_infinite_half_integer_moment():
-    # moment with a half-integer power: Gamma(5/2) / rate^(5/2)
-    rate = 0.2
-    ref = math.gamma(2.5) * rate ** -2.5
-    value, err = integrate_semi_infinite(
-        lambda m: m ** 1.5 * np.exp(-rate * m),
-        QuadratureSpec(rel_tol=1e-9, decay_rate=rate))
-    assert abs(value - ref) <= 1e-8 * ref
-    assert err >= 0.0
-
-
-def test_semi_infinite_no_convergence_on_slow_decay():
-    # decay far slower than declared starves the mapped grid
+def test_finite_no_convergence_on_slow_decay():
+    # a slowly decaying integrand over a long interval starves the ladder
     with pytest.raises(NoConvergence):
-        integrate_semi_infinite(
-            lambda x: (1.0 + x) ** -1.01,
-            QuadratureSpec(rel_tol=1e-10, max_doublings=4, decay_rate=5.0))
+        integrate_finite(lambda x: (1.0 + x) ** -1.01, 0.0, 1e8,
+                         QuadratureSpec(rel_tol=1e-10, max_doublings=4))
 
 
 def test_gauss_hermite_quadratic():

@@ -14,7 +14,6 @@ from casimir_cylinders import (
     energy_expansion,
     force_expansion,
     log_det_one_minus,
-    matrix_element,
 )
 from casimir_cylinders.errors import (
     DomainError,
@@ -24,13 +23,17 @@ from casimir_cylinders.errors import (
 )
 from casimir_cylinders.scattering import (
     RoundTripMatrix,
+    _XiTables,
+    _build_matrix_stats,
     _force_blocks,
     _force_rows,
     _force_trace,
     _grown_half_width,
     _log_det_rows,
+    _slab_blocks,
     _tail_bound,
 )
+from scalar_oracle import matrix_element
 
 INT_05 = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.5)
 EXT_08 = CylinderPair(kind=Kind.EXTERIOR, a=1.0, b=1.5, d=0.8)
@@ -164,6 +167,53 @@ def test_matrix_argument_validation():
         build_matrix(INT_05, BoundaryPair.DD, 1.0, -1)
     with pytest.raises(DomainError):
         build_matrix(INT_05, BoundaryPair.DD, -1.0, 2)
+
+
+def _uncut_blocks(pair, bc, xi, half_width, p_to, derivative=False):
+    """Parity blocks summed over every row p = 0..p_to, with no cut."""
+    tables = _XiTables(pair, bc, xi)
+    num, den = tables.prefactor_logs(half_width)
+    half = 0.5 * (num[:half_width + 1] - den[:half_width + 1])
+    flip = -1 if pair.kind is Kind.INTERIOR else 1
+    return _slab_blocks(tables, p_to, half, flip, derivative)
+
+
+@pytest.mark.parametrize("kind", [Kind.INTERIOR, Kind.EXTERIOR])
+def test_envelope_window_matches_twice_as_wide(kind):
+    # every row past the envelope cut is negligible: summing twice as many
+    # rows moves no block entry by more than rounding
+    pair = CylinderPair(kind, 1.0, 2.0, 0.1)
+    xi = 0.01 / pair.d
+    mat, width = _build_matrix_stats(pair, BoundaryPair.DD, xi, 64, 1e-12)
+    (_, force), force_width = _force_blocks(pair, BoundaryPair.DD, xi, 64,
+                                            1e-12)
+    if kind is Kind.EXTERIOR:
+        # the cut lies past the first rows formed (0..N + ceil(zd) + 40 =
+        # 105), so the window had to grow
+        assert (width - 1) // 2 > 105
+    for got, p_to, derivative in (((mat.even, mat.odd), width, False),
+                                  (force, force_width, True)):
+        want = _uncut_blocks(pair, BoundaryPair.DD, xi, 64, p_to, derivative)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_envelope_window_reaches_far_rows():
+    # a far cylinder ten times the near one: the envelope decays slowly in
+    # p, and the window grows to ~2000 rows instead of stopping at a cap.
+    # Twice as many rows grow the Bessel tables to twice the order, which
+    # moves their logs (up to ~2e4 in size) by up to 7e-12, hence the
+    # looser bound.
+    pair = CylinderPair(Kind.EXTERIOR, 1.0, 10.0, 0.1)
+    mat, width = _build_matrix_stats(pair, BoundaryPair.DD, 1.4, 304, 1e-6)
+    even, odd = _uncut_blocks(pair, BoundaryPair.DD, 1.4, 304, width)
+    for got, want in ((mat.even, even), (mat.odd, odd)):
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    got = log_det_one_minus(mat)
+    want = log_det_one_minus(RoundTripMatrix(304, even, odd, mat.sign,
+                                             mat.prefactor_log))
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 @pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN])

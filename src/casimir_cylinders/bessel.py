@@ -27,7 +27,6 @@ u_{k+1}(t) = t^2(1-t^2)u_k'(t)/2 + (1/8)\int_0^t (1-5s^2)u_k(s) ds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
@@ -257,51 +256,6 @@ def log_bessel_k_prime_scaled(n: int, z: float) -> float:
     a = log_bessel_k_scaled(abs(n - 1), z)
     b = log_bessel_k_scaled(n + 1, z)
     return float(np.logaddexp(a, b)) - _LOG2
-
-
-def bessel_i_scaled(n: int, z: float) -> float:
-    """e^{-z} I_|n|(z).  Underflows to 0 where the true value is below the
-    double range; use log_bessel_i_scaled in those regimes."""
-    lv = log_bessel_i_scaled(n, z)
-    return 0.0 if lv == _NEG_INF else math.exp(lv)
-
-
-def bessel_k_scaled(n: int, z: float) -> float:
-    """e^{+z} K_|n|(z).  Saturates to inf outside the double range."""
-    try:
-        return math.exp(log_bessel_k_scaled(n, z))
-    except OverflowError:
-        return math.inf
-
-
-def bessel_i_prime_scaled(n: int, z: float) -> float:
-    """e^{-z} I'_|n|(z), positive for z > 0."""
-    lv = log_bessel_i_prime_scaled(n, z)
-    return 0.0 if lv == _NEG_INF else math.exp(lv)
-
-
-def bessel_k_prime_scaled(n: int, z: float) -> float:
-    """e^{+z} K'_|n|(z), always negative."""
-    try:
-        return -math.exp(log_bessel_k_prime_scaled(n, z))
-    except OverflowError:
-        return -math.inf
-
-
-@dataclass(frozen=True)
-class ScaledBessel:
-    """Scaled values of both kinds at one (order, argument) point."""
-
-    order: int
-    argument: float
-    i_scaled: float
-    k_scaled: float
-
-
-def scaled_pair(n: int, z: float) -> ScaledBessel:
-    return ScaledBessel(order=abs(int(n)), argument=float(z),
-                        i_scaled=bessel_i_scaled(n, z),
-                        k_scaled=bessel_k_scaled(n, z))
 
 
 def log_i_scaled_table(z: float, n_max: int) -> np.ndarray:

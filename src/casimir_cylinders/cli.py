@@ -32,7 +32,6 @@ from .bessel import (
     log_bessel_i_scaled,
     log_bessel_k_prime_scaled,
     log_bessel_k_scaled,
-    scaled_pair,
 )
 from .errors import CasimirCylError, NoConvergence
 from .geometry import (
@@ -256,10 +255,10 @@ def _verify_bessel(level: str, lines: list) -> bool:
 
     e = math.e
     spots = (  # unscaled references from a 50-digit series evaluation
-        (scaled_pair(0, 1.0).i_scaled * e, 1.2660658777520083356),
-        (scaled_pair(0, 1.0).k_scaled / e, 0.42102443824070833334),
-        (scaled_pair(1, 1.0).i_scaled * e, 0.56515910399248502721),
-        (scaled_pair(1, 1.0).k_scaled / e, 0.60190723019723457474),
+        (math.exp(log_bessel_i_scaled(0, 1.0)) * e, 1.2660658777520083356),
+        (math.exp(log_bessel_k_scaled(0, 1.0)) / e, 0.42102443824070833334),
+        (math.exp(log_bessel_i_scaled(1, 1.0)) * e, 0.56515910399248502721),
+        (math.exp(log_bessel_k_scaled(1, 1.0)) / e, 0.60190723019723457474),
     )
     worst = max(abs(got - ref) / ref for got, ref in spots)
     ok = worst <= 1e-12

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence
 
-_BASE_NODES = 32        # first rung of every Gauss-Legendre doubling ladder
+_BASE_NODES = 32        # first rung of the Gauss-Legendre doubling ladder
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,16 @@ even block and row k - 1 of the odd one carry |m| = k), and the sum of the
 first N' + 1 rows is the term of the N' truncation.  Energy and force share
 one adaptive xi / truncation driver, which reads the truncation error of a
 build off the decay of its xi-integrated rows.
+
+Frequency rule.  xi runs over a tanh-sinh trapezoid rule on the map
+u = e^{-2 d xi} = t^2: the map takes the round-trip decay e^{-2 d xi}
+into the endpoint t -> 0, where it leaves a t ln t factor, and K_0 adds
+its logarithm at xi -> 0; the double-exponential rule integrates both
+endpoints to rounding with a few dozen nodes, where Gauss-Legendre on the
+same map gains only ~16x per doubling.  The rule is nested: halving the
+step keeps every node, so a refinement halves the sum it has and assembles
+only the new nodes.  A change of N changes every node's term, so it
+reassembles the whole level.
 """
 from __future__ import annotations
 
@@ -77,10 +87,11 @@ from .errors import (
     PSumNoConvergence,
 )
 from .geometry import BoundaryPair, CylinderPair, Kind, derive_params
-from .quadrature import _BASE_NODES, _leggauss
 
 _SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
-_MAX_QUAD_LEVEL = 12
+_BASE_NODES = 24        # steps of the level-0 xi rule: h = 1/4, 25 nodes
+_XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
+_MAX_QUAD_LEVEL = 5     # h = 1/128, 769 nodes
 _LN2 = math.log(2.0)
 _HALF_LN2 = 0.5 * _LN2
 
@@ -291,6 +302,8 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
         raise DomainError("half_width must be >= 0")
     if not xi > 0:
         raise DomainError("xi must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     tables = _XiTables(pair, bc, xi)
     flip = -1 if pair.kind is Kind.INTERIOR else 1
     num, den = tables.prefactor_logs(half_width)
@@ -400,19 +413,35 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
             "geometry outside the convergent regime") from None
 
 
-def _xi_grid(d: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _xi_node_count(level: int) -> int:
+    return (_BASE_NODES << level) + 1
+
+
+def _xi_grid(d: float, level: int, new_only: bool = False
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen xi nodes and weights at one refinement level.
 
     The map u = e^{-2 d xi} takes (0, inf) onto (0, 1), where the integrand
-    decays like the round-trip prefactor, and u = t^2 softens the endpoint;
-    t runs over the Gauss-Legendre ladder.  The grid depends only on
-    (d, level), so every truncation order is integrated on identical nodes.
+    decays like the round-trip prefactor, and u = t^2 softens the endpoint.
+    t = (1 + tanh(pi/2 sinh s))/2 is the tanh-sinh map, so
+
+        xi = ln(1 + e^{-pi sinh s}) / d,
+        d xi/ds = -pi cosh s / (d (1 + e^{pi sinh s})),
+
+    and the trapezoid rule in s (Takahasi & Mori) runs over s = k h,
+    |s| <= _XI_SPAN, with h = 2 _XI_SPAN / (_BASE_NODES << level) a power
+    of 2.  Each level halves h, so its even k are the nodes of the level
+    below, bit for bit, with exactly half their weight; ``new_only``
+    returns the odd k only.  The grid depends only on (d, level), so every
+    truncation order is integrated on identical nodes.
     """
-    n = _BASE_NODES << level
-    x, w = _leggauss(n)
-    t = 0.5 + 0.5 * x
-    xi = -np.log(t * t) / (2.0 * d)
-    weight = w / (2.0 * d * t)
+    half = (_BASE_NODES << level) // 2
+    h = _XI_SPAN / half
+    first, step = (1 - half, 2) if new_only else (-half, 1)
+    s = np.arange(first, half + 1, step) * h
+    x = math.pi * np.sinh(s)
+    xi = np.log1p(np.exp(-x)) / d
+    weight = h * math.pi * np.cosh(s) / (d * (1.0 + np.exp(x)))
     return xi, weight
 
 
@@ -449,15 +478,19 @@ def _force_rows(built: tuple[float, list[np.ndarray]]) -> np.ndarray:
 
 
 def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
-                 level: int, tol_elem: float, stats: dict, term) -> np.ndarray:
+                 level: int, tol_elem: float, stats: dict, term,
+                 coarse: np.ndarray | None = None) -> np.ndarray:
     """Rows of (1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
 
     ``term`` is (assemble, evaluate): assemble(pair, bc, xi, half_width,
     tol) returns (blocks, window width) and evaluate(blocks) the per-|m|
-    rows of the integrand, r[0..half_width].
+    rows of the integrand, r[0..half_width].  ``coarse`` holds the rows of
+    the level below at the same half_width; with it only the nodes new to
+    this level are assembled, since the trapezoid sum at h/2 is half the
+    sum at h plus the new odd-k nodes at their weights.
     """
     assemble, evaluate = term
-    xi, wt = _xi_grid(pair.d, level)
+    xi, wt = _xi_grid(pair.d, level, new_only=coarse is not None)
     rows = np.zeros(half_width + 1)
     for i in range(xi.size):
         # built stays referenced until the next node's assembly returns:
@@ -466,7 +499,8 @@ def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
         built, p_used = assemble(pair, bc, float(xi[i]), half_width, tol_elem)
         stats["p_max"] = max(stats["p_max"], p_used)
         rows += (wt[i] * xi[i]) * evaluate(built)
-    return rows / (4.0 * math.pi)
+    rows /= 4.0 * math.pi
+    return rows if coarse is None else 0.5 * coarse + rows
 
 
 def _tail_bound(rows: np.ndarray) -> tuple[float, float]:
@@ -510,16 +544,19 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     """(1/4 pi) int xi term(xi) d xi for the energy or the force term.
 
     The xi quadrature is refined at the initial truncation N0 until two
-    levels agree to a quarter of rel_tol.  The xi-integrated rows of that
-    level then bound the truncation error (``_tail_bound``); while the bound
-    exceeds half of rel_tol, N grows to where the geometric bound meets it
-    (at most doubling per step) and the level is rebuilt.  One pass one
-    level deeper at the final N gives the reported value; err_est is the
-    difference from the previous level plus the tail bound of the deep rows.
+    levels agree to a quarter of rel_tol; each refinement assembles only the
+    nodes new to its level.  The xi-integrated rows of that level then bound
+    the truncation error (``_tail_bound``); while the bound exceeds half of
+    rel_tol, N grows to where the geometric bound meets it (at most doubling
+    per step) and every node of the level is rebuilt.  The level one deeper,
+    refined from it at the final N, gives the reported value; err_est is the
+    difference from the previous level plus the tail bound of the deep rows,
+    and xi_nodes counts the deep grid's nodes.  rel_tol must be finite and
+    at least 1e-10.
     """
     _check_scalar_bc(bc)
-    if rel_tol < 1e-10:
-        raise DomainError("rel_tol must be >= 1e-10")
+    if not (math.isfinite(rel_tol) and rel_tol >= 1e-10):
+        raise DomainError(f"rel_tol must be finite and >= 1e-10, got {rel_tol}")
     tol_elem = max(1e-13, 1e-3 * rel_tol)
     quad_tol = 0.25 * rel_tol
     trunc_tol = 0.5 * rel_tol
@@ -532,7 +569,8 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     rows = _integral_at(pair, bc, n_half, 0, tol_elem, stats, term)
     value = float(np.sum(rows))
     for level in range(1, _MAX_QUAD_LEVEL + 1):
-        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
+        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats, term,
+                            rows)
         new = float(np.sum(rows))
         err_quad = abs(new - value)
         value = new
@@ -540,7 +578,7 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
             break
     else:
         raise NoConvergence(
-            f"xi-quadrature not converged at {_BASE_NODES << _MAX_QUAD_LEVEL} "
+            f"xi-quadrature not converged at {_xi_node_count(_MAX_QUAD_LEVEL)} "
             f"nodes (N={n_half})")
 
     while True:
@@ -551,12 +589,13 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
         if n_half >= n_cap:
             raise NoConvergence(
                 f"matrix truncation tail {bound:.3e} above {target:.3e} at "
-                f"N={n_half} ({_BASE_NODES << level} xi nodes); cap {n_cap}")
+                f"N={n_half} ({_xi_node_count(level)} xi nodes); cap {n_cap}")
         n_half = min(_grown_half_width(n_half, bound, q, target), n_cap)
         rows = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
         value = float(np.sum(rows))
 
-    rows = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats, term)
+    rows = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats, term,
+                        rows)
     deep = float(np.sum(rows))
     err_est = abs(deep - value) + _tail_bound(rows)[0]
     return EnergyResult(
@@ -564,7 +603,7 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
         err_est=err_est,
         n_matrix=n_half,
         p_terms_max=stats["p_max"],
-        xi_nodes=_BASE_NODES << (level + 1),
+        xi_nodes=_xi_node_count(level + 1),
         converged=bool(err_est <= rel_tol * abs(deep)),
     )
 
@@ -574,12 +613,12 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
                          n_cap: int = 4096) -> EnergyResult:
     """Interaction energy per unit length; negative for DD and NN.
 
-    The xi quadrature is refined first at the initial truncation.  The
-    per-|m| rows of ln det on that grid then bound the truncation error,
-    and the truncation grows straight to where that bound meets its share
-    of rel_tol.  One deeper quadrature pass at the final truncation supplies
-    the reported value; err_est is its difference from the previous level
-    plus the truncation bound.
+    The nested tanh-sinh xi rule is refined first at the initial
+    truncation.  The per-|m| rows of ln det on that grid then bound the
+    truncation error, and the truncation grows straight to where that bound
+    meets its share of rel_tol.  One deeper level at the final truncation,
+    which assembles only its new nodes, supplies the reported value; err_est
+    is its difference from the previous level plus the truncation bound.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap,
                               (_build_matrix_stats, _log_det_rows))
@@ -593,8 +632,9 @@ def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
     F/L = (1/4 pi) int_0^inf xi tr[(1 - M)^{-1} d_d M] d xi, with d_d M
     assembled next to M from the derivative of the translation factors.
     The run is the energy's adaptive driver with this per-xi term, at the
-    same rel_tol, so err_est comes from the same xi-level and truncation
-    estimates as an energy's.  Negative (attractive) for DD and NN.
+    same rel_tol, on the same nested xi levels, so err_est comes from the
+    same xi-level and truncation estimates as an energy's.  Negative
+    (attractive) for DD and NN.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap,
                               (_force_blocks, _force_rows))

@@ -27,7 +27,6 @@ from casimir_cylinders.bessel import (
     log_bessel_i_scaled,
     log_bessel_k_prime_scaled,
     log_bessel_k_scaled,
-    scaled_pair,
 )
 from casimir_cylinders.geometry import SCALAR_PAIRS
 from casimir_cylinders.oracle import (
@@ -161,10 +160,10 @@ def test_bessel_foundation():
             worst = max(worst, abs(s - 1.0))
     e = math.e
     spots = (
-        (scaled_pair(0, 1.0).i_scaled * e, 1.2660658777520083356),
-        (scaled_pair(0, 1.0).k_scaled / e, 0.42102443824070833334),
-        (scaled_pair(1, 1.0).i_scaled * e, 0.56515910399248502721),
-        (scaled_pair(1, 1.0).k_scaled / e, 0.60190723019723457474),
+        (math.exp(log_bessel_i_scaled(0, 1.0)) * e, 1.2660658777520083356),
+        (math.exp(log_bessel_k_scaled(0, 1.0)) / e, 0.42102443824070833334),
+        (math.exp(log_bessel_i_scaled(1, 1.0)) * e, 0.56515910399248502721),
+        (math.exp(log_bessel_k_scaled(1, 1.0)) / e, 0.60190723019723457474),
     )
     spot_worst = max(abs(got - ref) / ref for got, ref in spots)
     wall = time.perf_counter() - t0

@@ -137,6 +137,18 @@ def test_invalid_input_exits_2(args):
     assert proc.stderr.strip() != ""
 
 
+@pytest.mark.parametrize("rel_tol", ["nan", "inf"])
+def test_nonfinite_rel_tol_exits_2(rel_tol):
+    # rejected up front: a NaN tolerance never stops the xi ladder
+    proc = subprocess.run(
+        [sys.executable, "-m", "casimir_cylinders", "compute", "--kind",
+         "exterior", "--bc", "dd", "--a", "1", "--b", "1", "--d", "2",
+         "--method", "exact", "--rel-tol", rel_tol],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "rel_tol must be finite" in proc.stderr
+
+
 def test_sweep_ordering_and_grid():
     proc = run_cli("sweep", "--kind", "interior", "--bc", "dd",
                    "--a", "1", "--b", "2", "--d-grid", "0.2:0.05:3",

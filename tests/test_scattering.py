@@ -29,9 +29,12 @@ from casimir_cylinders.scattering import (
     _force_rows,
     _force_trace,
     _grown_half_width,
+    _initial_half_width,
+    _integral_at,
     _log_det_rows,
     _slab_blocks,
     _tail_bound,
+    _xi_grid,
 )
 from scalar_oracle import matrix_element
 
@@ -167,6 +170,9 @@ def test_matrix_argument_validation():
         build_matrix(INT_05, BoundaryPair.DD, 1.0, -1)
     with pytest.raises(DomainError):
         build_matrix(INT_05, BoundaryPair.DD, -1.0, 2)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tol must be finite"):
+            build_matrix(INT_05, BoundaryPair.DD, 1.0, 2, tol)
 
 
 def _uncut_blocks(pair, bc, xi, half_width, p_to, derivative=False):
@@ -409,6 +415,13 @@ def test_energy_argument_validation():
         casimir_energy_exact(INT_05, BoundaryPair.DD, rel_tol=1e-11)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+@pytest.mark.parametrize("run", [casimir_energy_exact, casimir_force_exact])
+def test_nonfinite_rel_tol_rejected(run, rel_tol):
+    with pytest.raises(DomainError, match="rel_tol must be finite"):
+        run(EXT_08, BoundaryPair.DD, rel_tol)
+
+
 def test_energy_truncation_cap_raises():
     with pytest.raises(NoConvergence):
         casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6, n_cap=8)
@@ -418,6 +431,99 @@ def test_energy_tail_cap_raises():
     # N0 = 10 fits under the cap, but the row tail still asks for more
     with pytest.raises(NoConvergence, match="cap 12"):
         casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6, n_cap=12)
+
+
+@pytest.mark.parametrize("d", [0.02, 0.5, 3.0])
+def test_xi_levels_nest(d):
+    # halving the step keeps every node of the level below bit for bit,
+    # with exactly half its weight; the new nodes are the odd ones
+    for level in range(5):
+        xi, wt = _xi_grid(d, level)
+        fine_xi, fine_wt = _xi_grid(d, level + 1)
+        new_xi, new_wt = _xi_grid(d, level + 1, new_only=True)
+        assert xi.size == 24 * 2 ** level + 1
+        assert np.array_equal(fine_xi[::2], xi)
+        assert np.array_equal(2.0 * fine_wt[::2], wt)
+        assert np.array_equal(fine_xi[1::2], new_xi)
+        assert np.array_equal(fine_wt[1::2], new_wt)
+
+
+@pytest.mark.parametrize("d", [0.02, 0.5, 3.0])
+def test_xi_rule_closed_forms(d):
+    # 49 nodes integrate the prefactor decay, the logarithm K_0 brings at
+    # xi -> 0 and a 1/ln endpoint to rounding; Gauss-Legendre on the same
+    # map still misses the last one by 1.7e-12 at 2048 nodes
+    mp = pytest.importorskip("mpmath")
+    xi, wt = _xi_grid(d, 1)
+    assert xi.size == 49
+    c = 2.0 * d
+    decay = xi * np.exp(-c * xi)
+    with mp.workdps(30):
+        slow = float(mp.quad(
+            lambda x: x * mp.exp(-c * x) / mp.log(1 + 1 / x),
+            [0, 1 / c, mp.inf]))
+    for f, ref in ((decay, 1.0 / c ** 2),
+                   (decay * np.log(xi), (1.0 - np.euler_gamma - math.log(c))
+                    / c ** 2),
+                   (decay / np.log1p(1.0 / xi), slow)):
+        assert abs(np.sum(wt * f) - ref) <= 1e-14 * abs(ref)
+
+
+_SPAN_PAIRS = [CylinderPair(kind, 1.0, b, d)
+               for kind in (Kind.INTERIOR, Kind.EXTERIOR)
+               for b in (1.2, 2.0, 20.0) for d in (0.05, 0.5, 3.0)
+               if kind is Kind.EXTERIOR or 1.0 + d < b]
+
+
+@pytest.mark.parametrize("pair", [
+    pytest.param(p, id=f"{p.kind.value}-b{p.b}-d{p.d}") for p in _SPAN_PAIRS
+    # N0 = 1204 makes this one ~8 min; its end nodes carry <= 4.7e-25
+    if not (p.kind is Kind.EXTERIOR and p.b == 20.0 and p.d == 0.05)])
+def test_xi_span_end_nodes_negligible(pair):
+    # the nodes at |s| = 3 carry almost nothing: the span cuts no integrand
+    xi, wt = _xi_grid(pair.d, 0)
+    n = _initial_half_width(pair)
+    for bc in (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN,
+               BoundaryPair.ND):
+        terms = np.array([
+            w * x * log_det_one_minus(_build_matrix_stats(pair, bc, x, n,
+                                                          1e-12)[0])
+            for x, w in zip(xi.tolist(), wt.tolist())])
+        assert max(abs(terms[0]), abs(terms[-1])) \
+            <= 1e-20 * abs(np.sum(terms))
+
+
+@pytest.mark.parametrize("term", [(_build_matrix_stats, _log_det_rows),
+                                  (_force_blocks, _force_rows)],
+                         ids=["energy", "force"])
+def test_refinement_matches_full_level(term):
+    # the rows a level refines from the level below equal its full sum
+    stats = {"p_max": 0}
+    coarse = _integral_at(EXT_08, BoundaryPair.DN, 8, 1, 1e-12, stats, term)
+    fine = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats, term,
+                        coarse)
+    full = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats, term)
+    assert np.max(np.abs(fine - full)) <= 1e-14 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("pair", [INT_05, EXT_08], ids=["interior", "exterior"])
+def test_final_grid_built_once(monkeypatch, pair):
+    # nested levels: each node of the reported grid is assembled once at
+    # the final N, and the ladder at N0 assembles its finest level once
+    from casimir_cylinders import scattering
+    builds = {}
+    inner = scattering._window_blocks
+
+    def counted(pair, bc, xi, half_width, tol, derivative):
+        builds[half_width] = builds.get(half_width, 0) + 1
+        return inner(pair, bc, xi, half_width, tol, derivative)
+
+    monkeypatch.setattr(scattering, "_window_blocks", counted)
+    res = casimir_energy_exact(pair, BoundaryPair.DD, 1e-4)
+    assert builds[res.n_matrix] == res.xi_nodes
+    n0 = _initial_half_width(pair)
+    if n0 != res.n_matrix:
+        assert builds[n0] == (res.xi_nodes + 1) // 2
 
 
 def test_tail_bound_geometric_rows():

@@ -9,16 +9,27 @@ whose product carries no exponential growth, plus the corresponding natural
 logarithms for the regimes where even the scaled values leave the double
 range (large order at small argument).
 
-Three evaluation regimes, selected by s = sqrt(n^2 + z^2):
+Single values are selected by s = sqrt(n^2 + z^2):
 
 * ascending power series for I, and for the K_0/K_1 seeds either the
   integer-order log series (z <= 2) or Steed's continued fraction
-  (2 < z < ``_S_CUT``), with forward recurrence in the order for K,
-* Miller-type downward recurrence, normalized against a directly computed
-  order-0 value, for tables of I over many orders at once,
+  (2 < z < ``_S_CUT``),
 * uniform large-order (Debye) asymptotics, reorganized as a series in 1/s
   with polynomial coefficients in q = n^2/s^2, valid for every n/z ratio
   once s >= ``_S_CUT``.
+
+Tables over orders 0..n_max run ratio recurrences seeded by those values,
+one numpy step per order across a whole 1-D array of arguments:
+
+* K forward on rho_k = K_{k+1}/K_k from the K_0/K_1 seeds,
+* I downward on Miller's ratio I_k/I_{k-1} (its continued-fraction form,
+  Gautschi, SIAM Rev. 9, 24 (1967)), normalized by the directly computed
+  order 0.
+
+The ratios stay in the double range, so nothing is rescaled; the logs of
+a table are one np.log and one np.cumsum along the orders, and its first
+entries do not depend on n_max.  Scalar K values of small order are read
+off a table as well.
 
 The Debye coefficient polynomials are generated exactly (rational
 arithmetic) at import time from the standard recurrence
@@ -36,7 +47,6 @@ from .errors import DomainError
 
 _LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
-_RESCALE_LOG = 250.0 * math.log(10.0)
 
 # Regime switch on s = hypot(n, z); tuned against a high-precision oracle so
 # that both the truncated Debye series and the series/recurrence region stay
@@ -46,15 +56,19 @@ _N_DEBYE_TERMS = 16
 _EULER_GAMMA = 0.5772156649015328606
 
 
-def _build_debye_tables(n_terms: int) -> list[np.ndarray]:
-    """Coefficient arrays of P_k(q) = u_k(p)/p^k with q = p^2, exact build."""
+def _build_debye_tables(n_terms: int) -> tuple[tuple[float, ...], ...]:
+    """Coefficients of P_k(q) = u_k(p)/p^k with q = p^2, exact build.
+
+    Each P_k is a tuple of Python floats from the highest power of q down,
+    the order Horner's rule reads them in.
+    """
     u: dict[int, Fraction] = {0: Fraction(1)}      # u_k as {t-power: coeff}
     tables = []
     for k in range(n_terms + 1):
         coeffs = [Fraction(0)] * (k + 1)
         for power, c in u.items():
             coeffs[(power - k) // 2] = c
-        tables.append(np.array([float(c) for c in coeffs]))
+        tables.append(tuple(float(c) for c in reversed(coeffs)))
         nxt: dict[int, Fraction] = {}
         for power, c in u.items():
             if power:
@@ -64,7 +78,7 @@ def _build_debye_tables(n_terms: int) -> list[np.ndarray]:
             nxt[power + 1] = nxt.get(power + 1, Fraction(0)) + c / Fraction(8 * (power + 1))
             nxt[power + 3] = nxt.get(power + 3, Fraction(0)) - 5 * c / Fraction(8 * (power + 3))
         u = {p: c for p, c in nxt.items() if c}
-    return tables
+    return tuple(tables)
 
 
 _DEBYE_P = _build_debye_tables(_N_DEBYE_TERMS)
@@ -85,7 +99,7 @@ def _debye_pieces(n: float, z: float) -> tuple[float, float, float, float]:
     sign = 1.0
     for tab in _DEBYE_P:
         pk = 0.0
-        for c in tab[::-1]:
+        for c in tab:
             pk = pk * q + c
         sig_i += pk * power
         sig_k += sign * pk * power
@@ -223,21 +237,7 @@ def log_bessel_k_scaled(n: int, z: float) -> float:
     z = _check_argument(z, positive=True)
     if math.hypot(n, z) >= _S_CUT:
         return _log_k_uniform(float(n), z)
-    lk0, lk1 = _log_k_seeds(z)
-    if n == 0:
-        return lk0
-    if n == 1:
-        return lk1
-    scale = max(lk0, lk1)
-    v0 = math.exp(lk0 - scale)
-    v1 = math.exp(lk1 - scale)
-    for k in range(1, n):
-        v0, v1 = v1, v0 + (2.0 * k / z) * v1
-        if v1 > 1e250:
-            v0 *= 1e-250
-            v1 *= 1e-250
-            scale += _RESCALE_LOG
-    return math.log(v1) + scale
+    return float(log_k_scaled_table(z, n)[n])
 
 
 def log_bessel_i_prime_scaled(n: int, z: float) -> float:
@@ -258,76 +258,101 @@ def log_bessel_k_prime_scaled(n: int, z: float) -> float:
     return float(np.logaddexp(a, b)) - _LOG2
 
 
-def log_i_scaled_table(z: float, n_max: int) -> np.ndarray:
-    """ln itilde_n(z) for n = 0..n_max as one array.
+def _check_arguments(z, positive: bool) -> tuple[np.ndarray, bool]:
+    """z as a 1-D float array of checked lanes, and whether z was a scalar."""
+    if np.ndim(z) == 0:
+        if isinstance(z, np.ndarray):
+            z = z[()]
+        return np.array([_check_argument(z, positive)]), True
+    lanes = np.asarray(z)
+    if lanes.ndim != 1 or lanes.dtype.kind not in "fiu":
+        raise DomainError(f"arguments must be a 1-D array of reals, got {z!r}")
+    lanes = lanes.astype(float)
+    bad = ~np.isfinite(lanes) | (lanes < 0.0)
+    if positive:
+        bad |= lanes == 0.0
+    if bad.any():
+        raise DomainError(f"every argument must be finite and "
+                          f"{'> 0' if positive else '>= 0'}, got {lanes[bad][0]}")
+    return lanes, False
 
-    Miller downward recurrence with on-the-fly rescaling, normalized against
-    the directly evaluated order-0 value.  Cost O(n_max + sqrt(z)).
-    """
-    z = _check_argument(z, positive=False)
+
+def _check_length(n_max) -> None:
+    if isinstance(n_max, bool) or not isinstance(n_max, (Integral, np.integer)):
+        raise DomainError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    if z == 0.0:
-        out = np.full(n_max + 1, _NEG_INF)
-        out[0] = 0.0
-        return out
-    start = int(math.ceil(math.sqrt((n_max + 12.0) ** 2 + 42.0 * z))) + 16
-    raw = np.empty(n_max + 1)
-    slog = np.empty(n_max + 1)
-    f_up = 0.0        # f_{k+1}
-    f = 1e-280        # f_k
-    acc = 0.0         # true value = stored * e^{acc}
-    for k in range(start, -1, -1):
-        if k <= n_max:
-            raw[k] = f
-            slog[k] = acc
-        if k == 0:
-            break
-        f_up, f = f, f_up + (2.0 * k / z) * f
-        if f > 1e250:
-            f *= 1e-250
-            f_up *= 1e-250
-            acc += _RESCALE_LOG
+
+
+def _cumulate(seed: list[float], ratios: np.ndarray, scalar: bool) -> np.ndarray:
+    """Rows ln f_0, ln f_0 + ln(f_1/f_0), ... from order-major ratio rows."""
+    logs = np.empty((len(seed), ratios.shape[0] + 1))
+    logs[:, 0] = seed
     with np.errstate(divide="ignore"):
-        logs = np.log(raw) + slog
-    return logs + (log_bessel_i_scaled(0, z) - logs[0])
+        np.log(ratios.T, out=logs[:, 1:])
+    np.cumsum(logs, axis=1, out=logs)
+    return logs[0] if scalar else logs
 
 
-def log_k_scaled_table(z: float, n_max: int) -> np.ndarray:
-    """ln ktilde_n(z) for n = 0..n_max; forward recurrence from the seeds."""
-    z = _check_argument(z, positive=True)
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    lk0, lk1 = _log_k_seeds(z)
-    out = np.empty(n_max + 1)
-    out[0] = lk0
-    if n_max == 0:
-        return out
-    out[1] = lk1
-    scale = max(lk0, lk1)
-    v0 = math.exp(lk0 - scale)
-    v1 = math.exp(lk1 - scale)
+def log_i_scaled_table(z, n_max: int) -> np.ndarray:
+    """ln itilde_n(z) for n = 0..n_max; one row per argument of a 1-D z.
+
+    Miller's recurrence in its ratio form: r_k = I_k/I_{k-1} =
+    1/(2k/z + r_{k+1}) runs down from r = 0 past the top order, one numpy
+    step per order across every argument, and the logs of the ratios are
+    summed onto the directly evaluated order 0.  No ratio overflows, so no
+    rescaling is needed.  Cost O(n_max + sqrt(max z)) steps.
+    """
+    lanes, scalar = _check_arguments(z, positive=False)
+    _check_length(n_max)
+    top = lanes.max(initial=0.0)
+    start = int(math.ceil(math.sqrt((n_max + 12.0) ** 2 + 42.0 * top))) + 16
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.multiply.outer(2.0 * np.arange(start + 2), 1.0 / lanes)
+    ratios[start + 1] = 0.0
+    rows = list(ratios)
+    for k in range(start, 0, -1):
+        np.add(rows[k], rows[k + 1], out=rows[k])
+        np.reciprocal(rows[k], out=rows[k])
+    seed = [log_bessel_i_scaled(0, z) for z in lanes.tolist()]
+    return _cumulate(seed, ratios[1:n_max + 1], scalar)
+
+
+def log_k_scaled_table(z, n_max: int) -> np.ndarray:
+    """ln ktilde_n(z) for n = 0..n_max; one row per argument of a 1-D z.
+
+    Forward recurrence on rho_k = K_{k+1}/K_k = 1/rho_{k-1} + 2k/z from the
+    K_0/K_1 seeds, one numpy step per order across every argument; the logs
+    of the ratios are summed onto ln ktilde_0.
+    """
+    lanes, scalar = _check_arguments(z, positive=True)
+    _check_length(n_max)
+    seeds = [_log_k_seeds(z) for z in lanes.tolist()]
+    ratios = np.multiply.outer(2.0 * np.arange(n_max), 1.0 / lanes)
+    if n_max:
+        ratios[0] = [math.exp(lk1 - lk0) for lk0, lk1 in seeds]
+    rows = list(ratios)
+    inverse = np.empty(lanes.size)
     for k in range(1, n_max):
-        v0, v1 = v1, v0 + (2.0 * k / z) * v1
-        if v1 > 1e250:
-            v0 *= 1e-250
-            v1 *= 1e-250
-            scale += _RESCALE_LOG
-        out[k + 1] = math.log(v1) + scale
-    return out
+        np.reciprocal(rows[k - 1], out=inverse)
+        np.add(rows[k], inverse, out=rows[k])
+    return _cumulate([lk0 for lk0, _ in seeds], ratios, scalar)
 
 
-def log_i_prime_scaled_table(z: float, n_max: int) -> np.ndarray:
-    """ln(e^{-z} I'_n(z)) for n = 0..n_max."""
-    base = log_i_scaled_table(z, n_max + 1)
-    lower = np.concatenate(([base[1]], base[:n_max]))      # index |n-1|
-    upper = base[1:n_max + 2]                              # index n+1
-    return np.logaddexp(lower, upper) - _LOG2
+def prime_logs(base: np.ndarray, n_max: int) -> np.ndarray:
+    """ln((f_{|n-1|} + f_{n+1})/2) for n = 0..n_max from ln f_0..ln f_{n_max+1}.
+
+    The derivative rule of I and K, ln|f'_n|, along the last axis of base.
+    """
+    lower = np.concatenate((base[..., 1:2], base[..., :n_max]), axis=-1)
+    return np.logaddexp(lower, base[..., 1:n_max + 2]) - _LOG2
 
 
-def log_k_prime_scaled_table(z: float, n_max: int) -> np.ndarray:
+def log_i_prime_scaled_table(z, n_max: int) -> np.ndarray:
+    """ln(e^{-z} I'_n(z)) for n = 0..n_max; one row per argument."""
+    return prime_logs(log_i_scaled_table(z, n_max + 1), n_max)
+
+
+def log_k_prime_scaled_table(z, n_max: int) -> np.ndarray:
     """ln|e^{+z} K'_n(z)| for n = 0..n_max (the values are negative)."""
-    base = log_k_scaled_table(z, n_max + 1)
-    lower = np.concatenate(([base[1]], base[:n_max]))
-    upper = base[1:n_max + 2]
-    return np.logaddexp(lower, upper) - _LOG2
+    return prime_logs(log_k_scaled_table(z, n_max + 1), n_max)

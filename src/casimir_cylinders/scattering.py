@@ -41,6 +41,11 @@ lookups, and the window ends at the last row whose largest exponent is
 within (1/2) ln(tol * 1e-14) of the largest exponent of Z.  The rows are
 formed again twice as far only while that cut reaches the last one formed.
 
+The lookups depend on xi only, so the nodes an assembly pass builds share
+one set of tables: each table is one batched call across the pass's nodes
+(at most ``_LANES`` at a time), sized from the widest first window of the
+set, and a node whose window doubles past it grows the whole set once.
+
 Only the translation factors depend on the gap d.  The force builds
 W = Z o D next to Z, with D the log-derivative of the unscaled translation
 factor of each entry, cuts its rows against its own largest exponent like
@@ -79,6 +84,7 @@ from .bessel import (
     log_i_scaled_table,
     log_k_prime_scaled_table,
     log_k_scaled_table,
+    prime_logs,
 )
 from .errors import (
     DomainError,
@@ -92,8 +98,8 @@ _SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
 _BASE_NODES = 24        # steps of the level-0 xi rule: h = 1/4, 25 nodes
 _XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
 _MAX_QUAD_LEVEL = 5     # h = 1/128, 769 nodes
-_LN2 = math.log(2.0)
-_HALF_LN2 = 0.5 * _LN2
+_LANES = 64             # xi nodes per table set: a few MB at p-windows ~4000
+_HALF_LN2 = 0.5 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -133,19 +139,25 @@ def _check_scalar_bc(bc: BoundaryPair) -> None:
 
 
 class _XiTables:
-    """Log-scale Bessel tables for one imaginary frequency, grown on demand.
+    """Log-scale Bessel tables for a set of imaginary frequencies.
 
+    ``xi`` is one frequency, or a 1-D array of them (the lanes of an
+    assembly pass); each table is 1-D for a scalar xi and has one row per
+    lane otherwise, and every table is built by one call across all lanes.
+    A request past a table's end regrows it for every lane at once, to at
+    least twice its order, so a pass regrows each table only a few times.
     All orders enter through their absolute value, so tables run over
     nonnegative orders only.
     """
 
-    def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi: float):
+    def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi):
         params = derive_params(pair)
+        xi = np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
         self.interior = pair.kind is Kind.INTERIOR
         self.za = pair.a * xi
         self.zb = pair.b * xi
         self.zd = params.delta * xi
-        self.log_xi = math.log(xi)
+        self.log_xi = np.log(xi)
         inner, outer = bc.name[0], bc.name[1]
         self._inner_prime = inner == "N"
         self._outer_prime = outer == "N"
@@ -156,8 +168,17 @@ class _XiTables:
         self._ratio = None
         self._trans = None
 
+    @staticmethod
+    def _order(table: np.ndarray | None, n_max: int) -> int | None:
+        """Order to build a table to, or None when it already reaches n_max."""
+        if table is None:
+            return n_max
+        have = table.shape[-1] - 1
+        return None if n_max <= have else max(n_max, 2 * have)
+
     def prefactor_logs(self, n_max: int):
-        if self._num is None or len(self._num) <= n_max:
+        n_max = self._order(self._num, n_max)
+        if n_max is not None:
             if self._inner_prime:
                 self._num = log_i_prime_scaled_table(self.za, n_max)
                 self._den = log_k_prime_scaled_table(self.za, n_max)
@@ -168,7 +189,8 @@ class _XiTables:
 
     def ratio_log(self, p_max: int) -> np.ndarray:
         """log of the reflection ratio magnitude at the far cylinder."""
-        if self._ratio is None or len(self._ratio) <= p_max:
+        p_max = self._order(self._ratio, p_max)
+        if p_max is not None:
             if self._outer_prime:
                 lk = log_k_prime_scaled_table(self.zb, p_max)
                 li = log_i_prime_scaled_table(self.zb, p_max)
@@ -179,22 +201,48 @@ class _XiTables:
         return self._ratio
 
     def trans_log(self, j_max: int) -> np.ndarray:
-        if self._trans is None or len(self._trans) <= j_max:
+        j_max = self._order(self._trans, j_max)
+        if j_max is not None:
             self._trans = (log_i_scaled_table(self.zd, j_max) if self.interior
                            else log_k_scaled_table(self.zd, j_max))
         return self._trans
 
-    def trans_deriv_log(self, j_max: int) -> np.ndarray:
-        """ln|d/dd B_j(delta xi)| for j = 0..j_max, scaled like trans_log.
 
-        B = I (d delta/dd = -1) for interior pairs and B = K (d delta/dd = +1,
-        K' < 0) for exterior ones, so the derivative is -xi |B'_j| for both,
-        and |B'_j| = (B_{|j-1|} + B_{j+1}) / 2 is read off the translation
-        logs one order past j_max.
-        """
-        t = self.trans_log(j_max + 1)
-        lower = np.concatenate((t[1:2], t[:j_max]))       # order |j - 1|
-        return self.log_xi - _LN2 + np.logaddexp(lower, t[1:j_max + 2])
+class _XiRow:
+    """The tables of one lane of an ``_XiTables`` set, read like a scalar
+    xi's; a request past a table's end grows the whole set."""
+
+    def __init__(self, tables: _XiTables, lane: int):
+        self._tables = tables
+        self._lane = lane
+        self.zd = float(tables.zd[lane])
+        self.log_xi = float(tables.log_xi[lane])
+        self.sign = tables.sign
+
+    def prefactor_logs(self, n_max: int):
+        num, den = self._tables.prefactor_logs(n_max)
+        return num[self._lane], den[self._lane]
+
+    def ratio_log(self, p_max: int) -> np.ndarray:
+        return self._tables.ratio_log(p_max)[self._lane]
+
+    def trans_log(self, j_max: int) -> np.ndarray:
+        return self._tables.trans_log(j_max)[self._lane]
+
+
+def _pass_tables(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
+                 half_width: int) -> _XiTables:
+    """One table set for the nodes xi, built to the widest first window.
+
+    The translation table runs one order past that window, for the force's
+    derivative; a node whose window doubles grows the set once for all.
+    """
+    tables = _XiTables(pair, bc, xi)
+    p_hi = max(_first_rows(pair, zd, half_width) for zd in tables.zd.tolist())
+    tables.prefactor_logs(half_width)
+    tables.ratio_log(p_hi)
+    tables.trans_log(p_hi + half_width + 1)
+    return tables
 
 
 def _p_center(pair: CylinderPair, m: int, lo: int, hi: int) -> int:
@@ -209,6 +257,17 @@ def _p_center(pair: CylinderPair, m: int, lo: int, hi: int) -> int:
 
 def _default_p_cap(zd: float, m: int, n: int) -> int:
     return int(10.0 * (zd + abs(m) + abs(n) + 50.0))
+
+
+def _first_rows(pair: CylinderPair, zd: float, half_width: int) -> int:
+    """Last row p_hi of the first window of a matrix at half_width N.
+
+    The p-centre is odd and nondecreasing in m, so the window is symmetric
+    (p_lo = -p_hi) and only its p >= 0 half is built.
+    """
+    span = int(math.ceil(zd)) + 20
+    center = _p_center(pair, half_width, -half_width - span, half_width + span)
+    return center + half_width + int(math.ceil(zd)) + 40
 
 
 def _order_window(table: np.ndarray, p_to: int, n: int,
@@ -241,11 +300,12 @@ def _row_logs(tables: _XiTables, p_to: int, half: np.ndarray, flip: int,
     ps = np.arange(p_to + 1)
     row = 0.5 * tables.ratio_log(p_to)[ps] + np.where(ps > 0, _HALF_LN2, 0.0)
     col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
+    trans = [tables.trans_log(p_to + n + 1)]
     if derivative:
-        # read first: it grows the translation table one order past the
-        # window, so the next line reuses that table instead of a second one
-        d_trans = tables.trans_deriv_log(p_to + n)
-    trans = [tables.trans_log(p_to + n)] + ([d_trans] if derivative else [])
+        # ln|d/dd B_j(delta xi)|: B = I (d delta/dd = -1) for interior pairs
+        # and B = K (d delta/dd = +1, K' < 0) for exterior ones, so the
+        # derivative is -xi |B'_j| for both, read off the table one order on
+        trans.append(tables.log_xi + prime_logs(trans[0], p_to + n))
     base = row[:, None] + col[None, :]
     logs = []
     for table in trans:
@@ -287,12 +347,14 @@ def _slab_blocks(tables: _XiTables, p_to: int, half: np.ndarray,
 
 
 def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                   half_width: int, tol: float, derivative: bool
+                   half_width: int, tol: float, derivative: bool,
+                   tables: _XiRow | None = None
                    ) -> tuple[float, list[np.ndarray], int]:
     """(sign, parity blocks over the envelope window, window width).
 
-    Each row's envelope is its largest exponent, less the largest exponent
-    of its array (Z or W).  The window ends at the last row whose envelope
+    ``tables`` is xi's row of its assembly pass's table set; without it
+    the node builds tables of its own.  Each row's envelope is its largest
+    exponent, less the largest exponent of its array (Z or W).  The window ends at the last row whose envelope
     is within (1/2) ln(tol * 1e-14) of the top, so every dropped product is
     below tol * 1e-14 of the largest one; the rows are doubled only while
     that cut reaches the last row formed.
@@ -304,16 +366,12 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
         raise DomainError("xi must be positive")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
-    tables = _XiTables(pair, bc, xi)
+    if tables is None:
+        tables = _XiTables(pair, bc, xi)
     flip = -1 if pair.kind is Kind.INTERIOR else 1
     num, den = tables.prefactor_logs(half_width)
     half = 0.5 * (num[:half_width + 1] - den[:half_width + 1])
-
-    # the p-centre is odd and nondecreasing in m, so the window is symmetric
-    # (p_lo = -p_hi) and only its p >= 0 half is built
-    span = int(math.ceil(tables.zd)) + 20
-    center = _p_center(pair, half_width, -half_width - span, half_width + span)
-    p_hi = center + half_width + int(math.ceil(tables.zd)) + 40
+    p_hi = _first_rows(pair, tables.zd, half_width)
     cap = _default_p_cap(tables.zd, half_width, half_width) + 2 * p_hi
     floor = 0.5 * math.log(tol * 1e-14)
     while True:
@@ -335,9 +393,11 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
 
 
 def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                        half_width: int, tol: float) -> tuple[RoundTripMatrix, int]:
+                        half_width: int, tol: float,
+                        tables: _XiRow | None = None
+                        ) -> tuple[RoundTripMatrix, int]:
     sign, (even, odd), p_used = _window_blocks(pair, bc, xi, half_width, tol,
-                                               False)
+                                               False, tables)
     mat = RoundTripMatrix(half_width=half_width, even=even, odd=odd,
                           sign=sign, prefactor_log=-2.0 * pair.d * xi)
     return mat, p_used
@@ -446,10 +506,11 @@ def _xi_grid(d: float, level: int, new_only: bool = False
 
 
 def _force_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                  half_width: int, tol: float
+                  half_width: int, tol: float, tables: _XiRow | None = None
                   ) -> tuple[tuple[float, list[np.ndarray]], int]:
     """((sign e^{-2 d xi}, [G_even, G_odd, H_even, H_odd]), window width)."""
-    sign, blocks, p_used = _window_blocks(pair, bc, xi, half_width, tol, True)
+    sign, blocks, p_used = _window_blocks(pair, bc, xi, half_width, tol, True,
+                                          tables)
     return (sign * math.exp(-2.0 * pair.d * xi), blocks), p_used
 
 
@@ -483,22 +544,27 @@ def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
     """Rows of (1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
 
     ``term`` is (assemble, evaluate): assemble(pair, bc, xi, half_width,
-    tol) returns (blocks, window width) and evaluate(blocks) the per-|m|
-    rows of the integrand, r[0..half_width].  ``coarse`` holds the rows of
-    the level below at the same half_width; with it only the nodes new to
-    this level are assembled, since the trapezoid sum at h/2 is half the
-    sum at h plus the new odd-k nodes at their weights.
+    tol, tables) returns (blocks, window width) and evaluate(blocks) the
+    per-|m| rows of the integrand, r[0..half_width].  ``coarse`` holds the
+    rows of the level below at the same half_width; with it only the nodes
+    new to this level are assembled, since the trapezoid sum at h/2 is half
+    the sum at h plus the new odd-k nodes at their weights.  The Bessel
+    tables of the pass are built once across its nodes, in blocks of at
+    most ``_LANES`` nodes.
     """
     assemble, evaluate = term
     xi, wt = _xi_grid(pair.d, level, new_only=coarse is not None)
     rows = np.zeros(half_width + 1)
-    for i in range(xi.size):
-        # built stays referenced until the next node's assembly returns:
-        # freeing it first lets glibc's malloc trim and re-fault the heap at
-        # every node (~70k against ~5k minor faults per d=0.1 energy)
-        built, p_used = assemble(pair, bc, float(xi[i]), half_width, tol_elem)
-        stats["p_max"] = max(stats["p_max"], p_used)
-        rows += (wt[i] * xi[i]) * evaluate(built)
+    for lanes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
+        tables = _pass_tables(pair, bc, xi[lanes], half_width)
+        for lane, i in enumerate(lanes.tolist()):
+            # built stays referenced until the next node's assembly returns:
+            # freeing it first lets glibc's malloc trim and re-fault the heap
+            # at every node (~70k against ~5k minor faults per d=0.1 energy)
+            built, p_used = assemble(pair, bc, float(xi[i]), half_width,
+                                     tol_elem, _XiRow(tables, lane))
+            stats["p_max"] = max(stats["p_max"], p_used)
+            rows += (wt[i] * xi[i]) * evaluate(built)
     rows /= 4.0 * math.pi
     return rows if coarse is None else 0.5 * coarse + rows
 

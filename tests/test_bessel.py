@@ -151,3 +151,74 @@ def test_order_monotonicity_at_fixed_argument():
 def test_table_rejects_negative_length():
     with pytest.raises(DomainError):
         log_i_scaled_table(1.0, -1)
+
+
+_TABLES = (log_i_scaled_table, log_k_scaled_table, log_i_prime_scaled_table,
+           log_k_prime_scaled_table)
+_LANE_ARGS = np.array([1e-8, 1e-3, 0.3, 1.99, 2.01, 10.0, 49.0, 51.0, 300.0,
+                       1000.0])
+
+
+def test_tables_match_mpmath():
+    # orders up to 5000 across the s = 50 Debye switch of the seeds, and
+    # arguments from 1e-8 to 1e3 across the z = 2 switch of the K seeds.
+    # mpmath's besselk does not converge at default settings for z >= 3000,
+    # and order ~1000 at z = 1000 takes it seconds, so that corner is skipped
+    mp = pytest.importorskip("mpmath")
+    orders = (0, 1, 2, 7, 30, 49, 50, 51, 120, 400, 1500, 5000)
+    ti = log_i_scaled_table(_LANE_ARGS, 5000)
+    tk = log_k_scaled_table(_LANE_ARGS, 5000)
+    with mp.workdps(30):
+        for lane, z in enumerate(_LANE_ARGS.tolist()):
+            zm = mp.mpf(z)
+            for n in orders:
+                if z == 1000.0 and n in (400, 1500):
+                    continue
+                li = float(mp.log(mp.besseli(n, zm)) - zm)
+                lk = float(mp.log(mp.besselk(n, zm)) + zm)
+                assert abs(ti[lane, n] - li) <= 1e-13 * (1.0 + abs(li)), (n, z)
+                assert abs(tk[lane, n] - lk) <= 1e-13 * (1.0 + abs(lk)), (n, z)
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=lambda f: f.__name__)
+def test_table_head_independent_of_length(table):
+    # the first P + 1 entries do not move when the table runs further
+    for p in (0, 1, 5, 60, 400):
+        head = table(_LANE_ARGS, p)
+        for longer in (2 * p + 3, 5000):
+            tail = table(_LANE_ARGS, longer)[:, :p + 1]
+            assert np.all(np.abs(tail - head) <= 1e-15 * (1.0 + np.abs(head)))
+
+
+@pytest.mark.parametrize("table", _TABLES, ids=lambda f: f.__name__)
+def test_batched_rows_match_single_arguments(table):
+    batch = table(_LANE_ARGS, 300)
+    assert batch.shape == (_LANE_ARGS.size, 301)
+    for row, z in zip(batch, _LANE_ARGS.tolist()):
+        alone = table(z, 300)
+        assert alone.shape == (301,)
+        assert np.all(np.abs(row - alone) <= 1e-14 * (1.0 + np.abs(alone)))
+
+
+def test_batched_zero_argument_lane():
+    table = log_i_scaled_table(np.array([0.0, 1.0]), 4)
+    assert table[0, 0] == 0.0
+    assert np.all(np.isneginf(table[0, 1:]))
+    assert np.all(np.isfinite(table[1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("table", _TABLES, ids=lambda f: f.__name__)
+def test_batch_with_one_bad_argument_rejected(table, bad):
+    args = np.array([0.5, bad, 3.0])
+    if bad == 0.0 and table in (log_i_scaled_table, log_i_prime_scaled_table):
+        assert np.all(np.isfinite(table(args, 4)[[0, 2]]))
+        return
+    with pytest.raises(DomainError):
+        table(args, 4)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0]], ["1.0"], [True, False]])
+def test_table_rejects_non_real_batches(bad):
+    with pytest.raises(DomainError):
+        log_k_scaled_table(bad, 3)

@@ -1,5 +1,6 @@
 """Round-trip matrix layer and the exact energy/force pipelines."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,18 +209,17 @@ def test_envelope_window_matches_twice_as_wide(kind):
 def test_envelope_window_reaches_far_rows():
     # a far cylinder ten times the near one: the envelope decays slowly in
     # p, and the window grows to ~2000 rows instead of stopping at a cap.
-    # Twice as many rows grow the Bessel tables to twice the order, which
-    # moves their logs (up to ~2e4 in size) by up to 7e-12, hence the
-    # looser bound.
+    # The uncut sum reads the Bessel tables to twice the order, whose
+    # leading entries do not depend on how far a table runs.
     pair = CylinderPair(Kind.EXTERIOR, 1.0, 10.0, 0.1)
     mat, width = _build_matrix_stats(pair, BoundaryPair.DD, 1.4, 304, 1e-6)
     even, odd = _uncut_blocks(pair, BoundaryPair.DD, 1.4, 304, width)
     for got, want in ((mat.even, even), (mat.odd, odd)):
-        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     got = log_det_one_minus(mat)
     want = log_det_one_minus(RoundTripMatrix(304, even, odd, mat.sign,
                                              mat.prefactor_log))
-    assert abs(got - want) <= 1e-11 * abs(want)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN])
@@ -514,9 +514,9 @@ def test_final_grid_built_once(monkeypatch, pair):
     builds = {}
     inner = scattering._window_blocks
 
-    def counted(pair, bc, xi, half_width, tol, derivative):
+    def counted(pair, bc, xi, half_width, *args):
         builds[half_width] = builds.get(half_width, 0) + 1
-        return inner(pair, bc, xi, half_width, tol, derivative)
+        return inner(pair, bc, xi, half_width, *args)
 
     monkeypatch.setattr(scattering, "_window_blocks", counted)
     res = casimir_energy_exact(pair, BoundaryPair.DD, 1e-4)
@@ -524,6 +524,33 @@ def test_final_grid_built_once(monkeypatch, pair):
     n0 = _initial_half_width(pair)
     if n0 != res.n_matrix:
         assert builds[n0] == (res.xi_nodes + 1) // 2
+
+
+def test_tables_built_once_per_pass(monkeypatch):
+    # each assembly pass builds its Bessel tables once across its xi nodes
+    # (prefactor I and K, reflection K and I, translation): the force-stencil
+    # geometry's windows all fit the set sized from the widest first window
+    from casimir_cylinders import scattering
+    calls = [0]
+    per_pass = []
+    for name in [n for n in dir(scattering) if re.fullmatch(r"log_\w+_table", n)]:
+        inner = getattr(scattering, name)
+
+        def counted(*args, _inner=inner):
+            calls[0] += 1
+            return _inner(*args)
+        monkeypatch.setattr(scattering, name, counted)
+    inner_pass = scattering._integral_at
+
+    def counted_pass(*args):
+        before = calls[0]
+        rows = inner_pass(*args)
+        per_pass.append(calls[0] - before)
+        return rows
+    monkeypatch.setattr(scattering, "_integral_at", counted_pass)
+    res = casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3)
+    assert res.converged
+    assert per_pass and max(per_pass) <= 6
 
 
 def test_tail_bound_geometric_rows():

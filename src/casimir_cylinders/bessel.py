@@ -19,7 +19,8 @@ Single values are selected by s = sqrt(n^2 + z^2):
   once s >= ``_S_CUT``.
 
 Tables over orders 0..n_max run ratio recurrences seeded by those values,
-one numpy step per order across a whole 1-D array of arguments:
+one numpy step per order across a whole 1-D array of arguments (the Debye
+seeds of all arguments with s >= ``_S_CUT`` are one matrix product too):
 
 * K forward on rho_k = K_{k+1}/K_k from the K_0/K_1 seeds,
 * I downward on Miller's ratio I_k/I_{k-1} (its continued-fraction form,
@@ -82,6 +83,9 @@ def _build_debye_tables(n_terms: int) -> tuple[tuple[float, ...], ...]:
 
 
 _DEBYE_P = _build_debye_tables(_N_DEBYE_TERMS)
+# the same coefficients as a matrix: row k holds P_k's powers q^0..q^K
+_DEBYE_C = np.array([tab[::-1] + (0.0,) * (_N_DEBYE_TERMS + 1 - len(tab))
+                     for tab in _DEBYE_P])
 
 
 def _debye_pieces(n: float, z: float) -> tuple[float, float, float, float]:
@@ -107,6 +111,24 @@ def _debye_pieces(n: float, z: float) -> tuple[float, float, float, float]:
         sign = -sign
     eta_minus_z = n * n / (s + z) + (n * math.log(z / (n + s)) if n else 0.0)
     return s, math.log(sig_i), math.log(sig_k), eta_minus_z
+
+
+def _debye_logs(n: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln itilde_n(z) and ln ktilde_n(z) by the Debye series, for an array z.
+
+    ``_debye_pieces`` for every argument at once: the series are
+    (q powers) @ coefficients, weighted by powers of 1/s.  Valid where
+    s = hypot(n, z) >= _S_CUT.
+    """
+    s = np.hypot(n, z)
+    powers = np.arange(_N_DEBYE_TERMS + 1)
+    terms = ((n / s)[:, None] ** (2 * powers) @ _DEBYE_C.T) \
+        * (1.0 / s)[:, None] ** powers
+    sig_i = terms.sum(axis=1)
+    sig_k = terms @ (-1.0) ** powers
+    eta_minus_z = n * n / (s + z) + (n * np.log(z / (n + s)) if n else 0.0)
+    return (eta_minus_z - 0.5 * np.log(2.0 * math.pi * s) + np.log(sig_i),
+            -eta_minus_z + 0.5 * np.log(math.pi / (2.0 * s)) + np.log(sig_k))
 
 
 def _log_i_uniform(n: float, z: float) -> float:
@@ -197,11 +219,22 @@ def _k01_continued_fraction(z: float) -> tuple[float, float]:
     return k0, k1
 
 
-def _log_k_seeds(z: float) -> tuple[float, float]:
-    if z >= _S_CUT:
-        return _log_k_uniform(0.0, z), _log_k_uniform(1.0, z)
-    k0, k1 = _k01_series(z) if z <= 2.0 else _k01_continued_fraction(z)
-    return math.log(k0), math.log(k1)
+def _log_k_seeds(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln ktilde_0 and ln ktilde_1 of every lane.
+
+    The Debye series serves all lanes with z >= _S_CUT at once; the log
+    series (z <= 2) and Steed's fraction run lane by lane.
+    """
+    far = lanes >= _S_CUT
+    lk0, lk1 = np.empty(lanes.size), np.empty(lanes.size)
+    if far.any():
+        lk0[far] = _debye_logs(0.0, lanes[far])[1]
+        lk1[far] = _debye_logs(1.0, lanes[far])[1]
+    for lane in np.flatnonzero(~far).tolist():
+        z = float(lanes[lane])
+        k0, k1 = _k01_series(z) if z <= 2.0 else _k01_continued_fraction(z)
+        lk0[lane], lk1[lane] = math.log(k0), math.log(k1)
+    return lk0, lk1
 
 
 def _check_argument(z, positive: bool) -> float:
@@ -284,7 +317,7 @@ def _check_length(n_max) -> None:
         raise DomainError("n_max must be >= 0")
 
 
-def _cumulate(seed: list[float], ratios: np.ndarray, scalar: bool) -> np.ndarray:
+def _cumulate(seed: np.ndarray, ratios: np.ndarray, scalar: bool) -> np.ndarray:
     """Rows ln f_0, ln f_0 + ln(f_1/f_0), ... from order-major ratio rows."""
     logs = np.empty((len(seed), ratios.shape[0] + 1))
     logs[:, 0] = seed
@@ -314,7 +347,12 @@ def log_i_scaled_table(z, n_max: int) -> np.ndarray:
     for k in range(start, 0, -1):
         np.add(rows[k], rows[k + 1], out=rows[k])
         np.reciprocal(rows[k], out=rows[k])
-    seed = [log_bessel_i_scaled(0, z) for z in lanes.tolist()]
+    far = lanes >= _S_CUT      # the Debye series for all of them at once
+    seed = np.empty(lanes.size)
+    if far.any():
+        seed[far] = _debye_logs(0.0, lanes[far])[0]
+    for lane in np.flatnonzero(~far).tolist():
+        seed[lane] = log_bessel_i_scaled(0, float(lanes[lane]))
     return _cumulate(seed, ratios[1:n_max + 1], scalar)
 
 
@@ -327,16 +365,16 @@ def log_k_scaled_table(z, n_max: int) -> np.ndarray:
     """
     lanes, scalar = _check_arguments(z, positive=True)
     _check_length(n_max)
-    seeds = [_log_k_seeds(z) for z in lanes.tolist()]
+    lk0, lk1 = _log_k_seeds(lanes)
     ratios = np.multiply.outer(2.0 * np.arange(n_max), 1.0 / lanes)
     if n_max:
-        ratios[0] = [math.exp(lk1 - lk0) for lk0, lk1 in seeds]
+        ratios[0] = np.exp(lk1 - lk0)
     rows = list(ratios)
     inverse = np.empty(lanes.size)
     for k in range(1, n_max):
         np.reciprocal(rows[k - 1], out=inverse)
         np.add(rows[k], inverse, out=rows[k])
-    return _cumulate([lk0 for lk0, _ in seeds], ratios, scalar)
+    return _cumulate(lk0, ratios, scalar)
 
 
 def prime_logs(base: np.ndarray, n_max: int) -> np.ndarray:

@@ -46,6 +46,22 @@ one set of tables: each table is one batched call across the pass's nodes
 (at most ``_LANES`` at a time), sized from the widest first window of the
 set, and a node whose window doubles past it grows the whole set once.
 
+The unit of assembly is a group of consecutive lanes of a table set,
+stacked along a leading lane axis, so one numpy call serves every node of
+the group: row exponents, envelope cut, exp and fold, Gram products,
+Cholesky factors and per-|m| rows.  A group takes lanes while
+lanes x (widest first window + 1) x (2N + 1) stays within
+``_GROUP_ELEMENTS`` (256 KB per stacked array); wider nodes run as groups
+of one, and a standalone matrix is a group of one.  The exponents are laid
+out (lane, k, p), so the envelope's reductions over k run across
+contiguous rows, and they live in one allocation per group, so the heap
+takes and returns one block per group whatever references the caller
+keeps.  Each lane keeps its own cut: its rows past it are set to -inf
+before the exp and add exact zeros to the Gram products.  The odd block
+is padded by a zero row and column to the size of the even one, so both
+parities share one stacked axis through the Gram products, the factors
+and the rows; the pad puts a 1 on the diagonal of 1 - M and adds nothing.
+
 Only the translation factors depend on the gap d.  The force builds
 W = Z o D next to Z, with D the log-derivative of the unscaled translation
 factor of each entry, cuts its rows against its own largest exponent like
@@ -99,6 +115,7 @@ _BASE_NODES = 24        # steps of the level-0 xi rule: h = 1/4, 25 nodes
 _XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
 _MAX_QUAD_LEVEL = 5     # h = 1/128, 769 nodes
 _LANES = 64             # xi nodes per table set: a few MB at p-windows ~4000
+_GROUP_ELEMENTS = 1 << 15   # stacked exponent entries per lane group: 256 KB
 _HALF_LN2 = 0.5 * math.log(2.0)
 
 
@@ -157,6 +174,7 @@ class _XiTables:
         self.za = pair.a * xi
         self.zb = pair.b * xi
         self.zd = params.delta * xi
+        self.xi = xi
         self.log_xi = np.log(xi)
         inner, outer = bc.name[0], bc.name[1]
         self._inner_prime = inner == "N"
@@ -208,41 +226,44 @@ class _XiTables:
         return self._trans
 
 
-class _XiRow:
-    """The tables of one lane of an ``_XiTables`` set, read like a scalar
-    xi's; a request past a table's end grows the whole set."""
-
-    def __init__(self, tables: _XiTables, lane: int):
-        self._tables = tables
-        self._lane = lane
-        self.zd = float(tables.zd[lane])
-        self.log_xi = float(tables.log_xi[lane])
-        self.sign = tables.sign
-
-    def prefactor_logs(self, n_max: int):
-        num, den = self._tables.prefactor_logs(n_max)
-        return num[self._lane], den[self._lane]
-
-    def ratio_log(self, p_max: int) -> np.ndarray:
-        return self._tables.ratio_log(p_max)[self._lane]
-
-    def trans_log(self, j_max: int) -> np.ndarray:
-        return self._tables.trans_log(j_max)[self._lane]
-
-
 def _pass_tables(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
-                 half_width: int) -> _XiTables:
-    """One table set for the nodes xi, built to the widest first window.
+                 half_width: int) -> tuple[_XiTables, list[slice]]:
+    """One table set for the nodes xi, and the lane groups that assemble it.
 
-    The translation table runs one order past that window, for the force's
-    derivative; a node whose window doubles grows the set once for all.
+    The set is built to the widest first window, with the translation table
+    one order past it for the force's derivative; a group whose window
+    doubles grows the set once for all.  Groups take consecutive lanes while
+    lanes x (widest first window + 1) x (2N + 1), the size of one stacked
+    exponent array, stays within ``_GROUP_ELEMENTS``; a lane wider than
+    that is a group of its own.
     """
     tables = _XiTables(pair, bc, xi)
-    p_hi = max(_first_rows(pair, zd, half_width) for zd in tables.zd.tolist())
+    first = [_first_rows(pair, zd, half_width) for zd in tables.zd.tolist()]
     tables.prefactor_logs(half_width)
-    tables.ratio_log(p_hi)
-    tables.trans_log(p_hi + half_width + 1)
-    return tables
+    tables.ratio_log(max(first))
+    tables.trans_log(max(first) + half_width + 1)
+    groups, start, widest = [], 0, 0
+    for lane, rows in enumerate(first):
+        widest = max(widest, rows)
+        if lane > start and (lane - start + 1) * (widest + 1) \
+                * (2 * half_width + 1) > _GROUP_ELEMENTS:
+            groups.append(slice(start, lane))
+            start, widest = lane, rows
+    groups.append(slice(start, len(first)))
+    return tables, groups
+
+
+def _lane_tables(pair: CylinderPair, bc: BoundaryPair, xi: float,
+                 half_width: int, tol: float) -> _XiTables:
+    """A one-lane table set for one checked node."""
+    _check_scalar_bc(bc)
+    if half_width < 0:
+        raise DomainError("half_width must be >= 0")
+    if not xi > 0:
+        raise DomainError("xi must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    return _XiTables(pair, bc, np.array([xi], dtype=float))
 
 
 def _p_center(pair: CylinderPair, m: int, lo: int, hi: int) -> int:
@@ -274,133 +295,164 @@ def _order_window(table: np.ndarray, p_to: int, n: int,
                   flip: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of a per-order table at |p + flip k| and |p - flip k|.
 
-    Rows run over p = 0..p_to and columns over k = 0..n.  Both views share
-    one 1-D gather; sliding_window_view would leave a reference cycle that
-    keeps each buffer alive until the garbage collector runs.
+    ``table`` has one row per lane; the views have axes (lane, k, p), with
+    k = 0..n and p = 0..p_to.  Both share one gather per lane;
+    sliding_window_view would leave a reference cycle that keeps each
+    buffer alive until the garbage collector runs.
     """
-    orders = table[np.abs(np.arange(-n, p_to + n + 1))]
-    window = np.ndarray((p_to + 1, 2 * n + 1), buffer=orders,
-                        strides=2 * orders.strides)
+    orders = np.take(table, np.abs(np.arange(-n, p_to + n + 1)), axis=1)
+    lane, step = orders.strides
+    window = np.ndarray((orders.shape[0], 2 * n + 1, p_to + 1),
+                        buffer=orders, strides=(lane, step, step))
     ahead, behind = window[:, n:], window[:, n::-1]   # |p + k|, |p - k|
     return (ahead, behind) if flip > 0 else (behind, ahead)
 
 
-def _row_logs(tables: _XiTables, p_to: int, half: np.ndarray, flip: int,
-              derivative: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+def _row_logs(tables: _XiTables, lanes: slice, p_to: int, half: np.ndarray,
+              flip: int, derivative: bool
+              ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exponents of the rows p = 0..p_to (p >= 0) of the window, unfolded.
 
-    Returns [(Z at +k, Z at -k for k >= 1)], followed with ``derivative`` by
-    the same pair for W: Z with its translation factor replaced by that
-    factor's d-derivative (W = Z o D for the log-derivative D).  Rows p > 0
-    carry a factor sqrt 2 standing in for the mirror row -p, whose outer
-    products are the same, and columns k > 0 the 1/sqrt 2 of the parity
-    fold; both ride in the exponent.
+    One array per sign of k across the table lanes ``lanes``, with axes
+    (lane, k, p): Z transposed, so that reductions over k run across
+    contiguous rows.  ``half`` holds the lanes' (num - den)/2 over k = 0..N.
+    Returns [(parity, Z at -k for k >= 1)], where parity[0] holds Z at +k
+    and parity[1] is room for the odd part of the fold, followed with
+    ``derivative`` by the same for W: Z with its translation factor
+    replaced by that factor's d-derivative (W = Z o D for the
+    log-derivative D).  Rows p > 0 carry a factor sqrt 2 standing in for
+    the mirror row -p, whose outer products are the same, and columns k > 0
+    the 1/sqrt 2 of the parity fold; both ride in the exponent.
+
+    All of them are views of one allocation (the base exponents live in
+    the first odd slot until the fold), so a group takes one heap block and
+    returns it whole: malloc is left no freed top of the heap to trim and
+    fault in again at the next group, whatever references the caller keeps.
     """
-    n = half.size - 1
+    n = half.shape[-1] - 1
     ps = np.arange(p_to + 1)
-    row = 0.5 * tables.ratio_log(p_to)[ps] + np.where(ps > 0, _HALF_LN2, 0.0)
+    row = 0.5 * tables.ratio_log(p_to)[lanes, :p_to + 1] \
+        + np.where(ps > 0, _HALF_LN2, 0.0)
     col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
-    trans = [tables.trans_log(p_to + n + 1)]
+    trans = [tables.trans_log(p_to + n + 1)[lanes]]
     if derivative:
         # ln|d/dd B_j(delta xi)|: B = I (d delta/dd = -1) for interior pairs
         # and B = K (d delta/dd = +1, K' < 0) for exterior ones, so the
         # derivative is -xi |B'_j| for both, read off the table one order on
-        trans.append(tables.log_xi + prime_logs(trans[0], p_to + n))
-    base = row[:, None] + col[None, :]
+        trans.append(tables.log_xi[lanes, None]
+                     + prime_logs(trans[0], p_to + n))
+    slots = np.empty((len(trans), 3, half.shape[0], n + 1, p_to + 1))
+    base = np.add(col[:, :, None], row[:, None, :], out=slots[0, 1])
     logs = []
-    for table in trans:
-        plus, minus = _order_window(table, p_to, n, flip)
-        logs.append((base + plus, base[:, 1:] + minus[:, 1:]))
+    for table, arrays in zip(trans, slots):
+        ahead, behind = _order_window(table, p_to, n, flip)
+        np.add(base, ahead, out=arrays[0])
+        np.add(base[:, 1:], behind[:, 1:], out=arrays[2, :, 1:])
+        logs.append((arrays[:2], arrays[2, :, 1:]))
     return logs
 
 
-def _fold(plus: np.ndarray, minus: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd parts of the exponentiated rows, in place on ``plus``.
+def _fold(parity: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Even and odd parts of the exponentiated rows, in place on ``parity``.
 
-    Column k of the even part is (Z[p, k] + Z[p, -k])/sqrt 2 (Z[p, 0] for
-    k = 0), of the odd part (Z[p, k+1] - Z[p, -k-1])/sqrt 2.
+    On axes (parity, ..., k, p): column k of the even part is
+    (Z[p, k] + Z[p, -k]) / sqrt 2 (Z[p, 0] for k = 0), of the odd part
+    (Z[p, k] - Z[p, -k]) / sqrt 2 for k >= 1 and 0 for k = 0.  The zero
+    column pads the odd block to the shape of the even one, so one stacked
+    call serves both and row k of either carries |m| = k.
     """
+    plus, odd = parity
     np.exp(plus, out=plus)
     np.exp(minus, out=minus)
-    odd = plus[:, 1:] - minus
-    plus[:, 1:] += minus
-    return plus, odd
+    np.subtract(plus[..., 1:, :], minus, out=odd[..., 1:, :])
+    odd[..., 0, :] = 0.0
+    plus[..., 1:, :] += minus
+    return parity
 
 
 def _gram_blocks(logs: list[tuple[np.ndarray, np.ndarray]]
                  ) -> list[np.ndarray]:
-    """[G_even, G_odd] from the row exponents of Z, then [H_even, H_odd]
-    with H = Z^T W when ``logs`` carries W."""
+    """[G] from the row exponents of Z, then H = Z^T W when ``logs``
+    carries W; each is stacked on axes (parity, lane), with the odd block
+    padded by a zero row and column at k = 0."""
     z = _fold(*logs[0])
-    blocks = [f.T @ f for f in z]
+    blocks = [z @ z.mT]
     if len(logs) > 1:
-        w = _fold(*logs[1])
-        blocks += [-(f.T @ g) for f, g in zip(z, w)]   # the derivative is negative
+        blocks.append(-(z @ _fold(*logs[1]).mT))   # the derivative is negative
     return blocks
 
 
-def _slab_blocks(tables: _XiTables, p_to: int, half: np.ndarray,
-                 flip: int, derivative: bool) -> list[np.ndarray]:
-    """Parity blocks summed over every row p = 0..p_to of the window."""
-    return _gram_blocks(_row_logs(tables, p_to, half, flip, derivative))
+def _slab_blocks(tables: _XiTables, lanes: slice, p_to: int,
+                 half: np.ndarray, flip: int, derivative: bool
+                 ) -> list[np.ndarray]:
+    """[G] or [G, H] summed over every row p = 0..p_to of the window."""
+    return _gram_blocks(_row_logs(tables, lanes, p_to, half, flip,
+                                  derivative))
 
 
-def _window_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                   half_width: int, tol: float, derivative: bool,
-                   tables: _XiRow | None = None
-                   ) -> tuple[float, list[np.ndarray], int]:
-    """(sign, parity blocks over the envelope window, window width).
+def _window_blocks(pair: CylinderPair, bc: BoundaryPair, tables: _XiTables,
+                   lanes: slice, half_width: int, tol: float,
+                   derivative: bool
+                   ) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """(sign, [G] or [G, H] over each lane's envelope window, window widths).
 
-    ``tables`` is xi's row of its assembly pass's table set; without it
-    the node builds tables of its own.  Each row's envelope is its largest
-    exponent, less the largest exponent of its array (Z or W).  The window ends at the last row whose envelope
-    is within (1/2) ln(tol * 1e-14) of the top, so every dropped product is
-    below tol * 1e-14 of the largest one; the rows are doubled only while
-    that cut reaches the last row formed.
+    Assembles the table lanes ``lanes`` as one stacked group: G and H are
+    stacked on axes (parity, lane), as ``_gram_blocks`` returns them.  Each
+    row's envelope is its largest exponent, less the largest exponent of
+    its lane's array (Z or W).  A lane's window
+    ends at the last row whose envelope is within (1/2) ln(tol * 1e-14) of
+    the top, so every dropped product is below tol * 1e-14 of the largest
+    one.  The group forms its rows to the widest first window of its lanes
+    and doubles them while any lane's cut reaches the last row formed; rows
+    past a lane's own cut become exact zeros before the Gram products.
     """
-    _check_scalar_bc(bc)
-    if half_width < 0:
-        raise DomainError("half_width must be >= 0")
-    if not xi > 0:
-        raise DomainError("xi must be positive")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
-    if tables is None:
-        tables = _XiTables(pair, bc, xi)
     flip = -1 if pair.kind is Kind.INTERIOR else 1
     num, den = tables.prefactor_logs(half_width)
-    half = 0.5 * (num[:half_width + 1] - den[:half_width + 1])
-    p_hi = _first_rows(pair, tables.zd, half_width)
-    cap = _default_p_cap(tables.zd, half_width, half_width) + 2 * p_hi
+    half = 0.5 * (num[lanes, :half_width + 1] - den[lanes, :half_width + 1])
+    zd = tables.zd[lanes].tolist()
+    first = [_first_rows(pair, z, half_width) for z in zd]
+    caps = [_default_p_cap(z, half_width, half_width) + 2 * p
+            for z, p in zip(zd, first)]
     floor = 0.5 * math.log(tol * 1e-14)
+    p_hi = max(first)
     while True:
-        logs = _row_logs(tables, p_hi, half, flip, derivative)
-        rows = [np.maximum(plus.max(axis=1),
+        logs = _row_logs(tables, lanes, p_hi, half, flip, derivative)
+        rows = [np.maximum(parity[0].max(axis=1),
                            minus.max(axis=1, initial=-np.inf))
-                for plus, minus in logs]
-        envelope = np.max([r - r.max() for r in rows], axis=0)
-        cut = int(np.flatnonzero(envelope >= floor)[-1])
-        if cut < p_hi:
+                for parity, minus in logs]
+        envelope = np.max([r - r.max(axis=1, keepdims=True) for r in rows],
+                          axis=0)
+        cut = p_hi - np.argmax(envelope[:, ::-1] >= floor, axis=1)
+        short = np.flatnonzero(cut >= p_hi).tolist()
+        if not short:
             break
-        if p_hi > cap:
-            raise PSumNoConvergence(
-                f"matrix p-window exceeded cap {cap} at xi={xi}, N={half_width}")
+        for lane in short:
+            if p_hi > caps[lane]:
+                raise PSumNoConvergence(
+                    f"matrix p-window exceeded cap {caps[lane]} at "
+                    f"xi={tables.xi[lanes][lane]}, N={half_width}")
         p_hi *= 2
-    blocks = _gram_blocks([(plus[:cut + 1], minus[:cut + 1])
-                           for plus, minus in logs])
-    return tables.sign, blocks, 2 * cut + 1
+    top = int(cut.max())
+    kept = [(parity[..., :top + 1], minus[..., :top + 1])
+            for parity, minus in logs]
+    if cut.min() < top:
+        past = (np.arange(top + 1) > cut[:, None])[:, None, :]
+        for parity, minus in kept:
+            np.copyto(parity[0], -np.inf, where=past)
+            np.copyto(minus, -np.inf, where=past)
+    return tables.sign, _gram_blocks(kept), 2 * cut + 1
 
 
 def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                        half_width: int, tol: float,
-                        tables: _XiRow | None = None
+                        half_width: int, tol: float
                         ) -> tuple[RoundTripMatrix, int]:
-    sign, (even, odd), p_used = _window_blocks(pair, bc, xi, half_width, tol,
-                                               False, tables)
-    mat = RoundTripMatrix(half_width=half_width, even=even, odd=odd,
-                          sign=sign, prefactor_log=-2.0 * pair.d * xi)
-    return mat, p_used
+    tables = _lane_tables(pair, bc, xi, half_width, tol)
+    sign, (g,), widths = _window_blocks(pair, bc, tables, slice(None),
+                                        half_width, tol, False)
+    mat = RoundTripMatrix(half_width=half_width, even=g[0, 0],
+                          odd=g[1, 0, 1:, 1:], sign=sign,
+                          prefactor_log=-2.0 * pair.d * xi)
+    return mat, int(widths[0])
 
 
 def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
@@ -429,16 +481,7 @@ def log_det_one_minus(mat: RoundTripMatrix) -> float:
 def _log_det_rows(mat: RoundTripMatrix) -> np.ndarray:
     """Per-|m| rows r[0..N] of ln det(1 - M); r[:N'+1] sums to the N' term.
 
-    Each block of 1 - M is factored by Cholesky, and row k holds 2 log L_kk;
-    a failed factorization means some eigenvalue of M reaches 1, which is
-    outside the physical regime.  With c = e^{prefactor_log}, c * tr G
-    bounds every eigenvalue of M because G is positive semidefinite.  Once
-    that bound drops below _SERIES_CUT, 1 - M rounds to the identity in
-    doubles and a factorization returns exactly zero, so the far tail
-    switches to the trace expansion -tr M - tr(M^2)/2, whose truncation
-    error is cubic in the bound.  Its row k is
-    -sign c G_kk - c^2 (G_kk^2 / 2 + sum_{j<k} G_kj^2), so that every leading
-    block keeps its own tr(M^2).
+    The one-lane case of ``_log_det_lanes``.
     """
     n = mat.half_width
     for name, block, size in (("even", mat.even, n + 1), ("odd", mat.odd, n)):
@@ -446,25 +489,61 @@ def _log_det_rows(mat: RoundTripMatrix) -> np.ndarray:
             raise DomainError(
                 f"{name} block must be {size}x{size} at half_width {n}, "
                 f"got shape {block.shape}")
-    scale = math.exp(mat.prefactor_log)
-    blocks = ((mat.even, 0), (mat.odd, 1))   # odd is 0x0 at half_width 0
-    series = scale * sum(float(np.trace(b)) for b, _ in blocks) < _SERIES_CUT
-    rows = np.zeros(n + 1)
-    for block, lo in blocks:
-        if series:
-            diag = np.diagonal(block)
-            lower = np.tril(block, -1)
-            square = 0.5 * diag * diag + np.sum(lower * lower, axis=1)
-            rows[lo:] -= mat.sign * scale * diag + scale * scale * square
-        else:
-            chol = _cholesky(np.eye(block.shape[0])
-                             - (mat.sign * scale) * block)
-            rows[lo:] += 2.0 * np.log(np.diagonal(chol))
+    scale = np.array([mat.sign * math.exp(mat.prefactor_log)])
+    return _log_det_lanes(scale, [_padded(mat.even, mat.odd)])[0]
+
+
+def _padded(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """One lane's parity blocks stacked on axes (parity, lane), the odd
+    block padded by a zero row and column at k = 0."""
+    stack = np.zeros((2, 1) + even.shape)
+    stack[0, 0] = even
+    stack[1, 0, 1:, 1:] = odd
+    return stack
+
+
+def _log_det_lanes(scale: np.ndarray, blocks: list[np.ndarray]
+                   ) -> np.ndarray:
+    """Per-|m| rows of ln det(1 - M) for a stack of lanes, one row per lane.
+
+    M = scale * G in each lane, with the sign folded into ``scale`` and
+    ``blocks`` = [G] stacked on axes (parity, lane); the zero row and
+    column that pad the odd block leave a 1 on the diagonal of 1 - M,
+    which adds nothing.  Each block of 1 - M is factored by Cholesky, and
+    row k holds 2 log L_kk summed over both parities; a failed
+    factorization means some eigenvalue of M reaches 1, which is outside
+    the physical regime.  |scale| * tr G bounds every eigenvalue of M
+    because G is positive semidefinite.  Once that bound drops below
+    _SERIES_CUT, 1 - M rounds to the identity in doubles and a
+    factorization returns exactly zero, so those lanes switch to the trace
+    expansion -tr M - tr(M^2)/2, whose truncation error is cubic in the
+    bound.  Its row k is -c G_kk - c^2 (G_kk^2 / 2 + sum_{j<k} G_kj^2),
+    summed over both parities, so that every leading block keeps its own
+    tr(M^2).
+    """
+    g, = blocks
+    rows = np.zeros(g.shape[1:3])
+    trace = np.trace(g, axis1=2, axis2=3).sum(axis=0)
+    small = np.abs(scale) * trace < _SERIES_CUT
+    series = np.flatnonzero(small)
+    dense = np.flatnonzero(~small) if series.size else slice(None)
+    if series.size:
+        tail, c = g[:, series], scale[series, None]
+        diag = np.diagonal(tail, axis1=2, axis2=3)
+        lower = np.tril(tail, -1)
+        square = 0.5 * diag * diag + np.sum(lower * lower, axis=3)
+        rows[series] -= np.sum(c * diag + c * c * square, axis=0)
+    if series.size < small.size:
+        chol = _cholesky(np.eye(g.shape[-1])
+                         - scale[dense, None, None] * g[:, dense])
+        rows[dense] += 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2,
+                                                       axis2=3)), axis=0)
     return rows
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Cholesky factor of one block of 1 - M; every eigenvalue is checked."""
+    """Cholesky factors of a stack of blocks of 1 - M; every eigenvalue of
+    every lane is checked."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -506,12 +585,14 @@ def _xi_grid(d: float, level: int, new_only: bool = False
 
 
 def _force_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                  half_width: int, tol: float, tables: _XiRow | None = None
+                  half_width: int, tol: float
                   ) -> tuple[tuple[float, list[np.ndarray]], int]:
     """((sign e^{-2 d xi}, [G_even, G_odd, H_even, H_odd]), window width)."""
-    sign, blocks, p_used = _window_blocks(pair, bc, xi, half_width, tol, True,
-                                          tables)
-    return (sign * math.exp(-2.0 * pair.d * xi), blocks), p_used
+    tables = _lane_tables(pair, bc, xi, half_width, tol)
+    sign, blocks, widths = _window_blocks(pair, bc, tables, slice(None),
+                                          half_width, tol, True)
+    parts = [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
+    return (sign * math.exp(-2.0 * pair.d * xi), parts), int(widths[0])
 
 
 def _force_trace(built: tuple[float, list[np.ndarray]]) -> float:
@@ -522,20 +603,36 @@ def _force_trace(built: tuple[float, list[np.ndarray]]) -> float:
 def _force_rows(built: tuple[float, list[np.ndarray]]) -> np.ndarray:
     """Per-|m| rows r[0..N] of tr[(1 - M)^{-1} d_d M], like ``_log_det_rows``.
 
-    With the unscaled translation derivative the e^{-2 d xi} of M cancels
-    against the scaling of the translation factors, so
-    d_d M = sign c (H + H^T) with c = e^{-2 d xi}, and the trace is
-    2 sign c tr[(1 - sign c G)^{-1} H] per block.  With 1 - M = L L^T that
-    is 2 sign c tr[L^{-1} H L^{-T}], and row k holds its k-th diagonal
+    The one-lane case of ``_force_lanes``.
+    """
+    scale, (g_even, g_odd, h_even, h_odd) = built
+    return _force_lanes(np.array([scale]), [_padded(g_even, g_odd),
+                                            _padded(h_even, h_odd)])[0]
+
+
+def _force_lanes(scale: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """Per-|m| rows of tr[(1 - M)^{-1} d_d M] for a stack of lanes.
+
+    ``scale`` is sign e^{-2 d xi} per lane and ``blocks`` = [G, H] stacked
+    on axes (parity, lane), the odd blocks padded like G's in
+    ``_log_det_lanes``; a padded row of H is zero and adds nothing.  With
+    the unscaled
+    translation derivative the e^{-2 d xi} of M cancels against the scaling
+    of the translation factors, so d_d M = scale (H + H^T), and the trace
+    is 2 scale tr[(1 - scale G)^{-1} H] per block.  With 1 - M = L L^T that
+    is 2 scale tr[L^{-1} H L^{-T}], and row k holds its k-th diagonal
     entry, d(2 log L_kk) = (L^{-1} d(1 - M) L^{-T})_kk.  No series branch
     is needed: the trace has no cancellation in the far tail.
     """
-    scale, (g_even, g_odd, h_even, h_odd) = built
-    rows = np.zeros(g_even.shape[0])
-    for g, h, lo in ((g_even, h_even, 0), (g_odd, h_odd, 1)):
-        inv = np.linalg.inv(_cholesky(np.eye(g.shape[0]) - scale * g))
-        rows[lo:] += np.einsum("ij,ij->i", inv @ h, inv)
-    return 2.0 * scale * rows
+    g, h = blocks
+    inv = np.linalg.inv(_cholesky(np.eye(g.shape[-1])
+                                  - scale[:, None, None] * g))
+    rows = np.einsum("slij,slij->li", inv @ h, inv)   # summed over parity
+    return 2.0 * scale[:, None] * rows
+
+
+_ENERGY_TERM = (False, _log_det_lanes)
+_FORCE_TERM = (True, _force_lanes)
 
 
 def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
@@ -543,28 +640,29 @@ def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
                  coarse: np.ndarray | None = None) -> np.ndarray:
     """Rows of (1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
 
-    ``term`` is (assemble, evaluate): assemble(pair, bc, xi, half_width,
-    tol, tables) returns (blocks, window width) and evaluate(blocks) the
-    per-|m| rows of the integrand, r[0..half_width].  ``coarse`` holds the
-    rows of the level below at the same half_width; with it only the nodes
-    new to this level are assembled, since the trapezoid sum at h/2 is half
-    the sum at h plus the new odd-k nodes at their weights.  The Bessel
-    tables of the pass are built once across its nodes, in blocks of at
-    most ``_LANES`` nodes.
+    ``term`` is (derivative, evaluate): the lanes of each group are
+    assembled by ``_window_blocks`` with W next to Z when ``derivative``
+    holds, and evaluate(sign e^{-2 d xi}, blocks) returns the per-|m| rows
+    of the integrand, r[0..half_width], one row per lane.  ``coarse`` holds
+    the rows of the level below at the same half_width; with it only the
+    nodes new to this level are assembled, since the trapezoid sum at h/2 is
+    half the sum at h plus the new odd-k nodes at their weights.  The Bessel
+    tables of the pass are built once across its nodes, in sets of at most
+    ``_LANES`` nodes, and each set is assembled in lane groups.
     """
-    assemble, evaluate = term
+    derivative, evaluate = term
     xi, wt = _xi_grid(pair.d, level, new_only=coarse is not None)
+    weight = wt * xi
     rows = np.zeros(half_width + 1)
-    for lanes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
-        tables = _pass_tables(pair, bc, xi[lanes], half_width)
-        for lane, i in enumerate(lanes.tolist()):
-            # built stays referenced until the next node's assembly returns:
-            # freeing it first lets glibc's malloc trim and re-fault the heap
-            # at every node (~70k against ~5k minor faults per d=0.1 energy)
-            built, p_used = assemble(pair, bc, float(xi[i]), half_width,
-                                     tol_elem, _XiRow(tables, lane))
-            stats["p_max"] = max(stats["p_max"], p_used)
-            rows += (wt[i] * xi[i]) * evaluate(built)
+    for nodes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
+        tables, groups = _pass_tables(pair, bc, xi[nodes], half_width)
+        for lanes in groups:
+            sign, blocks, widths = _window_blocks(pair, bc, tables, lanes,
+                                                  half_width, tol_elem,
+                                                  derivative)
+            stats["p_max"] = max(stats["p_max"], int(widths.max()))
+            scale = sign * np.exp(-2.0 * pair.d * tables.xi[lanes])
+            rows += weight[nodes][lanes] @ evaluate(scale, blocks)
     rows /= 4.0 * math.pi
     return rows if coarse is None else 0.5 * coarse + rows
 
@@ -687,7 +785,7 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
     is its difference from the previous level plus the truncation bound.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap,
-                              (_build_matrix_stats, _log_det_rows))
+                              _ENERGY_TERM)
 
 
 def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
@@ -703,4 +801,4 @@ def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
     (attractive) for DD and NN.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap,
-                              (_force_blocks, _force_rows))
+                              _FORCE_TERM)

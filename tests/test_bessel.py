@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from casimir_cylinders.bessel import (
+    _debye_logs,
+    _log_i_uniform,
+    _log_k_uniform,
     log_bessel_i_prime_scaled,
     log_bessel_i_scaled,
     log_bessel_k_prime_scaled,
@@ -198,6 +201,19 @@ def test_batched_rows_match_single_arguments(table):
         alone = table(z, 300)
         assert alone.shape == (301,)
         assert np.all(np.abs(row - alone) <= 1e-14 * (1.0 + np.abs(alone)))
+
+
+@pytest.mark.parametrize("n", [0.0, 1.0, 7.0, 400.0])
+def test_debye_lanes_match_scalar_series(n):
+    # the table seeds sum the Debye series for every lane at once, as a
+    # coefficient matrix over powers of q and 1/s; the scalar Horner form
+    # stays the reference, to a few roundings of the result
+    z = np.array([50.0, 51.3, 99.9, 300.0, 1000.0, 1e4, 1e6])
+    log_i, log_k = _debye_logs(n, z)
+    for got_i, got_k, x in zip(log_i, log_k, z.tolist()):
+        want_i, want_k = _log_i_uniform(n, x), _log_k_uniform(n, x)
+        assert abs(got_i - want_i) <= 4e-16 * (1.0 + abs(want_i))
+        assert abs(got_k - want_k) <= 4e-16 * (1.0 + abs(want_k))
 
 
 def test_batched_zero_argument_lane():

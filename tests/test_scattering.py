@@ -1,6 +1,7 @@
 """Round-trip matrix layer and the exact energy/force pipelines."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,18 +24,26 @@ from casimir_cylinders.errors import (
     PSumNoConvergence,
 )
 from casimir_cylinders.scattering import (
+    _ENERGY_TERM,
+    _FORCE_TERM,
     RoundTripMatrix,
     _XiTables,
+    _SERIES_CUT,
     _build_matrix_stats,
+    _first_rows,
     _force_blocks,
+    _force_lanes,
     _force_rows,
     _force_trace,
     _grown_half_width,
     _initial_half_width,
     _integral_at,
+    _log_det_lanes,
     _log_det_rows,
+    _pass_tables,
     _slab_blocks,
     _tail_bound,
+    _window_blocks,
     _xi_grid,
 )
 from scalar_oracle import matrix_element
@@ -178,11 +187,12 @@ def test_matrix_argument_validation():
 
 def _uncut_blocks(pair, bc, xi, half_width, p_to, derivative=False):
     """Parity blocks summed over every row p = 0..p_to, with no cut."""
-    tables = _XiTables(pair, bc, xi)
+    tables = _XiTables(pair, bc, np.array([xi]))
     num, den = tables.prefactor_logs(half_width)
-    half = 0.5 * (num[:half_width + 1] - den[:half_width + 1])
+    half = 0.5 * (num[:, :half_width + 1] - den[:, :half_width + 1])
     flip = -1 if pair.kind is Kind.INTERIOR else 1
-    return _slab_blocks(tables, p_to, half, flip, derivative)
+    blocks = _slab_blocks(tables, slice(None), p_to, half, flip, derivative)
+    return [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
 
 
 @pytest.mark.parametrize("kind", [Kind.INTERIOR, Kind.EXTERIOR])
@@ -493,8 +503,7 @@ def test_xi_span_end_nodes_negligible(pair):
             <= 1e-20 * abs(np.sum(terms))
 
 
-@pytest.mark.parametrize("term", [(_build_matrix_stats, _log_det_rows),
-                                  (_force_blocks, _force_rows)],
+@pytest.mark.parametrize("term", [_ENERGY_TERM, _FORCE_TERM],
                          ids=["energy", "force"])
 def test_refinement_matches_full_level(term):
     # the rows a level refines from the level below equal its full sum
@@ -509,14 +518,17 @@ def test_refinement_matches_full_level(term):
 @pytest.mark.parametrize("pair", [INT_05, EXT_08], ids=["interior", "exterior"])
 def test_final_grid_built_once(monkeypatch, pair):
     # nested levels: each node of the reported grid is assembled once at
-    # the final N, and the ladder at N0 assembles its finest level once
+    # the final N, and the ladder at N0 assembles its finest level once;
+    # the stacked assembler is counted by the lanes it assembles
     from casimir_cylinders import scattering
     builds = {}
     inner = scattering._window_blocks
 
-    def counted(pair, bc, xi, half_width, *args):
-        builds[half_width] = builds.get(half_width, 0) + 1
-        return inner(pair, bc, xi, half_width, *args)
+    def counted(pair, bc, tables, lanes, half_width, *args):
+        sign, blocks, widths = inner(pair, bc, tables, lanes, half_width,
+                                     *args)
+        builds[half_width] = builds.get(half_width, 0) + widths.size
+        return sign, blocks, widths
 
     monkeypatch.setattr(scattering, "_window_blocks", counted)
     res = casimir_energy_exact(pair, BoundaryPair.DD, 1e-4)
@@ -524,6 +536,87 @@ def test_final_grid_built_once(monkeypatch, pair):
     n0 = _initial_half_width(pair)
     if n0 != res.n_matrix:
         assert builds[n0] == (res.xi_nodes + 1) // 2
+
+
+# xi d from the far low-frequency end, where interior d=0.1 and exterior
+# d=0.8 windows double past their first rows, to the tail, where the energy
+# takes the trace series
+_MIXED_XI_D = np.array([0.002, 0.01, 0.05, 0.3, 2.0, 8.0, 12.0, 20.0])
+
+
+@pytest.mark.parametrize("quantity", ["energy", "force"])
+@pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN,
+                                BoundaryPair.DN, BoundaryPair.ND])
+@pytest.mark.parametrize("pair", [CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1),
+                                  EXT_08], ids=["interior", "exterior"])
+def test_stacked_group_matches_single_lanes(pair, bc, quantity):
+    # one stacked group mixes lanes whose window doubles with lanes whose
+    # first window holds, and for the energy series-branch lanes with
+    # Cholesky lanes: each lane's rows equal its own one-lane build
+    n, tol = 12, 1e-12
+    xi = _MIXED_XI_D / pair.d
+    tables, _ = _pass_tables(pair, bc, xi, n)
+    derivative, evaluate = (_FORCE_TERM if quantity == "force"
+                            else _ENERGY_TERM)
+    sign, blocks, widths = _window_blocks(pair, bc, tables, slice(None), n,
+                                          tol, derivative)
+    scale = sign * np.exp(-2.0 * pair.d * xi)
+    rows = evaluate(scale, blocks)
+    first = np.array([_first_rows(pair, z, n) for z in tables.zd.tolist()])
+    doubled = (widths - 1) // 2 >= first
+    assert doubled.any() and not doubled.all()
+    if quantity == "energy":
+        trace = np.trace(blocks[0], axis1=2, axis2=3).sum(axis=0)
+        series = np.abs(scale) * trace < _SERIES_CUT
+        assert series.any() and not series.all()
+    for lane, x in enumerate(xi.tolist()):
+        if quantity == "energy":
+            mat, width = _build_matrix_stats(pair, bc, x, n, tol)
+            want = _log_det_rows(mat)
+        else:
+            built, width = _force_blocks(pair, bc, x, n, tol)
+            want = _force_rows(built)
+        assert widths[lane] == width
+        assert np.max(np.abs(rows[lane] - want)) \
+            <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stacked_nonpositive_lane_raises():
+    # one lane whose 1 - M is not positive definite fails its whole stack
+    # with the typed error, for the energy and for the force
+    # (parity, lane) stacks at half_width 1, the odd block padded at k = 0
+    g = np.zeros((2, 3, 2, 2))
+    g[0] = 0.5 * np.eye(2)
+    g[0, 1] = np.diag([0.5, 2.0])
+    g[1, :, 1, 1] = 0.25
+    scale = np.ones(3)
+    with pytest.raises(NonPositiveDeterminant):
+        _log_det_lanes(scale, [g])
+    with pytest.raises(NonPositiveDeterminant):
+        _force_lanes(scale, [g, g])
+    assert np.all(np.isfinite(_log_det_lanes(scale[::2], [g[:, ::2]])))
+
+
+def test_near_plate_limit_raises_typed_error():
+    # interior a=1, b=100, d=0.99: the envelope of Z decays only like
+    # (delta/b)^p ~ 0.98^p, so a group's window passes the cap of a lane
+    # that still needs rows
+    with pytest.raises(PSumNoConvergence):
+        casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 100.0, 0.99),
+                             BoundaryPair.DD, 1e-3)
+
+
+def test_force_memory_bounded():
+    # lane groups trade memory for fewer numpy calls; their element budget
+    # keeps one small force's traced peak near 1.3 MB (0.3 MB one node at a
+    # time), and this pins it so a larger budget cannot slip in unnoticed
+    tracemalloc.start()
+    try:
+        casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_tables_built_once_per_pass(monkeypatch):

@@ -376,9 +376,10 @@ def _gram_blocks(logs: list[tuple[np.ndarray, np.ndarray]]
     carries W; each is stacked on axes (parity, lane), with the odd block
     padded by a zero row and column at k = 0."""
     z = _fold(*logs[0])
-    blocks = [z @ z.mT]
+    blocks = [z @ np.swapaxes(z, -1, -2)]
     if len(logs) > 1:
-        blocks.append(-(z @ _fold(*logs[1]).mT))   # the derivative is negative
+        w = _fold(*logs[1])     # the derivative is negative
+        blocks.append(-(z @ np.swapaxes(w, -1, -2)))
     return blocks
 
 
@@ -405,16 +406,22 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, tables: _XiTables,
     one.  The group forms its rows to the widest first window of its lanes
     and doubles them while any lane's cut reaches the last row formed; rows
     past a lane's own cut become exact zeros before the Gram products.
+
+    A lane alone would double its window f, 2f, 4f, ... from its own first
+    window f while its cut reaches the window, and fail once a window it
+    still needs passes its cap.  The group checks each lane against the
+    widest window of that sequence at or below its cut, so whether a lane
+    fails does not depend on the lanes it is grouped with.
     """
     flip = -1 if pair.kind is Kind.INTERIOR else 1
     num, den = tables.prefactor_logs(half_width)
     half = 0.5 * (num[lanes, :half_width + 1] - den[lanes, :half_width + 1])
     zd = tables.zd[lanes].tolist()
-    first = [_first_rows(pair, z, half_width) for z in zd]
-    caps = [_default_p_cap(z, half_width, half_width) + 2 * p
-            for z, p in zip(zd, first)]
+    first = np.array([_first_rows(pair, z, half_width) for z in zd])
+    caps = np.array([_default_p_cap(z, half_width, half_width) + 2 * p
+                     for z, p in zip(zd, first.tolist())])
     floor = 0.5 * math.log(tol * 1e-14)
-    p_hi = max(first)
+    p_hi = int(first.max())
     while True:
         logs = _row_logs(tables, lanes, p_hi, half, flip, derivative)
         rows = [np.maximum(parity[0].max(axis=1),
@@ -423,14 +430,18 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, tables: _XiTables,
         envelope = np.max([r - r.max(axis=1, keepdims=True) for r in rows],
                           axis=0)
         cut = p_hi - np.argmax(envelope[:, ::-1] >= floor, axis=1)
-        short = np.flatnonzero(cut >= p_hi).tolist()
-        if not short:
+        # 2**(e-1) <= cut // first < 2**e: first << (e-1) is the lane's own
+        # widest window at or below its cut (none when e = 0)
+        e = np.frexp(cut // first)[1]
+        over = np.flatnonzero((e > 0)
+                              & (first << np.maximum(e - 1, 0) > caps))
+        if over.size:
+            lane = int(over[0])
+            raise PSumNoConvergence(
+                f"matrix p-window exceeded cap {caps[lane]} at "
+                f"xi={tables.xi[lanes][lane]}, N={half_width}")
+        if cut.max() < p_hi:
             break
-        for lane in short:
-            if p_hi > caps[lane]:
-                raise PSumNoConvergence(
-                    f"matrix p-window exceeded cap {caps[lane]} at "
-                    f"xi={tables.xi[lanes][lane]}, N={half_width}")
         p_hi *= 2
     top = int(cut.max())
     kept = [(parity[..., :top + 1], minus[..., :top + 1])

@@ -581,6 +581,43 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
             <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("pair", [CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1),
+                                  EXT_08], ids=["interior", "exterior"])
+def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
+    # near its cap, a lane whose window doubles fails in the group exactly
+    # when it fails alone: its cap set one row below, then at, the widest
+    # window f, 2f, 4f, ... that its own sequence reaches, while the
+    # group's windows run from the widest first window of all its lanes
+    from casimir_cylinders import scattering
+    n, tol, bc = 12, 1e-12, BoundaryPair.DD
+    xi = _MIXED_XI_D / pair.d
+    tables, _ = _pass_tables(pair, bc, xi, n)
+    _, _, widths = _window_blocks(pair, bc, tables, slice(None), n, tol,
+                                  False)
+    checked = 0
+    for lane, (z, w) in enumerate(zip(tables.zd.tolist(), widths.tolist())):
+        f, cut = _first_rows(pair, z, n), (w - 1) // 2
+        if cut < f:
+            continue
+        reached = f << (cut // f).bit_length() - 1
+        for cap, fails in ((reached - 1, True), (reached, False)):
+            monkeypatch.setattr(
+                scattering, "_default_p_cap",
+                lambda zd, m, k, z=z, base=cap - 2 * f:
+                    base if zd == z else 10 ** 9)
+            for build in (
+                    lambda: _window_blocks(pair, bc, tables, slice(None), n,
+                                           tol, False),
+                    lambda: _build_matrix_stats(pair, bc, xi[lane], n, tol)):
+                if fails:
+                    with pytest.raises(PSumNoConvergence):
+                        build()
+                else:
+                    build()
+        checked += 1
+    assert checked
+
+
 def test_stacked_nonpositive_lane_raises():
     # one lane whose 1 - M is not positive definite fails its whole stack
     # with the typed error, for the energy and for the force
@@ -599,8 +636,8 @@ def test_stacked_nonpositive_lane_raises():
 
 def test_near_plate_limit_raises_typed_error():
     # interior a=1, b=100, d=0.99: the envelope of Z decays only like
-    # (delta/b)^p ~ 0.98^p, so a group's window passes the cap of a lane
-    # that still needs rows
+    # (delta/b)^p ~ 0.98^p, so a lane still needs rows at a window of its
+    # own sequence past its cap
     with pytest.raises(PSumNoConvergence):
         casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 100.0, 0.99),
                              BoundaryPair.DD, 1e-3)

@@ -442,6 +442,7 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, tables: _XiTables,
                 f"xi={tables.xi[lanes][lane]}, N={half_width}")
         if cut.max() < p_hi:
             break
+        del logs, rows, envelope
         p_hi *= 2
     top = int(cut.max())
     kept = [(parity[..., :top + 1], minus[..., :top + 1])

@@ -1,7 +1,9 @@
 """Shared fixtures.  The exact scattering runs are minutes each, so every
 expensive result is computed once per session and reused by both the module
 tests and the acceptance tests, with its wall time kept alongside."""
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,12 @@ from casimir_cylinders import (
     casimir_energy_exact,
     casimir_force_exact,
 )
+
+# pyproject.toml puts src on this process's path; the CLI tests' child
+# interpreters (`python -m casimir_cylinders`) need it in their environment
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def _timed(fn, *args, **kwargs):

@@ -22,12 +22,7 @@ from casimir_cylinders import (
     limit_consistency_check,
     pfa_force_leading,
 )
-from casimir_cylinders.bessel import (
-    log_bessel_i_prime_scaled,
-    log_bessel_i_scaled,
-    log_bessel_k_prime_scaled,
-    log_bessel_k_scaled,
-)
+from casimir_cylinders.cli import _verify_bessel
 from casimir_cylinders.geometry import SCALAR_PAIRS
 from casimir_cylinders.oracle import (
     PerturbationPoint,
@@ -148,28 +143,16 @@ def test_cylinder_plate_limit():
 
 
 def test_bessel_foundation():
+    # the Wronskian grid and spot values, with their bounds, live in
+    # cli verify; this gate runs that check and its wall time
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 500):
-        for z in np.geomspace(1e-3, 1e3, 27):
-            lz = math.log(z)
-            s = (math.exp(log_bessel_i_scaled(n, z)
-                          + log_bessel_k_prime_scaled(n, z) + lz)
-                 + math.exp(log_bessel_i_prime_scaled(n, z)
-                            + log_bessel_k_scaled(n, z) + lz))
-            worst = max(worst, abs(s - 1.0))
-    e = math.e
-    spots = (
-        (math.exp(log_bessel_i_scaled(0, 1.0)) * e, 1.2660658777520083356),
-        (math.exp(log_bessel_k_scaled(0, 1.0)) / e, 0.42102443824070833334),
-        (math.exp(log_bessel_i_scaled(1, 1.0)) * e, 0.56515910399248502721),
-        (math.exp(log_bessel_k_scaled(1, 1.0)) / e, 0.60190723019723457474),
-    )
-    spot_worst = max(abs(got - ref) / ref for got, ref in spots)
+    lines = []
+    ok = _verify_bessel("fast", lines)
     wall = time.perf_counter() - t0
-    ok = worst <= 1e-12 and spot_worst <= 1e-12 and wall < 5.0
+    ok = ok and len(lines) == 2 and all(line.startswith("PASS") for line in lines) \
+        and wall < 5.0
     _gate("bessel wronskian + spots", ok,
-          f"wronskian {worst:.2e}, spots {spot_worst:.2e}, {wall:.2f} s")
+          f"{'; '.join(lines)}; {wall:.2f} s")
 
 
 def test_exact_vs_asymptotic_convergence(energy_dd_01, energy_dd_005,

@@ -4,13 +4,6 @@ import numpy as np
 import pytest
 
 from casimir_cylinders.bessel import (
-    _debye_logs,
-    _log_i_uniform,
-    _log_k_uniform,
-    log_bessel_i_prime_scaled,
-    log_bessel_i_scaled,
-    log_bessel_k_prime_scaled,
-    log_bessel_k_scaled,
     log_i_prime_scaled_table,
     log_i_scaled_table,
     log_k_prime_scaled_table,
@@ -54,69 +47,85 @@ _GRID_ARGS = np.geomspace(1e-3, 1e3, 27)
 @pytest.mark.parametrize("n,z,li,lk,lip,lkp", _SPOT_LOGS)
 def test_spot_logs(n, z, li, lk, lip, lkp):
     tol = lambda ref: 1e-12 * (1.0 + abs(ref))
-    assert abs(log_bessel_i_scaled(n, z) - li) <= tol(li)
-    assert abs(log_bessel_k_scaled(n, z) - lk) <= tol(lk)
-    assert abs(log_bessel_i_prime_scaled(n, z) - lip) <= tol(lip)
-    assert abs(log_bessel_k_prime_scaled(n, z) - lkp) <= tol(lkp)
+    assert abs(log_i_scaled_table(z, n)[n] - li) <= tol(li)
+    assert abs(log_k_scaled_table(z, n)[n] - lk) <= tol(lk)
+    assert abs(log_i_prime_scaled_table(z, n)[n] - lip) <= tol(lip)
+    assert abs(log_k_prime_scaled_table(z, n)[n] - lkp) <= tol(lkp)
 
 
 def test_wronskian_identity_full_grid():
     # z*(I_n K'_n rearranged): e^{li+lkp}z + e^{lip+lk}z = 1, exercised in a
     # form that never underflows because the huge exponents cancel pairwise.
-    worst = 0.0
-    for n in _GRID_ORDERS:
-        for z in _GRID_ARGS:
-            lz = math.log(z)
-            li = log_bessel_i_scaled(n, z)
-            lk = log_bessel_k_scaled(n, z)
-            lip = log_bessel_i_prime_scaled(n, z)
-            lkp = log_bessel_k_prime_scaled(n, z)
-            total = math.exp(li + lkp + lz) + math.exp(lip + lk + lz)
-            worst = max(worst, abs(total - 1.0))
-    assert worst <= 1e-12
+    n = np.array(_GRID_ORDERS)
+    top = int(n[-1])
+    li = log_i_scaled_table(_GRID_ARGS, top)[:, n]
+    lk = log_k_scaled_table(_GRID_ARGS, top)[:, n]
+    lip = log_i_prime_scaled_table(_GRID_ARGS, top)[:, n]
+    lkp = log_k_prime_scaled_table(_GRID_ARGS, top)[:, n]
+    lz = np.log(_GRID_ARGS)[:, None]
+    total = np.exp(li + lkp + lz) + np.exp(lip + lk + lz)
+    assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
 def test_unscaled_spot_values():
     # classic handbook values at z = 1
     e = math.e
-    assert abs(math.exp(log_bessel_i_scaled(0, 1.0)) * e
-               - 1.2660658777520083356) < 1e-15
-    assert abs(math.exp(log_bessel_k_scaled(0, 1.0)) / e
-               - 0.42102443824070833334) < 1e-15
-    assert abs(math.exp(log_bessel_i_scaled(1, 1.0)) * e
-               - 0.56515910399248502721) < 1e-15
-    assert abs(math.exp(log_bessel_k_scaled(1, 1.0)) / e
-               - 0.60190723019723457474) < 1e-15
+    li = log_i_scaled_table(1.0, 1)
+    lk = log_k_scaled_table(1.0, 1)
+    assert abs(math.exp(li[0]) * e - 1.2660658777520083356) < 1e-15
+    assert abs(math.exp(lk[0]) / e - 0.42102443824070833334) < 1e-15
+    assert abs(math.exp(li[1]) * e - 0.56515910399248502721) < 1e-15
+    assert abs(math.exp(lk[1]) / e - 0.60190723019723457474) < 1e-15
 
 
 @pytest.mark.parametrize("z", [1e-3, 0.4, 2.7, 19.0, 333.0])
 def test_tables_match_scalars(z):
+    # every table entry against a scalar 30-digit evaluation; the primed
+    # references come from I'_n = (I_{n-1} + I_{n+1})/2 and
+    # K'_n = -(K_{n-1} + K_{n+1})/2
+    mp = pytest.importorskip("mpmath")
     n_max = 60
     ti = log_i_scaled_table(z, n_max)
     tk = log_k_scaled_table(z, n_max)
     tip = log_i_prime_scaled_table(z, n_max)
     tkp = log_k_prime_scaled_table(z, n_max)
-    for n in range(n_max + 1):
-        for got, ref in (
-            (ti[n], log_bessel_i_scaled(n, z)),
-            (tk[n], log_bessel_k_scaled(n, z)),
-            (tip[n], log_bessel_i_prime_scaled(n, z)),
-            (tkp[n], log_bessel_k_prime_scaled(n, z)),
-        ):
-            assert abs(got - ref) <= 1e-11 * (1.0 + abs(ref))
+    with mp.workdps(30):
+        zm = mp.mpf(z)
+        i = [mp.besseli(n, zm) * mp.exp(-zm) for n in range(n_max + 2)]
+        k = [mp.besselk(n, zm) * mp.exp(zm) for n in range(n_max + 2)]
+        for n in range(n_max + 1):
+            below = abs(n - 1)
+            for got, ref in (
+                (ti[n], i[n]),
+                (tk[n], k[n]),
+                (tip[n], (i[below] + i[n + 1]) / 2),
+                (tkp[n], (k[below] + k[n + 1]) / 2),
+            ):
+                ref = float(mp.log(ref))
+                assert abs(got - ref) <= 1e-11 * (1.0 + abs(ref)), (n, z)
 
 
-def test_negative_order_symmetry():
-    for n in (1, 4, 17):
-        assert log_bessel_i_scaled(-n, 2.5) == log_bessel_i_scaled(n, 2.5)
-        assert log_bessel_k_scaled(-n, 2.5) == log_bessel_k_scaled(n, 2.5)
-        assert log_bessel_i_prime_scaled(-n, 2.5) == log_bessel_i_prime_scaled(n, 2.5)
-        assert log_bessel_k_prime_scaled(-n, 2.5) == log_bessel_k_prime_scaled(n, 2.5)
+def test_seeds_match_mpmath():
+    # orders 0 and 1 come from the trapezoid seeds (and, for I_1, one
+    # Miller ratio); the grid crosses the step switch at z = 1.44 and the
+    # I_0 cut switch at z = 20
+    mp = pytest.importorskip("mpmath")
+    z = np.concatenate((np.geomspace(1e-8, 1e6, 43), [1.44, 20.0]))
+    ti = log_i_scaled_table(z, 1)
+    tk = log_k_scaled_table(z, 1)
+    with mp.workdps(40):
+        for lane, x in enumerate(z.tolist()):
+            zm = mp.mpf(x)
+            for n in (0, 1):
+                li = float(mp.log(mp.besseli(n, zm)) - zm)
+                lk = float(mp.log(mp.besselk(n, zm)) + zm)
+                assert abs(ti[lane, n] - li) <= 1e-15 * (1.0 + abs(li)), (n, x)
+                assert abs(tk[lane, n] - lk) <= 1e-15 * (1.0 + abs(lk)), (n, x)
 
 
 def test_zero_argument_regular_solution():
-    assert log_bessel_i_scaled(0, 0.0) == 0.0
-    assert log_bessel_i_scaled(3, 0.0) == -math.inf
+    assert log_i_scaled_table(0.0, 0)[0] == 0.0
+    assert log_i_scaled_table(0.0, 3)[3] == -math.inf
     table = log_i_scaled_table(0.0, 4)
     assert table[0] == 0.0
     assert np.all(np.isneginf(table[1:]))
@@ -124,7 +133,7 @@ def test_zero_argument_regular_solution():
 
 def test_zero_argument_irregular_rejected():
     with pytest.raises(DomainError):
-        log_bessel_k_scaled(0, 0.0)
+        log_k_prime_scaled_table(0.0, 0)
     with pytest.raises(DomainError):
         log_k_scaled_table(0.0, 3)
 
@@ -132,15 +141,15 @@ def test_zero_argument_irregular_rejected():
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan, "2", None])
 def test_bad_arguments_rejected(bad):
     with pytest.raises(DomainError):
-        log_bessel_i_scaled(0, bad)
+        log_i_scaled_table(bad, 0)
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", None, True])
 def test_bad_orders_rejected(bad):
     with pytest.raises(DomainError):
-        log_bessel_k_scaled(bad, 1.0)
+        log_k_scaled_table(1.0, bad)
     with pytest.raises(DomainError):
-        log_bessel_i_scaled(bad, 1.0)
+        log_i_scaled_table(1.0, bad)
 
 
 def test_order_monotonicity_at_fixed_argument():
@@ -163,9 +172,7 @@ _LANE_ARGS = np.array([1e-8, 1e-3, 0.3, 1.99, 2.01, 10.0, 49.0, 51.0, 300.0,
 
 
 def test_tables_match_mpmath():
-    # orders up to 5000 across the s = 50 Debye switch of the seeds, and
-    # arguments from 1e-8 to 1e3 across the z = 2 switch of the K seeds.
-    # mpmath's besselk does not converge at default settings for z >= 3000,
+    # orders up to 5000 and arguments from 1e-8 to 1e3.  mpmath's besselk does not converge at default settings for z >= 3000,
     # and order ~1000 at z = 1000 takes it seconds, so that corner is skipped
     mp = pytest.importorskip("mpmath")
     orders = (0, 1, 2, 7, 30, 49, 50, 51, 120, 400, 1500, 5000)
@@ -201,19 +208,6 @@ def test_batched_rows_match_single_arguments(table):
         alone = table(z, 300)
         assert alone.shape == (301,)
         assert np.all(np.abs(row - alone) <= 1e-14 * (1.0 + np.abs(alone)))
-
-
-@pytest.mark.parametrize("n", [0.0, 1.0, 7.0, 400.0])
-def test_debye_lanes_match_scalar_series(n):
-    # the table seeds sum the Debye series for every lane at once, as a
-    # coefficient matrix over powers of q and 1/s; the scalar Horner form
-    # stays the reference, to a few roundings of the result
-    z = np.array([50.0, 51.3, 99.9, 300.0, 1000.0, 1e4, 1e6])
-    log_i, log_k = _debye_logs(n, z)
-    for got_i, got_k, x in zip(log_i, log_k, z.tolist()):
-        want_i, want_k = _log_i_uniform(n, x), _log_k_uniform(n, x)
-        assert abs(got_i - want_i) <= 4e-16 * (1.0 + abs(want_i))
-        assert abs(got_k - want_k) <= 4e-16 * (1.0 + abs(want_k))
 
 
 def test_batched_zero_argument_lane():

@@ -646,14 +646,23 @@ def test_near_plate_limit_raises_typed_error():
 def test_force_memory_bounded():
     # lane groups trade memory for fewer numpy calls; their element budget
     # keeps one small force's traced peak near 1.3 MB (0.3 MB one node at a
-    # time), and this pins it so a larger budget cannot slip in unnoticed
-    tracemalloc.start()
-    try:
-        casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2_000_000
+    # time), and this pins it so a larger budget cannot slip in unnoticed.
+    # The exterior energy doubles its p-window; near 1.5 MB it shows that
+    # the superseded exponents are dropped before the wider ones are formed
+    # (1.9 MB when both are held)
+    ext_02 = CylinderPair(kind=Kind.EXTERIOR, a=1.0, b=2.0, d=0.2)
+    for run, bound in (
+            (lambda: casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3),
+             2_000_000),
+            (lambda: casimir_energy_exact(ext_02, BoundaryPair.DD, 1e-4),
+             1_600_000)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_tables_built_once_per_pass(monkeypatch):

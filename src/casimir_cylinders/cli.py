@@ -211,7 +211,9 @@ def cmd_sweep(args) -> int:
     tasks = [(args.kind, args.bc, args.a, args.b, d, method, args.quantity,
               args.rel_tol, not args.no_timing)
              for d in sorted(grid) for method in sorted(methods)]
-    workers = args.parallel
+    # the pool forks all of its workers at once, so start no more than
+    # there are points or cores
+    workers = min(args.parallel, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
@@ -445,8 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="log-spaced separation sweep")
     common(ps)
     ps.add_argument("--d-grid", required=True, help="start:stop:count")
+    # a string default goes through type=int only when sweep runs, so a bad
+    # CASIMIR_CYL_THREADS is a usage error of sweep alone
     ps.add_argument("--parallel", type=int,
-                    default=int(os.environ.get("CASIMIR_CYL_THREADS", "1")))
+                    default=os.environ.get("CASIMIR_CYL_THREADS", "1"))
     ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run built-in validation suites")

@@ -22,12 +22,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .geometry import BoundaryPair, CylinderPair, Kind, derive_params
+from .geometry import (SCALAR_PAIRS, BoundaryPair, CylinderPair, Kind,
+                       derive_params)
 from .quadrature import (QuadratureSpec, _hermgauss, gauss_hermite,
                          integrate_finite)
 
 _SWAP_PAIRS = (BoundaryPair.NN, BoundaryPair.ND)
-_SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
 _GH_NODES = 12  # polynomial-exact through degree 23
 
 
@@ -448,7 +448,7 @@ def e1_from_b(pair: CylinderPair, bc: BoundaryPair) -> float:
     """
     if pair.kind is not Kind.INTERIOR:
         raise DomainError("the reflection expansion here is interior-only")
-    if bc not in _SCALAR:
+    if bc not in SCALAR_PAIRS:
         raise DomainError("scalar boundary pair required")
     params = derive_params(pair)
     al, be, epsv = params.alpha, params.beta, params.eps

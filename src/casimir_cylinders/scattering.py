@@ -41,10 +41,11 @@ lookups, and the window ends at the last row whose largest exponent is
 within (1/2) ln(tol * 1e-14) of the largest exponent of Z.  The rows are
 formed again twice as far only while that cut reaches the last one formed.
 
-The lookups depend on xi only, so the nodes an assembly pass builds share
-one set of tables: each table is one batched call across the pass's nodes
-(at most ``_LANES`` at a time), sized from the widest first window of the
-set, and a node whose window doubles past it grows the whole set once.
+The lookups depend on xi only, so the nodes of one ``xi_rows`` call share
+one set of tables: each table is one batched call across those nodes (the
+drivers pass at most ``_LANES`` at a time), sized from the widest first
+window of the set, and a node whose window doubles past it grows the whole
+set once.
 
 The unit of assembly is a group of consecutive lanes of a table set,
 stacked along a leading lane axis, so one numpy call serves every node of
@@ -52,15 +53,15 @@ the group: row exponents, envelope cut, exp and fold, Gram products,
 Cholesky factors and per-|m| rows.  A group takes lanes while
 lanes x (widest first window + 1) x (2N + 1) stays within
 ``_GROUP_ELEMENTS`` (256 KB per stacked array); wider nodes run as groups
-of one, and a standalone matrix is a group of one.  The exponents are laid
-out (lane, k, p), so the envelope's reductions over k run across
-contiguous rows, and they live in one allocation per group, so the heap
-takes and returns one block per group whatever references the caller
-keeps.  Each lane keeps its own cut: its rows past it are set to -inf
-before the exp and add exact zeros to the Gram products.  The odd block
-is padded by a zero row and column to the size of the even one, so both
-parities share one stacked axis through the Gram products, the factors
-and the rows; the pad puts a 1 on the diagonal of 1 - M and adds nothing.
+of one.  The exponents are laid out (lane, k, p), so the envelope's
+reductions over k run across contiguous rows, and they live in one
+allocation per group, so the heap takes and returns one block per group
+whatever references the caller keeps.  Each lane keeps its own cut: its
+rows past it are set to -inf before the exp and add exact zeros to the
+Gram products.  The odd block is padded by a zero row and column to the
+size of the even one, so both parities share one stacked axis through the
+Gram products, the factors and the rows; the pad puts a 1 on the diagonal
+of 1 - M and adds nothing.
 
 Only the translation factors depend on the gap d.  The force builds
 W = Z o D next to Z, with D the log-derivative of the unscaled translation
@@ -108,9 +109,9 @@ from .errors import (
     NonPositiveDeterminant,
     PSumNoConvergence,
 )
-from .geometry import BoundaryPair, CylinderPair, Kind, derive_params
+from .geometry import (SCALAR_PAIRS, BoundaryPair, CylinderPair, Kind,
+                       derive_params)
 
-_SCALAR = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
 _BASE_NODES = 24        # steps of the level-0 xi rule: h = 1/4, 25 nodes
 _XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
 _MAX_QUAD_LEVEL = 5     # h = 1/128, 769 nodes
@@ -150,7 +151,7 @@ class EnergyResult:
 
 
 def _check_scalar_bc(bc: BoundaryPair) -> None:
-    if bc not in _SCALAR:
+    if bc not in SCALAR_PAIRS:
         raise DomainError(
             f"{bc} is a composite pairing; compose it from scalar results")
 
@@ -253,17 +254,18 @@ def _pass_tables(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     return tables, groups
 
 
-def _lane_tables(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                 half_width: int, tol: float) -> _XiTables:
-    """A one-lane table set for one checked node."""
+def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
+                   tol: float) -> np.ndarray:
+    """The nodes xi as a 1-D float array, once the arguments are checked."""
     _check_scalar_bc(bc)
+    xi = np.asarray(xi, dtype=float)
     if half_width < 0:
         raise DomainError("half_width must be >= 0")
-    if not xi > 0:
-        raise DomainError("xi must be positive")
+    if xi.ndim != 1 or not xi.size or not np.all(xi > 0):
+        raise DomainError("xi must be a nonempty 1-D array of positive nodes")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
-    return _XiTables(pair, bc, np.array([xi], dtype=float))
+    return xi
 
 
 def _p_center(pair: CylinderPair, m: int, lo: int, hi: int) -> int:
@@ -383,17 +385,8 @@ def _gram_blocks(logs: list[tuple[np.ndarray, np.ndarray]]
     return blocks
 
 
-def _slab_blocks(tables: _XiTables, lanes: slice, p_to: int,
-                 half: np.ndarray, flip: int, derivative: bool
-                 ) -> list[np.ndarray]:
-    """[G] or [G, H] summed over every row p = 0..p_to of the window."""
-    return _gram_blocks(_row_logs(tables, lanes, p_to, half, flip,
-                                  derivative))
-
-
-def _window_blocks(pair: CylinderPair, bc: BoundaryPair, tables: _XiTables,
-                   lanes: slice, half_width: int, tol: float,
-                   derivative: bool
+def _window_blocks(pair: CylinderPair, tables: _XiTables, lanes: slice,
+                   half_width: int, tol: float, derivative: bool
                    ) -> tuple[float, list[np.ndarray], np.ndarray]:
     """(sign, [G] or [G, H] over each lane's envelope window, window widths).
 
@@ -455,28 +448,21 @@ def _window_blocks(pair: CylinderPair, bc: BoundaryPair, tables: _XiTables,
     return tables.sign, _gram_blocks(kept), 2 * cut + 1
 
 
-def _build_matrix_stats(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                        half_width: int, tol: float
-                        ) -> tuple[RoundTripMatrix, int]:
-    tables = _lane_tables(pair, bc, xi, half_width, tol)
-    sign, (g,), widths = _window_blocks(pair, bc, tables, slice(None),
-                                        half_width, tol, False)
-    mat = RoundTripMatrix(half_width=half_width, even=g[0, 0],
-                          odd=g[1, 0, 1:, 1:], sign=sign,
-                          prefactor_log=-2.0 * pair.d * xi)
-    return mat, int(widths[0])
-
-
 def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
                  half_width: int, tol: float = 1e-12) -> RoundTripMatrix:
     """Parity blocks of the round-trip operator with |m|, |n| <= half_width.
 
     The p-sum keeps the rows of Z up to the last one whose largest entry is
     within a factor sqrt(tol * 1e-14) of the largest entry of Z, so every
-    dropped term of G is below tol * 1e-14 of the largest term.
+    dropped term of G is below tol * 1e-14 of the largest term.  The
+    one-node case of the assembly ``xi_rows`` runs.
     """
-    mat, _ = _build_matrix_stats(pair, bc, xi, half_width, tol)
-    return mat
+    tables = _XiTables(pair, bc, _checked_nodes(bc, [xi], half_width, tol))
+    sign, (g,), _ = _window_blocks(pair, tables, slice(None), half_width,
+                                   tol, False)
+    return RoundTripMatrix(half_width=half_width, even=g[0, 0],
+                           odd=g[1, 0, 1:, 1:], sign=sign,
+                           prefactor_log=-2.0 * pair.d * xi)
 
 
 _SERIES_CUT = 1e-8
@@ -485,15 +471,8 @@ _SERIES_CUT = 1e-8
 def log_det_one_minus(mat: RoundTripMatrix) -> float:
     """ln det(1 - sign * e^{prefactor_log} * G), summed over both blocks.
 
-    The sum of the rows of ``_log_det_rows``.
-    """
-    return float(np.sum(_log_det_rows(mat)))
-
-
-def _log_det_rows(mat: RoundTripMatrix) -> np.ndarray:
-    """Per-|m| rows r[0..N] of ln det(1 - M); r[:N'+1] sums to the N' term.
-
-    The one-lane case of ``_log_det_lanes``.
+    The one-lane case of ``_log_det_lanes``, with the odd block padded by a
+    zero row and column at k = 0.
     """
     n = mat.half_width
     for name, block, size in (("even", mat.even, n + 1), ("odd", mat.odd, n)):
@@ -501,17 +480,11 @@ def _log_det_rows(mat: RoundTripMatrix) -> np.ndarray:
             raise DomainError(
                 f"{name} block must be {size}x{size} at half_width {n}, "
                 f"got shape {block.shape}")
+    stack = np.zeros((2, 1, n + 1, n + 1))
+    stack[0, 0] = mat.even
+    stack[1, 0, 1:, 1:] = mat.odd
     scale = np.array([mat.sign * math.exp(mat.prefactor_log)])
-    return _log_det_lanes(scale, [_padded(mat.even, mat.odd)])[0]
-
-
-def _padded(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """One lane's parity blocks stacked on axes (parity, lane), the odd
-    block padded by a zero row and column at k = 0."""
-    stack = np.zeros((2, 1) + even.shape)
-    stack[0, 0] = even
-    stack[1, 0, 1:, 1:] = odd
-    return stack
+    return float(np.sum(_log_det_lanes(scale, [stack])))
 
 
 def _log_det_lanes(scale: np.ndarray, blocks: list[np.ndarray]
@@ -596,32 +569,6 @@ def _xi_grid(d: float, level: int, new_only: bool = False
     return xi, weight
 
 
-def _force_blocks(pair: CylinderPair, bc: BoundaryPair, xi: float,
-                  half_width: int, tol: float
-                  ) -> tuple[tuple[float, list[np.ndarray]], int]:
-    """((sign e^{-2 d xi}, [G_even, G_odd, H_even, H_odd]), window width)."""
-    tables = _lane_tables(pair, bc, xi, half_width, tol)
-    sign, blocks, widths = _window_blocks(pair, bc, tables, slice(None),
-                                          half_width, tol, True)
-    parts = [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
-    return (sign * math.exp(-2.0 * pair.d * xi), parts), int(widths[0])
-
-
-def _force_trace(built: tuple[float, list[np.ndarray]]) -> float:
-    """tr[(1 - M)^{-1} d_d M] at one xi: the sum of ``_force_rows``."""
-    return float(np.sum(_force_rows(built)))
-
-
-def _force_rows(built: tuple[float, list[np.ndarray]]) -> np.ndarray:
-    """Per-|m| rows r[0..N] of tr[(1 - M)^{-1} d_d M], like ``_log_det_rows``.
-
-    The one-lane case of ``_force_lanes``.
-    """
-    scale, (g_even, g_odd, h_even, h_odd) = built
-    return _force_lanes(np.array([scale]), [_padded(g_even, g_odd),
-                                            _padded(h_even, h_odd)])[0]
-
-
 def _force_lanes(scale: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """Per-|m| rows of tr[(1 - M)^{-1} d_d M] for a stack of lanes.
 
@@ -643,38 +590,55 @@ def _force_lanes(scale: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     return 2.0 * scale[:, None] * rows
 
 
-_ENERGY_TERM = (False, _log_det_lanes)
-_FORCE_TERM = (True, _force_lanes)
+def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
+            half_width: int, tol: float = 1e-12, quantity: str = "energy"
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, widths): the per-|m| rows of the per-xi term at each node.
+
+    ``xi`` is a 1-D array of positive nodes.  Row i holds r[0..N] at xi[i]
+    (N = half_width), of ln det(1 - M) for ``quantity="energy"`` and of
+    tr[(1 - M)^{-1} d_d M] for ``"force"``; r[:N'+1] sums to the term of
+    the N' truncation.  widths[i] is the node's p-window width; tol cuts
+    the window as in ``build_matrix``.  The nodes share one table set and
+    are assembled in lane groups.
+    """
+    if quantity not in ("energy", "force"):
+        raise DomainError(
+            f"quantity must be 'energy' or 'force', got {quantity!r}")
+    xi = _checked_nodes(bc, xi, half_width, tol)
+    derivative = quantity == "force"
+    evaluate = _force_lanes if derivative else _log_det_lanes
+    tables, groups = _pass_tables(pair, bc, xi, half_width)
+    rows = np.empty((xi.size, half_width + 1))
+    widths = np.empty(xi.size, dtype=int)
+    for lanes in groups:
+        sign, blocks, widths[lanes] = _window_blocks(
+            pair, tables, lanes, half_width, tol, derivative)
+        rows[lanes] = evaluate(sign * np.exp(-2.0 * pair.d * xi[lanes]),
+                               blocks)
+    return rows, widths
 
 
 def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
-                 level: int, tol_elem: float, stats: dict, term,
+                 level: int, tol_elem: float, stats: dict, quantity: str,
                  coarse: np.ndarray | None = None) -> np.ndarray:
     """Rows of (1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
 
-    ``term`` is (derivative, evaluate): the lanes of each group are
-    assembled by ``_window_blocks`` with W next to Z when ``derivative``
-    holds, and evaluate(sign e^{-2 d xi}, blocks) returns the per-|m| rows
-    of the integrand, r[0..half_width], one row per lane.  ``coarse`` holds
-    the rows of the level below at the same half_width; with it only the
-    nodes new to this level are assembled, since the trapezoid sum at h/2 is
-    half the sum at h plus the new odd-k nodes at their weights.  The Bessel
-    tables of the pass are built once across its nodes, in sets of at most
-    ``_LANES`` nodes, and each set is assembled in lane groups.
+    The term is the energy's or the force's, as ``quantity`` names it; its
+    per-|m| rows come from ``xi_rows`` in sets of at most ``_LANES`` nodes,
+    so each set builds its Bessel tables once.  ``coarse`` holds the rows
+    of the level below at the same half_width; with it only the nodes new
+    to this level are assembled, since the trapezoid sum at h/2 is half the
+    sum at h plus the new odd-k nodes at their weights.
     """
-    derivative, evaluate = term
     xi, wt = _xi_grid(pair.d, level, new_only=coarse is not None)
     weight = wt * xi
     rows = np.zeros(half_width + 1)
     for nodes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
-        tables, groups = _pass_tables(pair, bc, xi[nodes], half_width)
-        for lanes in groups:
-            sign, blocks, widths = _window_blocks(pair, bc, tables, lanes,
-                                                  half_width, tol_elem,
-                                                  derivative)
-            stats["p_max"] = max(stats["p_max"], int(widths.max()))
-            scale = sign * np.exp(-2.0 * pair.d * tables.xi[lanes])
-            rows += weight[nodes][lanes] @ evaluate(scale, blocks)
+        terms, widths = xi_rows(pair, bc, xi[nodes], half_width, tol_elem,
+                                quantity)
+        stats["p_max"] = max(stats["p_max"], int(widths.max()))
+        rows += weight[nodes] @ terms
     rows /= 4.0 * math.pi
     return rows if coarse is None else 0.5 * coarse + rows
 
@@ -716,7 +680,7 @@ def _initial_half_width(pair: CylinderPair) -> int:
 
 
 def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
-                       n_cap: int, term) -> EnergyResult:
+                       n_cap: int, quantity: str) -> EnergyResult:
     """(1/4 pi) int xi term(xi) d xi for the energy or the force term.
 
     The xi quadrature is refined at the initial truncation N0 until two
@@ -742,11 +706,11 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     if n_half > n_cap:
         raise NoConvergence(
             f"initial truncation N={n_half} exceeds cap {n_cap}")
-    rows = _integral_at(pair, bc, n_half, 0, tol_elem, stats, term)
+    rows = _integral_at(pair, bc, n_half, 0, tol_elem, stats, quantity)
     value = float(np.sum(rows))
     for level in range(1, _MAX_QUAD_LEVEL + 1):
-        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats, term,
-                            rows)
+        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats,
+                            quantity, rows)
         new = float(np.sum(rows))
         err_quad = abs(new - value)
         value = new
@@ -767,11 +731,12 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
                 f"matrix truncation tail {bound:.3e} above {target:.3e} at "
                 f"N={n_half} ({_xi_node_count(level)} xi nodes); cap {n_cap}")
         n_half = min(_grown_half_width(n_half, bound, q, target), n_cap)
-        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats, term)
+        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats,
+                            quantity)
         value = float(np.sum(rows))
 
-    rows = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats, term,
-                        rows)
+    rows = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats,
+                        quantity, rows)
     deep = float(np.sum(rows))
     err_est = abs(deep - value) + _tail_bound(rows)[0]
     return EnergyResult(
@@ -796,8 +761,7 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
     which assembles only its new nodes, supplies the reported value; err_est
     is its difference from the previous level plus the truncation bound.
     """
-    return _adaptive_integral(pair, bc, rel_tol, n_cap,
-                              _ENERGY_TERM)
+    return _adaptive_integral(pair, bc, rel_tol, n_cap, "energy")
 
 
 def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
@@ -812,5 +776,4 @@ def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
     same xi-level and truncation estimates as an energy's.  Negative
     (attractive) for DD and NN.
     """
-    return _adaptive_integral(pair, bc, rel_tol, n_cap,
-                              _FORCE_TERM)
+    return _adaptive_integral(pair, bc, rel_tol, n_cap, "force")

@@ -187,6 +187,52 @@ def test_sweep_thread_env_default(monkeypatch):
     assert with_env.stdout == plain.stdout
 
 
+def test_sweep_pool_no_wider_than_grid(monkeypatch, capsys):
+    # the pool forks every worker it is given at once, so a 2-point sweep
+    # asks for 2 workers whatever --parallel says; the fake pool runs the
+    # tasks in process, so no worker is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    base = ["sweep", "--kind", "interior", "--bc", "dd", "--a", "1",
+            "--b", "2", "--d-grid", "0.1:0.2:2", "--method", "pfa-leading",
+            "--no-timing"]
+    assert cli.main(base + ["--parallel", "4000"]) == 0
+    pooled = capsys.readouterr().out
+    assert sizes == [2]
+    assert cli.main(base + ["--parallel", "1"]) == 0
+    assert capsys.readouterr().out == pooled
+    assert sizes == [2]
+
+
+def test_thread_env_not_an_int(monkeypatch, capsys):
+    # a bad CASIMIR_CYL_THREADS is a usage error of sweep, the one command
+    # that reads it, and leaves the others alone
+    monkeypatch.setenv("CASIMIR_CYL_THREADS", "abc")
+    geometry = ["--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
+                "--method", "pfa-leading", "--no-timing"]
+    assert cli.main(["compute", *geometry, "--d", "0.1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", *geometry, "--d-grid", "0.1:0.2:2"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_verify_fast_passes():
     proc = run_cli("verify", "--suite", "all", "--level", "fast")
     assert proc.returncode == 0

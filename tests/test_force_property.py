@@ -4,19 +4,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from casimir_cylinders import (  # noqa: E402
-    BoundaryPair,
-    CylinderPair,
-    Kind,
-    build_matrix,
-    log_det_one_minus,
-)
-from casimir_cylinders.scattering import (  # noqa: E402
-    _force_blocks,
-    _force_trace,
-)
+import numpy as np  # noqa: E402
 
-_SCALAR = [BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND]
+from casimir_cylinders import CylinderPair, Kind  # noqa: E402
+from casimir_cylinders.geometry import SCALAR_PAIRS  # noqa: E402
+from casimir_cylinders.scattering import xi_rows  # noqa: E402
 
 
 @st.composite
@@ -32,7 +24,7 @@ def _geometries(draw):
     d = gap * draw(st.floats(0.05, 0.5))
     # xi d >= 0.06 keeps ln det(1 - M) well above the series cut-off
     xi = draw(st.floats(0.06, 1.5)) / d
-    return CylinderPair(kind, a, b, d), draw(st.sampled_from(_SCALAR)), xi
+    return CylinderPair(kind, a, b, d), draw(st.sampled_from(SCALAR_PAIRS)), xi
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -40,9 +32,9 @@ def _geometries(draw):
 def test_force_term_is_minus_logdet_derivative(case):
     pair, bc, xi = case
     h = 1e-4 * pair.d
-    got = _force_trace(_force_blocks(pair, bc, xi, 6, 1e-14)[0])
-    hi, lo = (log_det_one_minus(build_matrix(
-        CylinderPair(pair.kind, pair.a, pair.b, g), bc, xi, 6, tol=1e-14))
-        for g in (pair.d + h, pair.d - h))
+    got = np.sum(xi_rows(pair, bc, np.array([xi]), 6, 1e-14, "force")[0])
+    hi, lo = (np.sum(xi_rows(CylinderPair(pair.kind, pair.a, pair.b, g), bc,
+                             np.array([xi]), 6, 1e-14)[0])
+              for g in (pair.d + h, pair.d - h))
     want = -(hi - lo) / (2.0 * h)
     assert abs(got - want) <= 1e-6 * abs(want)

@@ -24,27 +24,22 @@ from casimir_cylinders.errors import (
     PSumNoConvergence,
 )
 from casimir_cylinders.scattering import (
-    _ENERGY_TERM,
-    _FORCE_TERM,
     RoundTripMatrix,
     _XiTables,
     _SERIES_CUT,
-    _build_matrix_stats,
     _first_rows,
-    _force_blocks,
     _force_lanes,
-    _force_rows,
-    _force_trace,
+    _gram_blocks,
     _grown_half_width,
     _initial_half_width,
     _integral_at,
     _log_det_lanes,
-    _log_det_rows,
     _pass_tables,
-    _slab_blocks,
+    _row_logs,
     _tail_bound,
     _window_blocks,
     _xi_grid,
+    xi_rows,
 )
 from scalar_oracle import matrix_element
 
@@ -176,13 +171,42 @@ def test_matrix_leading_block_stable_under_widening():
 
 
 def test_matrix_argument_validation():
-    with pytest.raises(DomainError):
-        build_matrix(INT_05, BoundaryPair.DD, 1.0, -1)
-    with pytest.raises(DomainError):
-        build_matrix(INT_05, BoundaryPair.DD, -1.0, 2)
+    one, dd = np.array([1.0]), BoundaryPair.DD
+    bad = [(lambda: build_matrix(INT_05, dd, 1.0, -1), "half_width"),
+           (lambda: build_matrix(INT_05, dd, -1.0, 2), "xi must be"),
+           (lambda: xi_rows(INT_05, BoundaryPair.PCPC, one, 2), "composite"),
+           (lambda: xi_rows(INT_05, dd, one, -1), "half_width"),
+           (lambda: xi_rows(INT_05, dd, np.array([1.0, -1.0]), 2),
+            "xi must be"),
+           (lambda: xi_rows(INT_05, dd, np.ones((1, 1)), 2), "xi must be"),
+           (lambda: xi_rows(INT_05, dd, np.array([]), 2), "xi must be"),
+           (lambda: xi_rows(INT_05, dd, one, 2, quantity="torque"),
+            "quantity must be")]
     for tol in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="tol must be finite"):
-            build_matrix(INT_05, BoundaryPair.DD, 1.0, 2, tol)
+        bad += [(lambda t=tol: build_matrix(INT_05, dd, 1.0, 2, t),
+                 "tol must be finite"),
+                (lambda t=tol: xi_rows(INT_05, dd, one, 2, t),
+                 "tol must be finite")]
+    for call, match in bad:
+        with pytest.raises(DomainError, match=match):
+            call()
+
+
+def _one_node(pair, bc, xi, half_width, tol, quantity="energy"):
+    """(rows, p-window width) of one node from ``xi_rows``."""
+    rows, widths = xi_rows(pair, bc, np.array([xi]), half_width, tol,
+                           quantity)
+    return rows[0], int(widths[0])
+
+
+def _lane_blocks(pair, bc, xi, half_width, tol, derivative=False):
+    """[G_even, G_odd] (then H_even, H_odd) of one node over its envelope
+    window, and the window width."""
+    tables = _XiTables(pair, bc, np.array([xi]))
+    _, blocks, widths = _window_blocks(pair, tables, slice(None), half_width,
+                                       tol, derivative)
+    parts = [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
+    return parts, int(widths[0])
 
 
 def _uncut_blocks(pair, bc, xi, half_width, p_to, derivative=False):
@@ -191,7 +215,8 @@ def _uncut_blocks(pair, bc, xi, half_width, p_to, derivative=False):
     num, den = tables.prefactor_logs(half_width)
     half = 0.5 * (num[:, :half_width + 1] - den[:, :half_width + 1])
     flip = -1 if pair.kind is Kind.INTERIOR else 1
-    blocks = _slab_blocks(tables, slice(None), p_to, half, flip, derivative)
+    blocks = _gram_blocks(_row_logs(tables, slice(None), p_to, half, flip,
+                                    derivative))
     return [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
 
 
@@ -201,16 +226,14 @@ def test_envelope_window_matches_twice_as_wide(kind):
     # rows moves no block entry by more than rounding
     pair = CylinderPair(kind, 1.0, 2.0, 0.1)
     xi = 0.01 / pair.d
-    mat, width = _build_matrix_stats(pair, BoundaryPair.DD, xi, 64, 1e-12)
-    (_, force), force_width = _force_blocks(pair, BoundaryPair.DD, xi, 64,
-                                            1e-12)
-    if kind is Kind.EXTERIOR:
-        # the cut lies past the first rows formed (0..N + ceil(zd) + 40 =
-        # 105), so the window had to grow
-        assert (width - 1) // 2 > 105
-    for got, p_to, derivative in (((mat.even, mat.odd), width, False),
-                                  (force, force_width, True)):
-        want = _uncut_blocks(pair, BoundaryPair.DD, xi, 64, p_to, derivative)
+    for derivative in (False, True):
+        got, width = _lane_blocks(pair, BoundaryPair.DD, xi, 64, 1e-12,
+                                  derivative)
+        if kind is Kind.EXTERIOR and not derivative:
+            # the cut lies past the first rows formed (0..N + ceil(zd) + 40
+            # = 105), so the window had to grow
+            assert (width - 1) // 2 > 105
+        want = _uncut_blocks(pair, BoundaryPair.DD, xi, 64, width, derivative)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
@@ -222,13 +245,14 @@ def test_envelope_window_reaches_far_rows():
     # The uncut sum reads the Bessel tables to twice the order, whose
     # leading entries do not depend on how far a table runs.
     pair = CylinderPair(Kind.EXTERIOR, 1.0, 10.0, 0.1)
-    mat, width = _build_matrix_stats(pair, BoundaryPair.DD, 1.4, 304, 1e-6)
+    (g_even, g_odd), width = _lane_blocks(pair, BoundaryPair.DD, 1.4, 304,
+                                          1e-6)
     even, odd = _uncut_blocks(pair, BoundaryPair.DD, 1.4, 304, width)
-    for got, want in ((mat.even, even), (mat.odd, odd)):
+    for got, want in ((g_even, even), (g_odd, odd)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    got = log_det_one_minus(mat)
-    want = log_det_one_minus(RoundTripMatrix(304, even, odd, mat.sign,
-                                             mat.prefactor_log))
+    got = np.sum(_one_node(pair, BoundaryPair.DD, 1.4, 304, 1e-6)[0])
+    want = log_det_one_minus(RoundTripMatrix(304, even, odd, 1.0,
+                                             -2.0 * pair.d * 1.4))
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -379,10 +403,10 @@ def test_force_term_matches_logdet_difference(kind, b, bc):
     # tr[(1 - M)^{-1} d_d M] against -d/dd ln det(1 - M) by central difference
     d = 0.4
     xi, h = 0.3 / d, 1e-4 * d
-    built, _ = _force_blocks(CylinderPair(kind, 1.0, b, d), bc, xi, 6, 1e-14)
-    got = _force_trace(built)
-    hi, lo = (log_det_one_minus(build_matrix(CylinderPair(kind, 1.0, b, g),
-                                             bc, xi, 6, tol=1e-14))
+    got = np.sum(_one_node(CylinderPair(kind, 1.0, b, d), bc, xi, 6, 1e-14,
+                           "force")[0])
+    hi, lo = (np.sum(_one_node(CylinderPair(kind, 1.0, b, g), bc, xi, 6,
+                               1e-14)[0])
               for g in (d + h, d - h))
     want = -(hi - lo) / (2.0 * h)
     assert abs(got - want) <= 1e-6 * abs(want)
@@ -397,14 +421,12 @@ def test_rows_sum_to_every_leading_truncation(pair, bc, xi_d):
     # the rows of one N=12 build hold the energy and force terms of every
     # smaller truncation: the truncation driver reads its tail off them
     xi = xi_d / pair.d
-    energy = _log_det_rows(build_matrix(pair, bc, xi, 12, tol=1e-14))
-    force = _force_rows(_force_blocks(pair, bc, xi, 12, 1e-14)[0])
-    assert energy.shape == force.shape == (13,)
-    for n in (0, 1, 3, 7, 12):
-        want = log_det_one_minus(build_matrix(pair, bc, xi, n, tol=1e-14))
-        assert abs(np.sum(energy[:n + 1]) - want) <= 1e-10 * abs(want)
-        want = _force_trace(_force_blocks(pair, bc, xi, n, 1e-14)[0])
-        assert abs(np.sum(force[:n + 1]) - want) <= 1e-10 * abs(want)
+    for quantity in ("energy", "force"):
+        rows = _one_node(pair, bc, xi, 12, 1e-14, quantity)[0]
+        assert rows.shape == (13,)
+        for n in (0, 1, 3, 7, 12):
+            want = np.sum(_one_node(pair, bc, xi, n, 1e-14, quantity)[0])
+            assert abs(np.sum(rows[:n + 1]) - want) <= 1e-10 * abs(want)
 
 
 def test_single_mode_dominance_limit():
@@ -495,23 +517,21 @@ def test_xi_span_end_nodes_negligible(pair):
     n = _initial_half_width(pair)
     for bc in (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN,
                BoundaryPair.ND):
-        terms = np.array([
-            w * x * log_det_one_minus(_build_matrix_stats(pair, bc, x, n,
-                                                          1e-12)[0])
-            for x, w in zip(xi.tolist(), wt.tolist())])
+        terms = wt * xi * np.sum(xi_rows(pair, bc, xi, n, 1e-12)[0], axis=1)
         assert max(abs(terms[0]), abs(terms[-1])) \
             <= 1e-20 * abs(np.sum(terms))
 
 
-@pytest.mark.parametrize("term", [_ENERGY_TERM, _FORCE_TERM],
-                         ids=["energy", "force"])
-def test_refinement_matches_full_level(term):
+@pytest.mark.parametrize("quantity", ["energy", "force"])
+def test_refinement_matches_full_level(quantity):
     # the rows a level refines from the level below equal its full sum
     stats = {"p_max": 0}
-    coarse = _integral_at(EXT_08, BoundaryPair.DN, 8, 1, 1e-12, stats, term)
-    fine = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats, term,
-                        coarse)
-    full = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats, term)
+    coarse = _integral_at(EXT_08, BoundaryPair.DN, 8, 1, 1e-12, stats,
+                          quantity)
+    fine = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats,
+                        quantity, coarse)
+    full = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats,
+                        quantity)
     assert np.max(np.abs(fine - full)) <= 1e-14 * np.max(np.abs(full))
 
 
@@ -524,9 +544,8 @@ def test_final_grid_built_once(monkeypatch, pair):
     builds = {}
     inner = scattering._window_blocks
 
-    def counted(pair, bc, tables, lanes, half_width, *args):
-        sign, blocks, widths = inner(pair, bc, tables, lanes, half_width,
-                                     *args)
+    def counted(pair, tables, lanes, half_width, *args):
+        sign, blocks, widths = inner(pair, tables, lanes, half_width, *args)
         builds[half_width] = builds.get(half_width, 0) + widths.size
         return sign, blocks, widths
 
@@ -556,12 +575,11 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
     n, tol = 12, 1e-12
     xi = _MIXED_XI_D / pair.d
     tables, _ = _pass_tables(pair, bc, xi, n)
-    derivative, evaluate = (_FORCE_TERM if quantity == "force"
-                            else _ENERGY_TERM)
-    sign, blocks, widths = _window_blocks(pair, bc, tables, slice(None), n,
-                                          tol, derivative)
+    force = quantity == "force"
+    sign, blocks, widths = _window_blocks(pair, tables, slice(None), n, tol,
+                                          force)
     scale = sign * np.exp(-2.0 * pair.d * xi)
-    rows = evaluate(scale, blocks)
+    rows = (_force_lanes if force else _log_det_lanes)(scale, blocks)
     first = np.array([_first_rows(pair, z, n) for z in tables.zd.tolist()])
     doubled = (widths - 1) // 2 >= first
     assert doubled.any() and not doubled.all()
@@ -570,12 +588,7 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
         series = np.abs(scale) * trace < _SERIES_CUT
         assert series.any() and not series.all()
     for lane, x in enumerate(xi.tolist()):
-        if quantity == "energy":
-            mat, width = _build_matrix_stats(pair, bc, x, n, tol)
-            want = _log_det_rows(mat)
-        else:
-            built, width = _force_blocks(pair, bc, x, n, tol)
-            want = _force_rows(built)
+        want, width = _one_node(pair, bc, x, n, tol, quantity)
         assert widths[lane] == width
         assert np.max(np.abs(rows[lane] - want)) \
             <= 1e-14 * np.max(np.abs(want))
@@ -592,8 +605,7 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
     n, tol, bc = 12, 1e-12, BoundaryPair.DD
     xi = _MIXED_XI_D / pair.d
     tables, _ = _pass_tables(pair, bc, xi, n)
-    _, _, widths = _window_blocks(pair, bc, tables, slice(None), n, tol,
-                                  False)
+    _, _, widths = _window_blocks(pair, tables, slice(None), n, tol, False)
     checked = 0
     for lane, (z, w) in enumerate(zip(tables.zd.tolist(), widths.tolist())):
         f, cut = _first_rows(pair, z, n), (w - 1) // 2
@@ -606,9 +618,9 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
                 lambda zd, m, k, z=z, base=cap - 2 * f:
                     base if zd == z else 10 ** 9)
             for build in (
-                    lambda: _window_blocks(pair, bc, tables, slice(None), n,
-                                           tol, False),
-                    lambda: _build_matrix_stats(pair, bc, xi[lane], n, tol)):
+                    lambda: _window_blocks(pair, tables, slice(None), n, tol,
+                                           False),
+                    lambda: _one_node(pair, bc, xi[lane], n, tol)):
                 if fails:
                     with pytest.raises(PSumNoConvergence):
                         build()

@@ -87,7 +87,9 @@ endpoints to rounding with a few dozen nodes, where Gauss-Legendre on the
 same map gains only ~16x per doubling.  The rule is nested: halving the
 step keeps every node, so a refinement halves the sum it has and assembles
 only the new nodes.  A change of N changes every node's term, so it
-reassembles the whole level.
+reassembles the whole level once; the level below is read off its even
+nodes, so the two are compared again at the new N without assembling a
+deeper level, and the run reports the finest level it checked there.
 """
 from __future__ import annotations
 
@@ -621,26 +623,63 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
 
 def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
                  level: int, tol_elem: float, stats: dict, quantity: str,
-                 coarse: np.ndarray | None = None) -> np.ndarray:
-    """Rows of (1/4 pi) int xi term(xi) d xi on the frozen grid of one level.
+                 coarse: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows of (1/4 pi) int xi term(xi) d xi at one level and the level below.
 
-    The term is the energy's or the force's, as ``quantity`` names it; its
-    per-|m| rows come from ``xi_rows`` in sets of at most ``_LANES`` nodes,
-    so each set builds its Bessel tables once.  ``coarse`` holds the rows
-    of the level below at the same half_width; with it only the nodes new
-    to this level are assembled, since the trapezoid sum at h/2 is half the
-    sum at h plus the new odd-k nodes at their weights.
+    Both are on the frozen grids of one half_width.  The term is the
+    energy's or the force's, as ``quantity`` names it; its per-|m| rows come
+    from ``xi_rows`` in sets of at most ``_LANES`` nodes, so each set builds
+    its Bessel tables once.  ``coarse`` holds the rows of the level below;
+    with it only the nodes new to this level are assembled, since the
+    trapezoid sum at h/2 is half the sum at h plus the new odd-k nodes at
+    their weights, and it is returned as the level below.  Without it every
+    node of the level is assembled, and the level below is read off the
+    same nodes: its nodes are the even k, at twice their weight here (None
+    at level 0).
     """
     xi, wt = _xi_grid(pair.d, level, new_only=coarse is not None)
     weight = wt * xi
-    rows = np.zeros(half_width + 1)
+    # row 0 weighs the level; row 1 the level below, whose nodes are the
+    # even k, the even indices of a grid of an even number of steps
+    weights = np.stack([weight, np.where(np.arange(xi.size) % 2, 0.0,
+                                         2.0 * weight)])
+    sums = np.zeros((2, half_width + 1))
     for nodes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
         terms, widths = xi_rows(pair, bc, xi[nodes], half_width, tol_elem,
                                 quantity)
         stats["p_max"] = max(stats["p_max"], int(widths.max()))
-        rows += weight[nodes] @ terms
-    rows /= 4.0 * math.pi
-    return rows if coarse is None else 0.5 * coarse + rows
+        sums += weights[:, nodes] @ terms
+    rows, below = sums / (4.0 * math.pi)
+    if coarse is not None:
+        return 0.5 * coarse + rows, coarse
+    return rows, below if level else None
+
+
+def _converged_level(pair: CylinderPair, bc: BoundaryPair, half_width: int,
+                     level: int, tol_elem: float, stats: dict, quantity: str,
+                     quad_tol: float) -> tuple[np.ndarray, int, float]:
+    """(rows, level, |sum of rows - sum of the level below|) at half_width.
+
+    Assembles ``level`` once and refines it, assembling only the new nodes
+    of each deeper level, until its sum is within quad_tol of the level
+    below at this half_width.
+    """
+    rows, below = _integral_at(pair, bc, half_width, level, tol_elem, stats,
+                               quantity)
+    while True:
+        value = float(np.sum(rows))
+        if below is not None:
+            err_quad = abs(value - float(np.sum(below)))
+            if err_quad <= quad_tol * abs(value):
+                return rows, level, err_quad
+        if level == _MAX_QUAD_LEVEL:
+            raise NoConvergence(
+                f"xi-quadrature not converged at "
+                f"{_xi_node_count(_MAX_QUAD_LEVEL)} nodes (N={half_width})")
+        level += 1
+        rows, below = _integral_at(pair, bc, half_width, level, tol_elem,
+                                   stats, quantity, rows)
 
 
 def _tail_bound(rows: np.ndarray) -> tuple[float, float]:
@@ -688,11 +727,13 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     nodes new to its level.  The xi-integrated rows of that level then bound
     the truncation error (``_tail_bound``); while the bound exceeds half of
     rel_tol, N grows to where the geometric bound meets it (at most doubling
-    per step) and every node of the level is rebuilt.  The level one deeper,
-    refined from it at the final N, gives the reported value; err_est is the
-    difference from the previous level plus the tail bound of the deep rows,
-    and xi_nodes counts the deep grid's nodes.  rel_tol must be finite and
-    at least 1e-10.
+    per step).  Each growth assembles the converged level once at the new
+    N, reads the level below off its even nodes and checks the two again,
+    refining only where they no longer agree.  So no level past the one
+    reported is assembled: the value is the sum of the finest level checked
+    at the final N, err_est is its difference from the level below there
+    plus the tail bound of its rows, and xi_nodes counts its nodes.  rel_tol
+    must be finite and at least 1e-10.
     """
     _check_scalar_bc(bc)
     if not (math.isfinite(rel_tol) and rel_tol >= 1e-10):
@@ -706,22 +747,11 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     if n_half > n_cap:
         raise NoConvergence(
             f"initial truncation N={n_half} exceeds cap {n_cap}")
-    rows = _integral_at(pair, bc, n_half, 0, tol_elem, stats, quantity)
-    value = float(np.sum(rows))
-    for level in range(1, _MAX_QUAD_LEVEL + 1):
-        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats,
-                            quantity, rows)
-        new = float(np.sum(rows))
-        err_quad = abs(new - value)
-        value = new
-        if err_quad <= quad_tol * abs(value):
-            break
-    else:
-        raise NoConvergence(
-            f"xi-quadrature not converged at {_xi_node_count(_MAX_QUAD_LEVEL)} "
-            f"nodes (N={n_half})")
-
+    level = 0
     while True:
+        rows, level, err_quad = _converged_level(
+            pair, bc, n_half, level, tol_elem, stats, quantity, quad_tol)
+        value = float(np.sum(rows))
         bound, q = _tail_bound(rows)
         target = trunc_tol * abs(value)
         if bound <= target:
@@ -731,21 +761,15 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
                 f"matrix truncation tail {bound:.3e} above {target:.3e} at "
                 f"N={n_half} ({_xi_node_count(level)} xi nodes); cap {n_cap}")
         n_half = min(_grown_half_width(n_half, bound, q, target), n_cap)
-        rows = _integral_at(pair, bc, n_half, level, tol_elem, stats,
-                            quantity)
-        value = float(np.sum(rows))
 
-    rows = _integral_at(pair, bc, n_half, level + 1, tol_elem, stats,
-                        quantity, rows)
-    deep = float(np.sum(rows))
-    err_est = abs(deep - value) + _tail_bound(rows)[0]
+    err_est = err_quad + bound
     return EnergyResult(
-        value_per_length=deep,
+        value_per_length=value,
         err_est=err_est,
         n_matrix=n_half,
         p_terms_max=stats["p_max"],
-        xi_nodes=_xi_node_count(level + 1),
-        converged=bool(err_est <= rel_tol * abs(deep)),
+        xi_nodes=_xi_node_count(level),
+        converged=bool(err_est <= rel_tol * abs(value)),
     )
 
 
@@ -757,9 +781,11 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
     The nested tanh-sinh xi rule is refined first at the initial
     truncation.  The per-|m| rows of ln det on that grid then bound the
     truncation error, and the truncation grows straight to where that bound
-    meets its share of rel_tol.  One deeper level at the final truncation,
-    which assembles only its new nodes, supplies the reported value; err_est
-    is its difference from the previous level plus the truncation bound.
+    meets its share of rel_tol.  At each new truncation the converged level
+    is assembled once and checked again against the level below, read off
+    its even nodes, and refined only if the two no longer agree.  The
+    reported value is that level's sum at the final truncation; err_est is
+    its difference from the level below there plus the truncation bound.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap, "energy")
 
@@ -773,7 +799,8 @@ def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
     assembled next to M from the derivative of the translation factors.
     The run is the energy's adaptive driver with this per-xi term, at the
     same rel_tol, on the same nested xi levels, so err_est comes from the
-    same xi-level and truncation estimates as an energy's.  Negative
-    (attractive) for DD and NN.
+    same estimates as an energy's: the reported level's difference from the
+    level below at the final truncation, plus the truncation bound.
+    Negative (attractive) for DD and NN.
     """
     return _adaptive_integral(pair, bc, rel_tol, n_cap, "force")

@@ -24,6 +24,7 @@ from casimir_cylinders.errors import (
     PSumNoConvergence,
 )
 from casimir_cylinders.scattering import (
+    _MAX_QUAD_LEVEL,
     RoundTripMatrix,
     _XiTables,
     _SERIES_CUT,
@@ -39,6 +40,7 @@ from casimir_cylinders.scattering import (
     _tail_bound,
     _window_blocks,
     _xi_grid,
+    _xi_node_count,
     xi_rows,
 )
 from scalar_oracle import matrix_element
@@ -524,22 +526,26 @@ def test_xi_span_end_nodes_negligible(pair):
 
 @pytest.mark.parametrize("quantity", ["energy", "force"])
 def test_refinement_matches_full_level(quantity):
-    # the rows a level refines from the level below equal its full sum
+    # the rows a level refines from the level below equal its full sum, and
+    # the level below read off the full level's even nodes equals its own
     stats = {"p_max": 0}
-    coarse = _integral_at(EXT_08, BoundaryPair.DN, 8, 1, 1e-12, stats,
-                          quantity)
-    fine = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats,
-                        quantity, coarse)
-    full = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats,
-                        quantity)
-    assert np.max(np.abs(fine - full)) <= 1e-14 * np.max(np.abs(full))
+    coarse, none = _integral_at(EXT_08, BoundaryPair.DN, 8, 0, 1e-12, stats,
+                                quantity)
+    assert none is None
+    mid, below = _integral_at(EXT_08, BoundaryPair.DN, 8, 1, 1e-12, stats,
+                              quantity, coarse)
+    assert below is coarse
+    fine, _ = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats,
+                           quantity, mid)
+    full, full_below = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12,
+                                    stats, quantity)
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(fine - full)) <= 1e-14 * scale
+    assert np.max(np.abs(full_below - mid)) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("pair", [INT_05, EXT_08], ids=["interior", "exterior"])
-def test_final_grid_built_once(monkeypatch, pair):
-    # nested levels: each node of the reported grid is assembled once at
-    # the final N, and the ladder at N0 assembles its finest level once;
-    # the stacked assembler is counted by the lanes it assembles
+def _counted_lanes(monkeypatch) -> dict:
+    """Lanes the stacked assembler builds at each half_width, as they run."""
     from casimir_cylinders import scattering
     builds = {}
     inner = scattering._window_blocks
@@ -550,11 +556,80 @@ def test_final_grid_built_once(monkeypatch, pair):
         return sign, blocks, widths
 
     monkeypatch.setattr(scattering, "_window_blocks", counted)
+    return builds
+
+
+@pytest.mark.parametrize("pair", [INT_05, EXT_08], ids=["interior", "exterior"])
+def test_final_grid_built_once(monkeypatch, pair):
+    # nested levels: at every N the run assembles the nodes of the finest
+    # level it reaches there once, and nothing past it; at the final N that
+    # level is the reported grid
+    from casimir_cylinders import scattering
+    builds = _counted_lanes(monkeypatch)
+    finest = {}
+    inner = scattering._integral_at
+
+    def levels(pair, bc, half_width, level, *args):
+        finest[half_width] = max(finest.get(half_width, 0), level)
+        return inner(pair, bc, half_width, level, *args)
+
+    monkeypatch.setattr(scattering, "_integral_at", levels)
     res = casimir_energy_exact(pair, BoundaryPair.DD, 1e-4)
     assert builds[res.n_matrix] == res.xi_nodes
     n0 = _initial_half_width(pair)
-    if n0 != res.n_matrix:
-        assert builds[n0] == (res.xi_nodes + 1) // 2
+    assert builds[n0] == _xi_node_count(finest[n0])
+    assert builds == {n: _xi_node_count(level) for n, level in finest.items()}
+
+
+@pytest.mark.parametrize("fixture,quantity,rel_tol", [
+    ("energy_dd_01", "energy", 1e-4), ("force_dd_01", "force", 1e-3)])
+def test_final_level_checked_at_final_n(request, fixture, quantity, rel_tol):
+    # the reported value is the level-L sum at the final N, that level agrees
+    # with the level below at the same N, and err_est covers the difference
+    res, _ = request.getfixturevalue(fixture)
+    pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
+    level = next(level for level in range(_MAX_QUAD_LEVEL + 1)
+                 if _xi_node_count(level) == res.xi_nodes)
+    assert level >= 1
+    tol_elem = max(1e-13, 1e-3 * rel_tol)     # the driver's element tolerance
+    stats = {"p_max": 0}
+    sums = [float(np.sum(_integral_at(pair, BoundaryPair.DD, res.n_matrix,
+                                      at, tol_elem, stats, quantity)[0]))
+            for at in (level, level - 1)]
+    value = res.value_per_length
+    assert abs(value - sums[0]) <= 1e-13 * abs(value)
+    diff = abs(sums[0] - sums[1])
+    assert diff <= 0.25 * rel_tol * abs(value)
+    assert res.err_est >= diff
+
+
+def test_xi_rule_unconverged_at_final_n_raises(monkeypatch):
+    # from N0 = 0 the exterior DN d=0.2 run passes the level-1 check at
+    # N = 0, then needs level 2 once N grows; without it the run raises at
+    # the grown N instead of returning an unconverged result
+    from casimir_cylinders import scattering
+    pair = CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.2)
+    monkeypatch.setattr(scattering, "_initial_half_width", lambda pair: 0)
+    res = casimir_energy_exact(pair, BoundaryPair.DN, 1e-6)
+    assert res.converged and res.xi_nodes == _xi_node_count(2)
+    monkeypatch.setattr(scattering, "_MAX_QUAD_LEVEL", 1)
+    with pytest.raises(NoConvergence, match=r"xi-quadrature .*\(N=1\)"):
+        casimir_energy_exact(pair, BoundaryPair.DN, 1e-6)
+
+
+@pytest.mark.parametrize("run,budget", [
+    (lambda: casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1),
+                                  BoundaryPair.DD, 1e-4), 98),
+    (lambda: casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3), 98),
+    (lambda: casimir_energy_exact(CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.2),
+                                  BoundaryPair.DD, 1e-4), 49),
+], ids=["energy-interior-d0.1", "force-interior-d0.5", "energy-exterior-d0.2"])
+def test_xi_node_budget(monkeypatch, run, budget):
+    # the ladder at N0 and one converged level at the final N: no level
+    # past the reported one is assembled (146, 146 and 97 lanes when one was)
+    builds = _counted_lanes(monkeypatch)
+    run()
+    assert sum(builds.values()) <= budget
 
 
 # xi d from the far low-frequency end, where interior d=0.1 and exterior

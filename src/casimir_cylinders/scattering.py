@@ -34,7 +34,8 @@ and odd combinations splits it into blocks of size N+1 and N, and the rows
 p < 0 repeat the rows p > 0, which are built once with weight 2.  One
 N-type boundary letter flips the sign of every element through the
 primed-Bessel ratios; the sign is factored out and applied once, and
-ln det(1 - M) is read off a Cholesky factor L of each block.
+ln det(1 - M) is read off a Cholesky factor L of each block, row k as
+ln L_kk^2 = log1p(-delta_k) with delta_k the pivot's deficit from 1.
 
 The p-window is cut once, before any exp: log Z is a sum of three table
 lookups, and the window ends at the last row whose largest exponent is
@@ -72,7 +73,7 @@ d_d M = sign e^{-2 d xi} (H + H^T), and each block contributes
 
 Truncation.  Both blocks are ordered by |m|, and the Cholesky factor of a
 leading principal block is the leading block of the full factor.  So the
-per-xi terms are sums of per-|m| rows: 2 log L_kk for the energy and
+per-xi terms are sums of per-|m| rows: ln L_kk^2 for the energy and
 2 sign e^{-2 d xi} (L^{-1} H L^{-T})_kk for the force (row k of the
 even block and row k - 1 of the odd one carry |m| = k), and the sum of the
 first N' + 1 rows is the term of the N' truncation.  Energy and force share
@@ -144,6 +145,16 @@ class RoundTripMatrix:
 
 @dataclass(frozen=True)
 class EnergyResult:
+    """One exact run's result, an energy or a force per unit length.
+
+    value_per_length: E/L, or F/L from ``casimir_force_exact``.
+    err_est: xi-level difference at the final N plus the truncation bound.
+    n_matrix: the final truncation N (|m| <= N).
+    p_terms_max: the widest p-window of any node the run assembled.
+    xi_nodes: the nodes of the reported xi level.
+    converged: True on every return; a failure raises ``NoConvergence``.
+    """
+
     value_per_length: float
     err_est: float
     n_matrix: int
@@ -467,9 +478,6 @@ def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
                            prefactor_log=-2.0 * pair.d * xi)
 
 
-_SERIES_CUT = 1e-8
-
-
 def log_det_one_minus(mat: RoundTripMatrix) -> float:
     """ln det(1 - sign * e^{prefactor_log} * G), summed over both blocks.
 
@@ -496,36 +504,25 @@ def _log_det_lanes(scale: np.ndarray, blocks: list[np.ndarray]
     M = scale * G in each lane, with the sign folded into ``scale`` and
     ``blocks`` = [G] stacked on axes (parity, lane); the zero row and
     column that pad the odd block leave a 1 on the diagonal of 1 - M,
-    which adds nothing.  Each block of 1 - M is factored by Cholesky, and
-    row k holds 2 log L_kk summed over both parities; a failed
-    factorization means some eigenvalue of M reaches 1, which is outside
-    the physical regime.  |scale| * tr G bounds every eigenvalue of M
-    because G is positive semidefinite.  Once that bound drops below
-    _SERIES_CUT, 1 - M rounds to the identity in doubles and a
-    factorization returns exactly zero, so those lanes switch to the trace
-    expansion -tr M - tr(M^2)/2, whose truncation error is cubic in the
-    bound.  Its row k is -c G_kk - c^2 (G_kk^2 / 2 + sum_{j<k} G_kj^2),
-    summed over both parities, so that every leading block keeps its own
-    tr(M^2).
+    which adds nothing.  Each block of 1 - M is factored by Cholesky,
+    1 - M = L L^T, and row k holds ln L_kk^2 summed over both parities; a
+    failed factorization means some eigenvalue of M reaches 1, which is
+    outside the physical regime.  The pivot identity
+    L_kk^2 = 1 - delta_k with delta_k = scale G_kk + sum_{j<k} L_kj^2
+    makes the row log1p(-delta_k), and delta_k, formed from G's diagonal
+    and L's strict lower triangle, keeps its relative accuracy however
+    small it is, where 2 log L_kk would carry the rounding of 1 - M.
+    Rows with delta_k >= 1/2 keep 2 log L_kk, as 1 - delta_k cancels there.
     """
     g, = blocks
-    rows = np.zeros(g.shape[1:3])
-    trace = np.trace(g, axis1=2, axis2=3).sum(axis=0)
-    small = np.abs(scale) * trace < _SERIES_CUT
-    series = np.flatnonzero(small)
-    dense = np.flatnonzero(~small) if series.size else slice(None)
-    if series.size:
-        tail, c = g[:, series], scale[series, None]
-        diag = np.diagonal(tail, axis1=2, axis2=3)
-        lower = np.tril(tail, -1)
-        square = 0.5 * diag * diag + np.sum(lower * lower, axis=3)
-        rows[series] -= np.sum(c * diag + c * c * square, axis=0)
-    if series.size < small.size:
-        chol = _cholesky(np.eye(g.shape[-1])
-                         - scale[dense, None, None] * g[:, dense])
-        rows[dense] += 2.0 * np.sum(np.log(np.diagonal(chol, axis1=2,
-                                                       axis2=3)), axis=0)
-    return rows
+    chol = _cholesky(np.eye(g.shape[-1]) - scale[:, None, None] * g)
+    pivots = np.einsum("slkk->slk", chol)   # a view of L's diagonal
+    rows = 2.0 * np.log(pivots)
+    pivots[...] = 0.0
+    delta = (scale[:, None] * np.diagonal(g, axis1=2, axis2=3)
+             + np.einsum("slkj,slkj->slk", chol, chol))
+    np.log1p(-delta, out=rows, where=delta < 0.5)
+    return rows.sum(axis=0)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -582,8 +579,8 @@ def _force_lanes(scale: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     of the translation factors, so d_d M = scale (H + H^T), and the trace
     is 2 scale tr[(1 - scale G)^{-1} H] per block.  With 1 - M = L L^T that
     is 2 scale tr[L^{-1} H L^{-T}], and row k holds its k-th diagonal
-    entry, d(2 log L_kk) = (L^{-1} d(1 - M) L^{-T})_kk.  No series branch
-    is needed: the trace has no cancellation in the far tail.
+    entry, d(ln L_kk^2) = (L^{-1} d(1 - M) L^{-T})_kk.  The trace has no
+    cancellation in the far tail, so it needs no pivot deficits.
     """
     g, h = blocks
     inv = np.linalg.inv(_cholesky(np.eye(g.shape[-1])

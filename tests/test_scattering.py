@@ -27,7 +27,6 @@ from casimir_cylinders.scattering import (
     _MAX_QUAD_LEVEL,
     RoundTripMatrix,
     _XiTables,
-    _SERIES_CUT,
     _first_rows,
     _force_lanes,
     _gram_blocks,
@@ -297,7 +296,7 @@ def test_logdet_single_entry():
 
 
 def test_logdet_series_branch():
-    # tiny rescaled entries take the trace expansion, not the dense solve
+    # a tiny rescaled entry: ln det(1 - M) = -1e-9 to full relative accuracy
     mat = _blocks(0, [[1e-6]], prefactor_log=math.log(1e-3))
     want = math.log1p(-1e-9)
     assert abs(log_det_one_minus(mat) - want) <= 1e-12 * abs(want)
@@ -310,11 +309,17 @@ def test_logdet_random_contraction_matches_eigenvalues():
         z = rng.standard_normal((size + 2, size))
         g = z.T @ z
         blocks.append(g * 0.5 / np.max(np.linalg.eigvalsh(g)))
-    for sign in (1.0, -1.0):
-        mat = _blocks(3, *blocks, sign=sign)
-        want = sum(np.sum(np.log(1.0 - sign * np.linalg.eigvalsh(g)))
-                   for g in blocks)
-        assert abs(log_det_one_minus(mat) - want) <= 1e-12
+    # and a spectrum from 1e-12 up to 0.999 across the two blocks
+    spans = []
+    for size, top in ((4, 0.999), (3, 1e-4)):
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        spans.append((q * np.geomspace(1e-12, top, size)) @ q.T)
+    for parts in (blocks, spans):
+        for sign in (1.0, -1.0):
+            mat = _blocks(3, *parts, sign=sign)
+            want = sum(np.sum(np.log1p(-sign * np.linalg.eigvalsh(g)))
+                       for g in parts)
+            assert abs(log_det_one_minus(mat) - want) <= 1e-12
 
 
 def test_logdet_rejects_nonpositive_determinant():
@@ -394,6 +399,28 @@ def test_logdet_matches_mpmath_oracle(pair, xi, bc):
         want = float(_mp_log_det(mp, pair, bc, xi, 4))
     got = log_det_one_minus(build_matrix(pair, bc, xi, 4, tol=1e-13))
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.DN])
+def test_logdet_tail_lanes_match_mpmath(bc):
+    # the 16 largest-xi lanes of the level-1 grid, where |ln det(1 - M)|
+    # falls to ~1e-8, against a 60-digit ln det of the same stacked G:
+    # every lane keeps full relative accuracy, at c > 0 (DD) and c < 0 (DN)
+    mp = pytest.importorskip("mpmath")
+    pair, n = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1), 20
+    xi = np.sort(_xi_grid(pair.d, 1)[0])[-16:]
+    tables, _ = _pass_tables(pair, bc, xi, n)
+    sign, (g,), _ = _window_blocks(pair, tables, slice(None), n, 1e-12,
+                                   False)
+    scale = sign * np.exp(-2.0 * pair.d * xi)
+    got = _log_det_lanes(scale, [g]).sum(axis=1)
+    with mp.workdps(60):
+        for lane, c in enumerate(scale.tolist()):
+            want = float(sum(
+                mp.log(mp.det(mp.eye(n + 1)
+                              - c * mp.matrix(g[parity, lane].tolist())))
+                for parity in (0, 1)))
+            assert abs(got[lane] - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN,
@@ -633,8 +660,8 @@ def test_xi_node_budget(monkeypatch, run, budget):
 
 
 # xi d from the far low-frequency end, where interior d=0.1 and exterior
-# d=0.8 windows double past their first rows, to the tail, where the energy
-# takes the trace series
+# d=0.8 windows double past their first rows, to the far tail, where
+# ln det(1 - M) is tiny
 _MIXED_XI_D = np.array([0.002, 0.01, 0.05, 0.3, 2.0, 8.0, 12.0, 20.0])
 
 
@@ -645,8 +672,10 @@ _MIXED_XI_D = np.array([0.002, 0.01, 0.05, 0.3, 2.0, 8.0, 12.0, 20.0])
                                   EXT_08], ids=["interior", "exterior"])
 def test_stacked_group_matches_single_lanes(pair, bc, quantity):
     # one stacked group mixes lanes whose window doubles with lanes whose
-    # first window holds, and for the energy series-branch lanes with
-    # Cholesky lanes: each lane's rows equal its own one-lane build
+    # first window holds, and for the DD energy rows read as log1p(-delta)
+    # with rows read as 2 log L_kk (delta = 1 - L_kk^2 >= 1/2; the other
+    # pairings keep every delta below 1/2 here): each lane's rows equal its
+    # own one-lane build
     n, tol = 12, 1e-12
     xi = _MIXED_XI_D / pair.d
     tables, _ = _pass_tables(pair, bc, xi, n)
@@ -659,9 +688,10 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
     doubled = (widths - 1) // 2 >= first
     assert doubled.any() and not doubled.all()
     if quantity == "energy":
-        trace = np.trace(blocks[0], axis1=2, axis2=3).sum(axis=0)
-        series = np.abs(scale) * trace < _SERIES_CUT
-        assert series.any() and not series.all()
+        chol = np.linalg.cholesky(np.eye(n + 1)
+                                  - scale[:, None, None] * blocks[0])
+        far = 1.0 - np.diagonal(chol, axis1=2, axis2=3) ** 2 >= 0.5
+        assert far.any() == (bc is BoundaryPair.DD) and not far.all()
     for lane, x in enumerate(xi.tolist()):
         want, width = _one_node(pair, bc, x, n, tol, quantity)
         assert widths[lane] == width

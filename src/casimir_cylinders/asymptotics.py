@@ -16,7 +16,7 @@ sign; the ND radius sign stays put.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -82,15 +82,11 @@ ENERGY_BRACKETS = {
                                    Fraction(0), Fraction(160, 21)),
 }
 
+# F = -dE/dd of amplitude * d^{-5/2} * (1 + theta d) is (5/2) amplitude
+# d^{-7/2} * (1 + (3/5) theta d): every force coefficient is 3/5 of energy's
 FORCE_BRACKETS = {
-    BoundaryPair.DD: BracketCoeffs(Fraction(7, 20), Fraction(7, 60),
-                                   Fraction(0), Fraction(0)),
-    BoundaryPair.NN: BracketCoeffs(Fraction(7, 20), Fraction(7, 60),
-                                   Fraction(-8), Fraction(0)),
-    BoundaryPair.DN: BracketCoeffs(Fraction(7, 20), Fraction(7, 60),
-                                   Fraction(0), Fraction(32, 7)),
-    BoundaryPair.ND: BracketCoeffs(Fraction(7, 20), Fraction(7, 60),
-                                   Fraction(0), Fraction(32, 7)),
+    bc: BracketCoeffs(*(Fraction(3, 5) * c for c in astuple(coeffs)))
+    for bc, coeffs in ENERGY_BRACKETS.items()
 }
 
 

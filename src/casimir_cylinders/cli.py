@@ -11,12 +11,14 @@ Exit codes: 0 ok, 1 verification failure, 2 invalid input, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -232,124 +234,102 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-def _check(name: str, ok: bool, detail: str, lines: list) -> None:
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
-    if not ok:
-        lines.append(f"      check failed: {name}")
+def _worst(worst: float) -> tuple[float, str]:
+    return worst, f"worst {worst:.2e}"
 
 
-def _verify_bessel(level: str, lines: list) -> bool:
-    """The Wronskian and z = 1 handbook values, read off the tables the
-    exact route uses."""
-    ok_all = True
+def _bessel_wronskian(level: str) -> tuple[float, str]:
+    """I_n K'_n + I'_n K_n = 1/z on the tables the exact route reads."""
     orders = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 500]
     zs = np.geomspace(1e-3, 1e3, 27)
-    li = log_i_scaled_table(zs, 500)
-    lk = log_k_scaled_table(zs, 500)
+    li = log_i_scaled_table(zs, 500)[:, orders]
+    lk = log_k_scaled_table(zs, 500)[:, orders]
     lip = log_i_prime_scaled_table(zs, 500)[:, orders]
     lkp = log_k_prime_scaled_table(zs, 500)[:, orders]
     lz = np.log(zs)[:, None]
-    s = np.exp(li[:, orders] + lkp + lz) + np.exp(lip + lk[:, orders] + lz)
-    worst = float(np.max(np.abs(s - 1.0)))
-    ok = worst <= 1e-12
-    _check("bessel wronskian grid", ok, f"worst {worst:.2e}", lines)
-    ok_all &= ok
+    s = np.exp(li + lkp + lz) + np.exp(lip + lk + lz)
+    return _worst(float(np.max(np.abs(s - 1.0))))
 
-    e = math.e
-    one = len(zs) // 2      # z = 1, the middle of the grid
-    spots = (  # unscaled references from a 50-digit series evaluation
-        (math.exp(li[one, 0]) * e, 1.2660658777520083356),
-        (math.exp(lk[one, 0]) / e, 0.42102443824070833334),
-        (math.exp(li[one, 1]) * e, 0.56515910399248502721),
-        (math.exp(lk[one, 1]) / e, 0.60190723019723457474),
+
+def _bessel_spots(level: str) -> tuple[float, str]:
+    li = log_i_scaled_table(1.0, 1)
+    lk = log_k_scaled_table(1.0, 1)
+    spots = (  # unscaled references at z = 1 from a 50-digit series evaluation
+        (math.exp(li[0]) * math.e, 1.2660658777520083356),
+        (math.exp(lk[0]) / math.e, 0.42102443824070833334),
+        (math.exp(li[1]) * math.e, 0.56515910399248502721),
+        (math.exp(lk[1]) / math.e, 0.60190723019723457474),
     )
-    worst = max(abs(got - ref) / ref for got, ref in spots)
-    ok = worst <= 1e-12
-    _check("bessel spot values", ok, f"worst {worst:.2e}", lines)
-    ok_all &= ok
-    return ok_all
+    return _worst(max(abs(got - ref) / ref for got, ref in spots))
 
 
-def _verify_oracle(level: str, lines: list) -> bool:
-    ok_all = True
-    const = e0_coefficient_check(0)
-    const_alt = e0_coefficient_check(1)
-    err = max(abs(const / (math.pi ** 4 / 90.0) - 1.0),
-              abs(const_alt / (7.0 * math.pi ** 4 / 720.0) - 1.0),
-              abs(const_alt / const - 7.0 / 8.0))
-    ok = err <= 1e-12
-    _check("zeta sums", ok, f"worst {err:.2e}", lines)
-    ok_all &= ok
+def _zeta_sums(level: str) -> tuple[float, str]:
+    plain = e0_coefficient_check(0)
+    alternating = e0_coefficient_check(1)
+    return _worst(max(abs(plain / (math.pi ** 4 / 90.0) - 1.0),
+                      abs(alternating / (7.0 * math.pi ** 4 / 720.0) - 1.0),
+                      abs(alternating / plain - 7.0 / 8.0)))
 
+
+def _q_closures(level: str) -> tuple[float, str]:
     rng = np.random.default_rng(20240811)
     worst = 0.0
     for _ in range(200):
         pt = PerturbationPoint(
             s=1, m=float(rng.uniform(0.3, 3.0)), tau=float(rng.uniform(0.05, 1.0)),
             eps=float(rng.uniform(0.0, 0.3)), alpha=float(rng.uniform(0.4, 2.5)))
-        ns = rng.uniform(-2.0, 2.0, size=2)
+        n1, n2 = rng.uniform(-2.0, 2.0, size=2)
         for bc in SCALAR_PAIRS:
             worst = max(
                 worst,
-                abs(g_hat_numeric(bc, pt, ns[0], ns[1])
-                    - g_hat_closed(bc, pt, ns[0], ns[1])),
-                abs(h_hat_numeric(bc, pt, ns[0], ns[1])
-                    - h_hat_closed(bc, pt, ns[0], ns[1])))
-    ok = worst <= 1e-11
-    _check("q-integration closures", ok, f"worst {worst:.2e}", lines)
-    ok_all &= ok
+                abs(g_hat_numeric(bc, pt, n1, n2) - g_hat_closed(bc, pt, n1, n2)),
+                abs(h_hat_numeric(bc, pt, n1, n2) - h_hat_closed(bc, pt, n1, n2)))
+    return _worst(worst)
 
-    s_top = 3 if level == "slow" else 2
-    worst = 0.0
-    for s in range(s_top + 1):
-        for m in (0.5, 1.0, 2.0):
-            for tau in (0.25, 0.75, 1.0):
-                for alpha in (0.5, 1.0, 2.0):
-                    pt = PerturbationPoint(s=s, m=m, tau=tau, eps=0.1,
-                                           alpha=alpha)
-                    for bc in SCALAR_PAIRS:
-                        worst = max(worst, abs(b_s_numeric(bc, pt)
-                                               - b_s_closed(bc, pt)))
-    ok = worst <= 1e-8
-    _check(f"reflection coefficients s<= {s_top}", ok, f"worst {worst:.2e}",
-           lines)
-    ok_all &= ok
 
+# top reflection order of the b_s grid per level
+_S_TOP = {"fast": 2, "slow": 3}
+
+
+def _b_s_grid(level: str) -> tuple[float, str]:
+    grid = itertools.product(range(_S_TOP[level] + 1), (0.5, 1.0, 2.0),
+                             (0.25, 0.75, 1.0), (0.5, 1.0, 2.0))
+    points = (PerturbationPoint(s=s, m=m, tau=tau, eps=0.1, alpha=alpha)
+              for s, m, tau, alpha in grid)
+    return _worst(max(abs(b_s_numeric(bc, pt) - b_s_closed(bc, pt))
+                      for pt in points for bc in SCALAR_PAIRS))
+
+
+def _partitions(level: str) -> tuple[float, str]:
     worst = 0.0
     for s in range(1, 7):
         inner = [float(v) for v in np.linspace(-1.3, 1.1, s)]
         total = chain_square_sum(inner)
         worst = max(worst, abs(chain_square_forward(inner) - total),
                     abs(chain_square_backward(inner) - total))
-    ok = worst <= 1e-12
-    _check("partition identities", ok, f"worst {worst:.2e}", lines)
-    ok_all &= ok
+    return _worst(worst)
 
+
+def _endpoints(level: str) -> tuple[float, str]:
     pt = PerturbationPoint(s=3, m=0.8, tau=0.6, eps=0.12, alpha=1.5)
-    worst = 0.0
-    for bc in SCALAR_PAIRS:
-        worst = max(worst,
-                    abs(i_endpoint_numeric(bc, pt, 0) - i_term_numeric(bc, pt, 0)),
-                    abs(i_endpoint_numeric(bc, pt, 3) - i_term_numeric(bc, pt, 3)))
-    ok = worst <= 1e-8
-    _check("endpoint substitution", ok, f"worst {worst:.2e}", lines)
-    ok_all &= ok
-
-    if level == "slow":
-        pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.02)
-        worst = 0.0
-        for bc in SCALAR_PAIRS:
-            theta = e1_from_b(pair, bc)
-            table = energy_expansion(pair, bc).bracket
-            worst = max(worst, abs(theta - table))
-        ok = worst <= 1e-6
-        _check("NTLO brackets dual route", ok, f"worst {worst:.2e}", lines)
-        ok_all &= ok
-    return ok_all
+    return _worst(max(
+        abs(i_endpoint_numeric(bc, pt, i) - i_term_numeric(bc, pt, i))
+        for bc in SCALAR_PAIRS for i in (0, 3)))
 
 
-def _verify_asymptotics(level: str, lines: list) -> bool:
-    ok_all = True
+def _ntlo_brackets(level: str) -> tuple[float, str]:
+    """theta_1 rebuilt from B^s against the bracket table, and the paper's
+    DD (7/12 + 7/72) and NN values at b = 2a."""
+    pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.02)
+    theta = {bc: e1_from_b(pair, bc) for bc in SCALAR_PAIRS}
+    dd, nn = theta[BoundaryPair.DD], theta[BoundaryPair.NN]
+    worst = max(abs(dd - 0.6805556), abs(nn - 0.0050810),
+                *(abs(theta[bc] - energy_expansion(pair, bc).bracket)
+                  for bc in SCALAR_PAIRS))
+    return worst, f"worst {worst:.2e}, dd {dd:.7f}, nn {nn:.7f}"
+
+
+def _amplitude_identity(level: str) -> tuple[float, str]:
     mismatch = 0
     for kind in Kind:
         for bc in BoundaryPair:
@@ -357,17 +337,15 @@ def _verify_asymptotics(level: str, lines: list) -> bool:
             if force_expansion(pair, bc).amplitude != \
                     pfa_force_leading(pair, bc).force_per_length:
                 mismatch += 1
-    ok = mismatch == 0
-    _check("PFA amplitude identity", ok, f"{mismatch} mismatches", lines)
-    ok_all &= ok
+    return mismatch, f"{mismatch} mismatches"
 
-    worst = 0.0
-    for bc in SCALAR_PAIRS:
-        worst = max(worst, limit_consistency_check(1.0, 1e6, bc))
-    ok = worst <= 2e-6
-    _check("cylinder-plate limit", ok, f"worst {worst:.2e}", lines)
-    ok_all &= ok
 
+def _plate_limit(level: str) -> tuple[float, str]:
+    return _worst(max(limit_consistency_check(1.0, 1e6, bc)
+                      for bc in SCALAR_PAIRS))
+
+
+def _bias_signs(level: str) -> tuple[float, str]:
     # sign pattern anchored by the dual-route bracket values at the
     # reference interior geometry a=1, b=2 (force brackets are 3/5 of the
     # energy brackets, so the signs +,+,+,- carry over)
@@ -380,10 +358,10 @@ def _verify_asymptotics(level: str, lines: list) -> bool:
     }
     bad = sum(1 for bc, want in expected.items()
               if classify_pfa_bias(pair, bc) is not want)
-    ok = bad == 0
-    _check("PFA bias sign pattern", ok, f"{bad} wrong", lines)
-    ok_all &= ok
+    return bad, f"{bad} wrong"
 
+
+def _amplitude_ratio(level: str) -> tuple[float, str]:
     worst = 0.0
     for kind in Kind:
         for bc in SCALAR_PAIRS:
@@ -392,24 +370,68 @@ def _verify_asymptotics(level: str, lines: list) -> bool:
             f = force_expansion(pair, bc)
             worst = max(worst, abs(e.amplitude - f.amplitude * 2.0 * pair.d / 5.0)
                         / abs(e.amplitude))
-    ok = worst <= 1e-14
-    _check("energy-force amplitude ratio", ok, f"worst {worst:.2e}", lines)
-    ok_all &= ok
-    return ok_all
+    return _worst(worst)
+
+
+class Gate(NamedTuple):
+    """One closed-form acceptance check.
+
+    ``check(level)`` returns (worst, detail) and passes at worst <= bound.
+    ``budget`` is the wall-time limit in seconds of the acceptance test,
+    which runs the check at level slow (None: no limit).  ``label`` may name
+    ``{s_top}``, the level's top reflection order.
+    """
+
+    suite: str
+    label: str
+    check: Callable[[str], tuple[float, str]]
+    bound: float
+    budget: float | None
+    levels: tuple[str, ...] = ("fast", "slow")
+
+    def name(self, level: str) -> str:
+        return self.label.format(s_top=_S_TOP[level])
+
+
+# `verify` prints one line per row, in this order; tests/test_acceptance.py
+# runs every row at level slow
+GATES = (
+    Gate("bessel", "bessel wronskian grid", _bessel_wronskian, 1e-12, 5.0),
+    Gate("bessel", "bessel spot values", _bessel_spots, 1e-12, None),
+    Gate("oracle", "zeta sums", _zeta_sums, 1e-12, 1.0),
+    Gate("oracle", "q-integration closures", _q_closures, 1e-11, 5.0),
+    Gate("oracle", "reflection coefficients s<= {s_top}", _b_s_grid, 1e-8,
+         60.0),
+    Gate("oracle", "partition identities", _partitions, 1e-12, None),
+    Gate("oracle", "endpoint substitution", _endpoints, 1e-8, None),
+    Gate("oracle", "NTLO brackets dual route", _ntlo_brackets, 1e-6, 30.0,
+         levels=("slow",)),
+    Gate("asymptotics", "PFA amplitude identity", _amplitude_identity, 0,
+         None),
+    Gate("asymptotics", "cylinder-plate limit", _plate_limit, 2e-6, None),
+    Gate("asymptotics", "PFA bias sign pattern", _bias_signs, 0, None),
+    Gate("asymptotics", "energy-force amplitude ratio", _amplitude_ratio,
+         1e-14, None),
+)
+_SUITES = tuple(dict.fromkeys(gate.suite for gate in GATES))
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "bessel": _verify_bessel,
-        "oracle": _verify_oracle,
-        "asymptotics": _verify_asymptotics,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    suites = _SUITES if args.suite == "all" else (args.suite,)
     lines: list[str] = []
     ok = True
-    for name in names:
-        lines.append(f"== {name} ==")
-        ok &= suites[name](args.level, lines)
+    for suite in suites:
+        lines.append(f"== {suite} ==")
+        for gate in GATES:
+            if gate.suite != suite or args.level not in gate.levels:
+                continue
+            worst, detail = gate.check(args.level)
+            passed = worst <= gate.bound
+            name = gate.name(args.level)
+            lines.append(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
+            if not passed:
+                lines.append(f"      check failed: {name}")
+            ok &= passed
     print("\n".join(lines))
     print("verification:", "ok" if ok else "FAILED")
     return 0 if ok else 1
@@ -454,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run built-in validation suites")
-    pv.add_argument("--suite", choices=("bessel", "oracle", "asymptotics",
-                                        "all"), default="all")
+    pv.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     pv.add_argument("--level", choices=("fast", "slow"), default="fast")
     pv.set_defaults(func=cmd_verify)
     return parser

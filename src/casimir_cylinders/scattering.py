@@ -120,6 +120,7 @@ _XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
 _MAX_QUAD_LEVEL = 5     # h = 1/128, 769 nodes
 _LANES = 64             # xi nodes per table set: a few MB at p-windows ~4000
 _GROUP_ELEMENTS = 1 << 15   # stacked exponent entries per lane group: 256 KB
+_N_CAP = 4096           # largest matrix truncation N a run may grow to
 _HALF_LN2 = 0.5 * math.log(2.0)
 
 
@@ -172,18 +173,18 @@ def _check_scalar_bc(bc: BoundaryPair) -> None:
 class _XiTables:
     """Log-scale Bessel tables for a set of imaginary frequencies.
 
-    ``xi`` is one frequency, or a 1-D array of them (the lanes of an
-    assembly pass); each table is 1-D for a scalar xi and has one row per
-    lane otherwise, and every table is built by one call across all lanes.
-    A request past a table's end regrows it for every lane at once, to at
-    least twice its order, so a pass regrows each table only a few times.
+    ``xi`` is a 1-D array of frequencies, the lanes of an assembly pass;
+    each table has one row per lane and is built by one call across all
+    lanes.  A request past a table's end regrows it for every lane at once,
+    to at least twice its order, so a pass regrows each table only a few
+    times.
     All orders enter through their absolute value, so tables run over
     nonnegative orders only.
     """
 
     def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi):
         params = derive_params(pair)
-        xi = np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
+        xi = np.asarray(xi, dtype=float)
         self.interior = pair.kind is Kind.INTERIOR
         self.za = pair.a * xi
         self.zb = pair.b * xi
@@ -716,7 +717,7 @@ def _initial_half_width(pair: CylinderPair) -> int:
 
 
 def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
-                       n_cap: int, quantity: str) -> EnergyResult:
+                       quantity: str) -> EnergyResult:
     """(1/4 pi) int xi term(xi) d xi for the energy or the force term.
 
     The xi quadrature is refined at the initial truncation N0 until two
@@ -741,9 +742,9 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     stats = {"p_max": 0}
 
     n_half = _initial_half_width(pair)
-    if n_half > n_cap:
+    if n_half > _N_CAP:
         raise NoConvergence(
-            f"initial truncation N={n_half} exceeds cap {n_cap}")
+            f"initial truncation N={n_half} exceeds cap {_N_CAP}")
     level = 0
     while True:
         rows, level, err_quad = _converged_level(
@@ -753,11 +754,11 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
         target = trunc_tol * abs(value)
         if bound <= target:
             break
-        if n_half >= n_cap:
+        if n_half >= _N_CAP:
             raise NoConvergence(
                 f"matrix truncation tail {bound:.3e} above {target:.3e} at "
-                f"N={n_half} ({_xi_node_count(level)} xi nodes); cap {n_cap}")
-        n_half = min(_grown_half_width(n_half, bound, q, target), n_cap)
+                f"N={n_half} ({_xi_node_count(level)} xi nodes); cap {_N_CAP}")
+        n_half = min(_grown_half_width(n_half, bound, q, target), _N_CAP)
 
     err_est = err_quad + bound
     return EnergyResult(
@@ -771,8 +772,7 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
 
 
 def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
-                         rel_tol: float = 1e-6,
-                         n_cap: int = 4096) -> EnergyResult:
+                         rel_tol: float = 1e-6) -> EnergyResult:
     """Interaction energy per unit length; negative for DD and NN.
 
     The nested tanh-sinh xi rule is refined first at the initial
@@ -784,12 +784,11 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
     reported value is that level's sum at the final truncation; err_est is
     its difference from the level below there plus the truncation bound.
     """
-    return _adaptive_integral(pair, bc, rel_tol, n_cap, "energy")
+    return _adaptive_integral(pair, bc, rel_tol, "energy")
 
 
 def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
-                        rel_tol: float = 1e-4,
-                        n_cap: int = 4096) -> EnergyResult:
+                        rel_tol: float = 1e-4) -> EnergyResult:
     """Force per unit length, F = -dE/dd, from the trace formula.
 
     F/L = (1/4 pi) int_0^inf xi tr[(1 - M)^{-1} d_d M] d xi, with d_d M
@@ -800,4 +799,4 @@ def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
     level below at the final truncation, plus the truncation bound.
     Negative (attractive) for DD and NN.
     """
-    return _adaptive_integral(pair, bc, rel_tol, n_cap, "force")
+    return _adaptive_integral(pair, bc, rel_tol, "force")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from casimir_cylinders.errors import DomainError, PSumNoConvergence
 from casimir_cylinders.geometry import BoundaryPair, CylinderPair, Kind
 from casimir_cylinders.scattering import (
@@ -37,32 +39,33 @@ def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
     if not tol > 0:
         raise DomainError("tol must be positive")
     m, n = int(m), int(n)
-    tables = _XiTables(pair, bc, xi)
-    cap = _default_p_cap(tables.zd, m, n) if p_cap is None else int(p_cap)
+    tables = _XiTables(pair, bc, np.array([xi]))
+    zd = float(tables.zd[0])
+    cap = _default_p_cap(zd, m, n) if p_cap is None else int(p_cap)
     flip = -1 if pair.kind is Kind.INTERIOR else 1   # translation index p -+ m
 
     # summand support: translation factors die superexponentially once the
     # index outruns zd, so the peak lives inside this box whatever the
     # saddle estimate says; never stop before the walk has covered it
-    span = int(math.ceil(tables.zd)) + 20
+    span = int(math.ceil(zd)) + 20
     box_lo = min(-flip * m, -flip * n, 0) - span
     box_hi = max(-flip * m, -flip * n, 0) + span
     center = _p_center(pair, m, box_lo, box_hi)
     k_min = (box_hi - box_lo) // 2 + 1
 
     num, den = tables.prefactor_logs(max(abs(m), abs(n)))
-    base = num[abs(n)] - den[abs(m)]
+    base = num[0, abs(n)] - den[0, abs(m)]
 
-    ratio = tables.ratio_log(max(abs(box_lo), abs(box_hi), 8))
+    ratio = tables.ratio_log(max(abs(box_lo), abs(box_hi), 8))[0]
     trans = tables.trans_log(max(abs(box_lo), abs(box_hi), 8)
-                             + max(abs(m), abs(n)))
+                             + max(abs(m), abs(n)))[0]
 
     def term_log(p: int) -> float:
         need = max(abs(p), abs(p + flip * m), abs(p + flip * n))
         nonlocal ratio, trans
         if need >= len(ratio) or need >= len(trans):
-            ratio = tables.ratio_log(2 * need)
-            trans = tables.trans_log(2 * need)
+            ratio = tables.ratio_log(2 * need)[0]
+            trans = tables.trans_log(2 * need)[0]
         return (ratio[abs(p)] + trans[abs(p + flip * m)]
                 + trans[abs(p + flip * n)])
 

@@ -42,15 +42,17 @@ _SPOT_LOGS = [
 
 _GRID_ORDERS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 500)
 _GRID_ARGS = np.geomspace(1e-3, 1e3, 27)
+_TABLES = (log_i_scaled_table, log_k_scaled_table, log_i_prime_scaled_table,
+           log_k_prime_scaled_table)
 
 
 @pytest.mark.parametrize("n,z,li,lk,lip,lkp", _SPOT_LOGS)
 def test_spot_logs(n, z, li, lk, lip, lkp):
     tol = lambda ref: 1e-12 * (1.0 + abs(ref))
-    assert abs(log_i_scaled_table(z, n)[n] - li) <= tol(li)
-    assert abs(log_k_scaled_table(z, n)[n] - lk) <= tol(lk)
-    assert abs(log_i_prime_scaled_table(z, n)[n] - lip) <= tol(lip)
-    assert abs(log_k_prime_scaled_table(z, n)[n] - lkp) <= tol(lkp)
+    assert abs(log_i_scaled_table([z], n)[0, n] - li) <= tol(li)
+    assert abs(log_k_scaled_table([z], n)[0, n] - lk) <= tol(lk)
+    assert abs(log_i_prime_scaled_table([z], n)[0, n] - lip) <= tol(lip)
+    assert abs(log_k_prime_scaled_table([z], n)[0, n] - lkp) <= tol(lkp)
 
 
 def test_wronskian_identity_full_grid():
@@ -70,8 +72,8 @@ def test_wronskian_identity_full_grid():
 def test_unscaled_spot_values():
     # classic handbook values at z = 1
     e = math.e
-    li = log_i_scaled_table(1.0, 1)
-    lk = log_k_scaled_table(1.0, 1)
+    li = log_i_scaled_table([1.0], 1)[0]
+    lk = log_k_scaled_table([1.0], 1)[0]
     assert abs(math.exp(li[0]) * e - 1.2660658777520083356) < 1e-15
     assert abs(math.exp(lk[0]) / e - 0.42102443824070833334) < 1e-15
     assert abs(math.exp(li[1]) * e - 0.56515910399248502721) < 1e-15
@@ -85,10 +87,7 @@ def test_tables_match_scalars(z):
     # K'_n = -(K_{n-1} + K_{n+1})/2
     mp = pytest.importorskip("mpmath")
     n_max = 60
-    ti = log_i_scaled_table(z, n_max)
-    tk = log_k_scaled_table(z, n_max)
-    tip = log_i_prime_scaled_table(z, n_max)
-    tkp = log_k_prime_scaled_table(z, n_max)
+    ti, tk, tip, tkp = (table([z], n_max)[0] for table in _TABLES)
     with mp.workdps(30):
         zm = mp.mpf(z)
         i = [mp.besseli(n, zm) * mp.exp(-zm) for n in range(n_max + 2)]
@@ -124,49 +123,47 @@ def test_seeds_match_mpmath():
 
 
 def test_zero_argument_regular_solution():
-    assert log_i_scaled_table(0.0, 0)[0] == 0.0
-    assert log_i_scaled_table(0.0, 3)[3] == -math.inf
-    table = log_i_scaled_table(0.0, 4)
+    assert log_i_scaled_table([0.0], 0)[0, 0] == 0.0
+    assert log_i_scaled_table([0.0], 3)[0, 3] == -math.inf
+    table = log_i_scaled_table([0.0], 4)[0]
     assert table[0] == 0.0
     assert np.all(np.isneginf(table[1:]))
 
 
 def test_zero_argument_irregular_rejected():
     with pytest.raises(DomainError):
-        log_k_prime_scaled_table(0.0, 0)
+        log_k_prime_scaled_table([0.0], 0)
     with pytest.raises(DomainError):
-        log_k_scaled_table(0.0, 3)
+        log_k_scaled_table([0.0], 3)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan, "2", None])
 def test_bad_arguments_rejected(bad):
     with pytest.raises(DomainError):
-        log_i_scaled_table(bad, 0)
+        log_i_scaled_table([bad], 0)
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", None, True])
 def test_bad_orders_rejected(bad):
     with pytest.raises(DomainError):
-        log_k_scaled_table(1.0, bad)
+        log_k_scaled_table([1.0], bad)
     with pytest.raises(DomainError):
-        log_i_scaled_table(1.0, bad)
+        log_i_scaled_table([1.0], bad)
 
 
 def test_order_monotonicity_at_fixed_argument():
     z = 7.3
-    li = log_i_scaled_table(z, 30)
-    lk = log_k_scaled_table(z, 30)
+    li = log_i_scaled_table([z], 30)[0]
+    lk = log_k_scaled_table([z], 30)[0]
     assert np.all(np.diff(li) < 0.0)
     assert np.all(np.diff(lk) > 0.0)
 
 
 def test_table_rejects_negative_length():
     with pytest.raises(DomainError):
-        log_i_scaled_table(1.0, -1)
+        log_i_scaled_table([1.0], -1)
 
 
-_TABLES = (log_i_scaled_table, log_k_scaled_table, log_i_prime_scaled_table,
-           log_k_prime_scaled_table)
 _LANE_ARGS = np.array([1e-8, 1e-3, 0.3, 1.99, 2.01, 10.0, 49.0, 51.0, 300.0,
                        1000.0])
 
@@ -205,8 +202,8 @@ def test_batched_rows_match_single_arguments(table):
     batch = table(_LANE_ARGS, 300)
     assert batch.shape == (_LANE_ARGS.size, 301)
     for row, z in zip(batch, _LANE_ARGS.tolist()):
-        alone = table(z, 300)
-        assert alone.shape == (301,)
+        alone = table([z], 300)
+        assert alone.shape == (1, 301)
         assert np.all(np.abs(row - alone) <= 1e-14 * (1.0 + np.abs(alone)))
 
 
@@ -228,7 +225,9 @@ def test_batch_with_one_bad_argument_rejected(table, bad):
         table(args, 4)
 
 
-@pytest.mark.parametrize("bad", [[[1.0, 2.0]], ["1.0"], [True, False]])
+# a single argument is a one-lane array, never a scalar or a 0-d array
+@pytest.mark.parametrize("bad", [[[1.0, 2.0]], ["1.0"], [True, False], 1.0,
+                                 np.array(1.0)])
 def test_table_rejects_non_real_batches(bad):
     with pytest.raises(DomainError):
         log_k_scaled_table(bad, 3)

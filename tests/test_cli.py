@@ -9,7 +9,6 @@ import pytest
 
 from casimir_cylinders import cli
 from casimir_cylinders.errors import NoConvergence
-from casimir_cylinders.scattering import EnergyResult
 
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 _FIELDS = ("kind", "bc", "a", "b", "d", "method", "value_per_length",
@@ -130,11 +129,29 @@ def test_compute_composite_doubles_scalar():
      "--d-grid", "0.1:0.2"),
     ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
      "--d-grid", "0.1:0.2:0"),
+    ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
+     "--d-grid", "0.01:inf:3"),
+    ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
+     "--d-grid", "nan:0.5:3"),
 ])
 def test_invalid_input_exits_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.strip() != ""
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["pfa-leading", "asymptotic", "pfa-integral"])
+def test_gap_below_double_range_exits_2(method):
+    # the d^-3.5 amplitude underflows to no double: a one-line usage
+    # diagnostic, not a traceback or a quadrature ladder run to its end
+    proc = run_cli("compute", "--kind", "interior", "--bc", "dd", "--a", "1",
+                   "--b", "2", "--d", "1e-300", "--quantity", "force",
+                   "--method", method)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "too small" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("rel_tol", ["nan", "inf"])
@@ -271,17 +288,3 @@ def test_nonconvergence_exits_3(monkeypatch, capsys):
     records = json.loads(captured.out)
     assert records[0]["value_per_length"] is None
     assert records[0]["method"] == "exact"
-
-
-def test_unconverged_result_exits_3_with_record(monkeypatch, capsys):
-    stub = EnergyResult(value_per_length=-1.5, err_est=0.5, n_matrix=64,
-                        p_terms_max=100, xi_nodes=256, converged=False)
-    monkeypatch.setattr(cli, "casimir_energy_exact",
-                        lambda pair, bc, rel_tol: stub)
-    code = cli.main(["compute", "--kind", "interior", "--bc", "dd",
-                     "--a", "1", "--b", "2", "--d", "0.1", "--no-timing"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "not converged" in captured.err
-    row = captured.out.splitlines()[2]
-    assert row.split(",")[6] == "-1.5"

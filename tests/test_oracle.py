@@ -7,15 +7,12 @@ import pytest
 from casimir_cylinders import BoundaryPair, CylinderPair, DomainError, Kind, energy_expansion
 from casimir_cylinders.geometry import SCALAR_PAIRS
 from casimir_cylinders.oracle import (
-    DEBYE_COEFFICIENTS,
     PerturbationPoint,
     b_s_closed,
     b_s_numeric,
     chain_square_backward,
     chain_square_forward,
     chain_square_sum,
-    debye_u1,
-    debye_v1,
     e0_coefficient_check,
     e1_from_b,
     f_frak,
@@ -28,7 +25,6 @@ from casimir_cylinders.oracle import (
     i_endpoint_numeric,
     i_term_numeric,
     k_frak_closed,
-    m_frak,
     q_integral_rate,
 )
 from casimir_cylinders import oracle
@@ -63,26 +59,7 @@ def test_point_validation(kw):
         pt(**kw)
 
 
-def test_debye_polynomials():
-    assert debye_u1(1.0) == -(5.0 - 3.0) / 24.0
-    assert debye_v1(1.0) == (7.0 - 9.0) / 24.0
-    assert debye_u1(1.0) == debye_v1(1.0)            # both -1/12 at t = 1
-    assert debye_u1(0.0) == 0.0 and debye_v1(0.0) == 0.0
-    assert abs(debye_u1(0.5) - 0.875 / 24.0) < 1e-16
-    assert abs(debye_v1(0.5) + 3.625 / 24.0) < 1e-16
-    assert DEBYE_COEFFICIENTS.u1 is debye_u1
-    assert DEBYE_COEFFICIENTS.v1 is debye_v1
-
-
 # -- integrand polynomials --------------------------------------------------
-
-
-def test_m_frak_spot_values():
-    assert m_frak(pt(), 0.0, 0.0, 0.0) == 0.0
-    assert abs(m_frak(pt(eps=0.1), 0.0, 0.0, 0.0) - 0.2) < 1e-16
-    # beta*tau/(4m) + alpha^2*tau/(m*beta) at the displayed point
-    got = m_frak(pt(m=2.0, tau=0.5), 1.0, 0.0, 1.0)
-    assert abs(got - 0.25) < 1e-16
 
 
 def test_f_frak_dd_value():

@@ -7,8 +7,8 @@ from casimir_cylinders import (
     BoundaryPair,
     CylinderPair,
     Kind,
+    DomainError,
     PfaMethod,
-    QuadratureSpec,
     integrate_finite,
     pfa_force_integral,
     pfa_force_leading,
@@ -34,8 +34,7 @@ def test_derivation_constant():
     # the u-substituted gap integral behind the closed leading form
     t0 = time.perf_counter()
     value, _ = integrate_finite(
-        lambda u: u ** -4.0 * (u - 1.0) ** -0.5, 1.0, 1e6,
-        QuadratureSpec(rel_tol=1e-12))
+        lambda u: u ** -4.0 * (u - 1.0) ** -0.5, 1.0, 1e6, 1e-12)
     assert abs(value - 5.0 * math.pi / 16.0) <= 1e-10
     assert time.perf_counter() - t0 <= 1.0
 
@@ -139,3 +138,18 @@ def test_exterior_swap_invariance():
             == pfa_force_integral(rev, bc).force_per_length
         assert pfa_force_leading(fwd, bc).force_per_length \
             == pfa_force_leading(rev, bc).force_per_length
+
+
+# d^3.5 is 0 below ~1e-93 and subnormal at 1e-90, where the quotient
+# overflows: the d^-3.5 amplitude is no double, so both entry points refuse
+# the gap at once instead of dividing by zero or running the quadrature
+# ladder on it
+@pytest.mark.parametrize("d", [1e-90, 1e-95, 1e-300])
+@pytest.mark.parametrize("entry", [pfa_force_leading, pfa_force_integral])
+@pytest.mark.parametrize("kind", [Kind.INTERIOR, Kind.EXTERIOR])
+def test_gap_below_double_range_rejected(kind, entry, d):
+    pair = CylinderPair(kind=kind, a=1.0, b=2.0, d=d)
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="too small"):
+        entry(pair, BoundaryPair.DD)
+    assert time.perf_counter() - t0 <= 0.1

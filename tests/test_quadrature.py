@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from casimir_cylinders import QuadratureSpec, gauss_hermite, integrate_finite
+from casimir_cylinders import gauss_hermite, integrate_finite
+from casimir_cylinders import quadrature
 from casimir_cylinders.errors import DomainError, NoConvergence
 
 
 def test_finite_constant():
-    value, err = integrate_finite(lambda t: t * 0 + 1.0, 0.0, 1.0,
-                                  QuadratureSpec())
+    value, err = integrate_finite(lambda t: t * 0 + 1.0, 0.0, 1.0, 1e-8)
     assert abs(value - 1.0) < 1e-14
     assert err >= 0.0
 
@@ -17,7 +17,7 @@ def test_finite_constant():
 def test_finite_bracket_polynomial():
     # tau-integral whose value is the concentric DD curvature coefficient
     value, _ = integrate_finite(lambda t: (40.0 * t * t + 3.0) / 24.0,
-                                0.0, 1.0, QuadratureSpec())
+                                0.0, 1.0, 1e-8)
     assert abs(value - (7.0 / 12.0 + 7.0 / 72.0)) < 1e-13
 
 
@@ -25,8 +25,7 @@ def test_finite_inverse_sqrt_endpoint():
     # the lo-endpoint substitution must absorb (x-lo)^(-1/2) exactly:
     # int_0^1 x^(-1/2) (1-x)^(5/2) dx = B(1/2, 7/2) = 5 pi / 16
     value, _ = integrate_finite(
-        lambda x: x ** -0.5 * (1.0 - x) ** 2.5, 0.0, 1.0,
-        QuadratureSpec(rel_tol=1e-12))
+        lambda x: x ** -0.5 * (1.0 - x) ** 2.5, 0.0, 1.0, 1e-12)
     assert abs(value - 5.0 * math.pi / 16.0) < 1e-12
 
 
@@ -34,21 +33,43 @@ def test_finite_truncated_pfa_tail():
     # same beta integral in the u = 1/v chart, truncated far out
     ref = 5.0 * math.pi / 16.0
     value, _ = integrate_finite(
-        lambda u: u ** -4.0 * (u - 1.0) ** -0.5, 1.0, 1e6,
-        QuadratureSpec(rel_tol=1e-9))
+        lambda u: u ** -4.0 * (u - 1.0) ** -0.5, 1.0, 1e6, 1e-9)
     assert abs(value - ref) <= 1e-8 * ref
 
 
 def test_finite_rejects_empty_interval():
     with pytest.raises(DomainError):
-        integrate_finite(lambda x: x, 1.0, 1.0, QuadratureSpec())
+        integrate_finite(lambda x: x, 1.0, 1.0, 1e-8)
 
 
-def test_finite_no_convergence_on_slow_decay():
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan])
+def test_finite_rejects_bad_tolerance(rel_tol):
+    with pytest.raises(DomainError, match="rel_tol"):
+        integrate_finite(lambda x: x, 0.0, 1.0, rel_tol)
+
+
+def test_finite_no_convergence_on_slow_decay(monkeypatch):
     # a slowly decaying integrand over a long interval starves the ladder
-    with pytest.raises(NoConvergence):
-        integrate_finite(lambda x: (1.0 + x) ** -1.01, 0.0, 1e8,
-                         QuadratureSpec(rel_tol=1e-10, max_doublings=4))
+    monkeypatch.setattr(quadrature, "_MAX_DOUBLINGS", 4)
+    with pytest.raises(NoConvergence, match="4 doublings"):
+        integrate_finite(lambda x: (1.0 + x) ** -1.01, 0.0, 1e8, 1e-10)
+
+
+def test_finite_nonfinite_sum_stops_at_first_rung(monkeypatch):
+    # an integrand that is infinite at some node cannot be repaired by a
+    # finer rule: the ladder ends at the rung that met it
+    rungs = []
+    real = quadrature._gauss_legendre
+
+    def counted(g, lo, hi, n):
+        rungs.append(n)
+        return real(g, lo, hi, n)
+
+    monkeypatch.setattr(quadrature, "_gauss_legendre", counted)
+    with pytest.raises(NoConvergence, match="not finite"):
+        integrate_finite(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0,
+                         1e-8)
+    assert rungs == [32]
 
 
 def test_gauss_hermite_quadratic():
@@ -86,10 +107,10 @@ def test_legendre_rule_polynomial_exactness():
 
 
 def test_newton_rule_matches_eigensolver():
-    from casimir_cylinders.quadrature import _leggauss_newton
+    from casimir_cylinders.quadrature import _leggauss
     for n in (64, 101, 400):
         x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-        x, w = _leggauss_newton(n)
+        x, w = _leggauss(n)
         assert np.max(np.abs(x - x_ref)) <= 2e-15
         assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-9
         assert abs(float(w.sum()) - 2.0) <= 1e-14

@@ -16,6 +16,7 @@ from casimir_cylinders import (
     energy_expansion,
     force_expansion,
     log_det_one_minus,
+    scattering,
 )
 from casimir_cylinders.errors import (
     DomainError,
@@ -483,15 +484,17 @@ def test_nonfinite_rel_tol_rejected(run, rel_tol):
         run(EXT_08, BoundaryPair.DD, rel_tol)
 
 
-def test_energy_truncation_cap_raises():
-    with pytest.raises(NoConvergence):
-        casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6, n_cap=8)
+def test_energy_truncation_cap_raises(monkeypatch):
+    monkeypatch.setattr(scattering, "_N_CAP", 8)
+    with pytest.raises(NoConvergence, match="exceeds cap 8"):
+        casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6)
 
 
-def test_energy_tail_cap_raises():
+def test_energy_tail_cap_raises(monkeypatch):
     # N0 = 10 fits under the cap, but the row tail still asks for more
+    monkeypatch.setattr(scattering, "_N_CAP", 12)
     with pytest.raises(NoConvergence, match="cap 12"):
-        casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6, n_cap=12)
+        casimir_energy_exact(INT_05, BoundaryPair.DD, 1e-6)
 
 
 @pytest.mark.parametrize("d", [0.02, 0.5, 3.0])

@@ -9,7 +9,6 @@ Units: hbar = c = 1; every result is per unit cylinder length.
 from .asymptotics import (
     ENERGY_BRACKETS,
     FORCE_BRACKETS,
-    ExpansionKind,
     ExpansionResult,
     PfaBias,
     classify_pfa_bias,
@@ -33,7 +32,7 @@ from .geometry import (
     Kind,
     derive_params,
 )
-from .pfa import PfaMethod, PfaResult, pfa_force_integral, pfa_force_leading
+from .pfa import pfa_force_integral, pfa_force_leading
 from .quadrature import gauss_hermite, integrate_finite
 from .scattering import (
     EnergyResult,
@@ -54,7 +53,6 @@ __all__ = [
     "DomainError",
     "ENERGY_BRACKETS",
     "EnergyResult",
-    "ExpansionKind",
     "ExpansionResult",
     "FORCE_BRACKETS",
     "InvalidGeometry",
@@ -63,8 +61,6 @@ __all__ = [
     "NonPositiveDeterminant",
     "PSumNoConvergence",
     "PfaBias",
-    "PfaMethod",
-    "PfaResult",
     "RoundTripMatrix",
     "build_matrix",
     "casimir_energy_exact",

@@ -4,7 +4,9 @@ Energy and force behave as  amplitude * (1 + bracket * d)  for d -> 0,
 where the amplitude is the closed-form PFA leading term and the bracket
 collects the next-to-leading coefficient.  Brackets are stored as exact
 rational / rational-over-pi^2 pairs and evaluated only on request, so
-tests can check coefficient arithmetic without float round-off.
+tests can check coefficient arithmetic without float round-off.  A
+composite pair is the sum of its scalar parts: its amplitude is theirs
+summed and, the parts' amplitudes being equal, its bracket their mean.
 
 Bracket structure, interior sign convention (span = b - a):
 
@@ -22,21 +24,15 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .geometry import (
-    COMPOSITE_PAIRS,
     SCALAR_PAIRS,
     BoundaryPair,
     CylinderPair,
     Kind,
-    derive_params,
+    scalar_parts,
 )
-from .pfa import pfa_force_leading
+from .pfa import _pair_factor, pfa_force_leading
 
 _PI2 = math.pi * math.pi
-
-
-class ExpansionKind(Enum):
-    ENERGY = "Energy"
-    FORCE = "Force"
 
 
 class PfaBias(Enum):
@@ -56,9 +52,6 @@ class ExpansionResult:
 
     amplitude: float
     bracket: float
-    kind: ExpansionKind
-    bc: BoundaryPair
-    geometry_kind: Kind | None
 
 
 @dataclass(frozen=True)
@@ -90,48 +83,43 @@ FORCE_BRACKETS = {
 }
 
 
-def _scalar_bracket(coeffs: BracketCoeffs, bc: BoundaryPair,
-                    kind: Kind, a: float, b: float) -> float:
-    if kind is Kind.INTERIOR:
+def _part_mean(bc: BoundaryPair, scalar_bracket) -> float:
+    """Bracket of bc as the mean of scalar_bracket over its scalar parts.
+
+    The parts' leading amplitudes are equal, so the amplitude-weighted mean
+    that the sum of the parts calls for is the plain one.
+    """
+    parts = scalar_parts(bc)
+    return sum(scalar_bracket(part) for part in parts) / len(parts)
+
+
+def _bracket(pair: CylinderPair, bc: BoundaryPair, table: dict) -> float:
+    """NTLO bracket of bc at pair from an ENERGY/FORCE_BRACKETS table."""
+    a, b = pair.a, pair.b
+    if pair.kind is Kind.INTERIOR:
         span, s1 = b - a, 1.0
     else:
         span, s1 = a + b, -1.0
-    value = (s1 * float(coeffs.span_inv) / span
-             + (float(coeffs.mixed_rational)
-                + float(coeffs.mixed_pi2) / _PI2) * span / (a * b))
-    if bc is BoundaryPair.DN:
-        sign = 1.0 if kind is Kind.INTERIOR else -1.0
-        value += sign * float(coeffs.radius_pi2) / _PI2 / b
-    elif bc is BoundaryPair.ND:
-        value -= float(coeffs.radius_pi2) / _PI2 / a
-    return value
 
+    def scalar_bracket(part: BoundaryPair) -> float:
+        coeffs = table[part]
+        value = (s1 * float(coeffs.span_inv) / span
+                 + (float(coeffs.mixed_rational)
+                    + float(coeffs.mixed_pi2) / _PI2) * span / (a * b))
+        if part is BoundaryPair.DN:
+            value += s1 * float(coeffs.radius_pi2) / _PI2 / b
+        elif part is BoundaryPair.ND:
+            value -= float(coeffs.radius_pi2) / _PI2 / a
+        return value
 
-def _expansion(pair: CylinderPair, bc: BoundaryPair,
-               kind: ExpansionKind) -> ExpansionResult:
-    derive_params(pair)
-    table = ENERGY_BRACKETS if kind is ExpansionKind.ENERGY else FORCE_BRACKETS
-    if bc in COMPOSITE_PAIRS:
-        base, _ = COMPOSITE_PAIRS[bc]
-        partner = (BoundaryPair.NN if base is BoundaryPair.DD
-                   else BoundaryPair.ND)
-        # equal amplitudes, so the weighted bracket is the plain mean
-        bracket = 0.5 * (_scalar_bracket(table[base], base, pair.kind,
-                                         pair.a, pair.b)
-                         + _scalar_bracket(table[partner], partner, pair.kind,
-                                           pair.a, pair.b))
-    else:
-        bracket = _scalar_bracket(table[bc], bc, pair.kind, pair.a, pair.b)
-    amplitude = pfa_force_leading(pair, bc).force_per_length
-    if kind is ExpansionKind.ENERGY:
-        amplitude *= 2.0 * pair.d / 5.0
-    return ExpansionResult(amplitude=amplitude, bracket=bracket, kind=kind,
-                           bc=bc, geometry_kind=pair.kind)
+    return _part_mean(bc, scalar_bracket)
 
 
 def energy_expansion(pair: CylinderPair, bc: BoundaryPair) -> ExpansionResult:
     """E/L ~ amplitude*(1 + bracket*d) with amplitude ~ d^(-5/2)."""
-    return _expansion(pair, bc, ExpansionKind.ENERGY)
+    bracket = _bracket(pair, bc, ENERGY_BRACKETS)
+    return ExpansionResult(pfa_force_leading(pair, bc) * (2.0 * pair.d / 5.0),
+                           bracket)
 
 
 def force_expansion(pair: CylinderPair, bc: BoundaryPair) -> ExpansionResult:
@@ -139,7 +127,8 @@ def force_expansion(pair: CylinderPair, bc: BoundaryPair) -> ExpansionResult:
 
     The amplitude reuses the PFA closed form, so the two agree bit for bit.
     """
-    return _expansion(pair, bc, ExpansionKind.FORCE)
+    bracket = _bracket(pair, bc, FORCE_BRACKETS)
+    return ExpansionResult(pfa_force_leading(pair, bc), bracket)
 
 
 def cylinder_plate_limit(a: float, bc: BoundaryPair) -> ExpansionResult:
@@ -150,28 +139,19 @@ def cylinder_plate_limit(a: float, bc: BoundaryPair) -> ExpansionResult:
     """
     if a <= 0:
         raise DomainError("radius a must be positive")
-    if bc in COMPOSITE_PAIRS:
-        base, _ = COMPOSITE_PAIRS[bc]
-        partner = (BoundaryPair.NN if base is BoundaryPair.DD
-                   else BoundaryPair.ND)
-        lo = cylinder_plate_limit(a, base)
-        hi = cylinder_plate_limit(a, partner)
-        return ExpansionResult(amplitude=2.0 * lo.amplitude,
-                               bracket=0.5 * (lo.bracket + hi.bracket),
-                               kind=ExpansionKind.FORCE, bc=bc,
-                               geometry_kind=None)
-    coeffs = FORCE_BRACKETS[bc]
-    # span/(a*b) -> 1/a and the 1/span, DN 1/b terms vanish
-    bracket = (float(coeffs.mixed_rational)
-               + float(coeffs.mixed_pi2) / _PI2) / a
-    if bc is BoundaryPair.ND:
-        bracket -= float(coeffs.radius_pi2) / _PI2 / a
+
+    def scalar_bracket(part: BoundaryPair) -> float:
+        coeffs = FORCE_BRACKETS[part]
+        # span/(a*b) -> 1/a and the 1/span, DN 1/b terms vanish
+        value = (float(coeffs.mixed_rational)
+                 + float(coeffs.mixed_pi2) / _PI2) / a
+        if part is BoundaryPair.ND:
+            value -= float(coeffs.radius_pi2) / _PI2 / a
+        return value
+
     amplitude = -math.pi ** 3 * math.sqrt(a) / (768.0 * math.sqrt(2.0))
-    if bc in (BoundaryPair.DN, BoundaryPair.ND):
-        amplitude *= -7.0 / 8.0
-    return ExpansionResult(amplitude=amplitude, bracket=bracket,
-                           kind=ExpansionKind.FORCE, bc=bc,
-                           geometry_kind=None)
+    return ExpansionResult(amplitude * _pair_factor(bc),
+                           _part_mean(bc, scalar_bracket))
 
 
 def classify_pfa_bias(pair: CylinderPair, bc: BoundaryPair) -> PfaBias:

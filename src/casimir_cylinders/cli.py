@@ -37,7 +37,6 @@ from .bessel import (
 )
 from .errors import CasimirCylError, NoConvergence
 from .geometry import (
-    COMPOSITE_PAIRS,
     SCALAR_PAIRS,
     BoundaryPair,
     CylinderPair,
@@ -94,7 +93,7 @@ def _parse_methods(raw: list[str] | None) -> list[str]:
 
 
 def _check_combo(method: str, bc: BoundaryPair, quantity: str) -> None:
-    if method == "exact" and bc in COMPOSITE_PAIRS:
+    if method == "exact" and bc not in SCALAR_PAIRS:
         raise UsageError(
             f"exact method handles scalar pairs only; {bc.value} composes "
             "from two scalar runs")
@@ -124,12 +123,12 @@ def _run_task(task: tuple) -> tuple[dict, int, str]:
             value, err = res.value_per_length, res.err_est
             n_matrix, p_terms, xi_nodes = res.n_matrix, res.p_terms_max, res.xi_nodes
         elif method == "pfa-integral":
-            value, err = pfa_force_integral(pair, bc).force_per_length, 0.0
+            value, err = pfa_force_integral(pair, bc), 0.0
         elif method == "pfa-leading":
             if quantity == "energy":
                 value = energy_expansion(pair, bc).amplitude
             else:
-                value = pfa_force_leading(pair, bc).force_per_length
+                value = pfa_force_leading(pair, bc)
             err = 0.0
         else:
             exp = (energy_expansion if quantity == "energy"
@@ -331,8 +330,7 @@ def _amplitude_identity(level: str) -> tuple[float, str]:
     for kind in Kind:
         for bc in BoundaryPair:
             pair = CylinderPair(kind, 1.0, 2.3, 0.07)
-            if force_expansion(pair, bc).amplitude != \
-                    pfa_force_leading(pair, bc).force_per_length:
+            if force_expansion(pair, bc).amplitude != pfa_force_leading(pair, bc):
                 mismatch += 1
     return mismatch, f"{mismatch} mismatches"
 

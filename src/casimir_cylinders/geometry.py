@@ -25,8 +25,8 @@ class BoundaryPair(enum.Enum):
 
     DD/NN/DN/ND are Dirichlet/Neumann combinations.  PCPC and PCIP are the
     perfect-conductor combinations for the electromagnetic field, valid only
-    where the scalar results may be doubled (proximity expansions): PCPC is
-    twice DD, PCIP twice DN.
+    where the field splits into independent TM and TE scalar parts
+    (proximity expansions): PCPC is DD + NN, PCIP is DN + ND.
     """
 
     DD = "DD"
@@ -39,26 +39,30 @@ class BoundaryPair(enum.Enum):
 
 SCALAR_PAIRS = (BoundaryPair.DD, BoundaryPair.NN, BoundaryPair.DN, BoundaryPair.ND)
 
-# composite -> (scalar pair, multiplicity)
+# composite -> its (TM, TE) scalar parts
 COMPOSITE_PAIRS = {
-    BoundaryPair.PCPC: (BoundaryPair.DD, 2.0),
-    BoundaryPair.PCIP: (BoundaryPair.DN, 2.0),
+    BoundaryPair.PCPC: (BoundaryPair.DD, BoundaryPair.NN),
+    BoundaryPair.PCIP: (BoundaryPair.DN, BoundaryPair.ND),
 }
+
+
+def scalar_parts(bc: BoundaryPair) -> tuple[BoundaryPair, ...]:
+    """The scalar pairs whose results sum to bc's: (bc,) for a scalar pair."""
+    return COMPOSITE_PAIRS.get(bc, (bc,))
 
 
 @dataclass(frozen=True)
 class CylinderPair:
-    """Geometry of the pair.  L is metadata only: every result in the package
-    is reported per unit cylinder length."""
+    """Geometry of the pair; every result in the package is reported per
+    unit cylinder length."""
 
     kind: Kind
     a: float
     b: float
     d: float
-    L: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "d", "L"):
+        for name in ("a", "b", "d"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise InvalidGeometry(f"{name} must be a positive finite number, got {v!r}")

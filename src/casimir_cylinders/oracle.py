@@ -38,11 +38,8 @@ class PerturbationPoint:
     tau: float
     eps: float
     alpha: float
-    beta: float = None
 
     def __post_init__(self):
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.alpha + 1.0)
         if not isinstance(self.s, int) or self.s < 0:
             raise DomainError("s must be a nonnegative integer")
         if self.m <= 0:
@@ -53,8 +50,10 @@ class PerturbationPoint:
             raise DomainError("eps must be nonnegative")
         if self.alpha <= 0:
             raise DomainError("alpha must be positive")
-        if self.beta != self.alpha + 1.0:
-            raise DomainError("beta must equal alpha + 1 exactly")
+
+    @property
+    def beta(self) -> float:
+        return self.alpha + 1.0
 
 
 # ---------------------------------------------------------------------------

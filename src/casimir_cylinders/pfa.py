@@ -3,22 +3,21 @@
 The PFA slices the facing surfaces into parallel-plate strips and applies
 the plate pressure -pi^2/(240 h^4) at the local gap width h(theta), measured
 from a point on the integration surface to the other cylinder's surface.
-Two entry points: the full surface integral, and the closed-form leading
-term it approaches as d -> 0.
+Two entry points, each returning the force per unit length as a float:
+the full surface integral, and the closed-form leading term it approaches
+as d -> 0.  A composite pair's force is the sum of its scalar parts'.
 """
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .geometry import (
-    COMPOSITE_PAIRS,
     BoundaryPair,
     CylinderPair,
     Kind,
     derive_params,
+    scalar_parts,
 )
 from .errors import DomainError
 from .quadrature import integrate_finite
@@ -26,34 +25,16 @@ from .quadrature import integrate_finite
 _REL_TOL = 1e-11        # of the surface integral's Gauss-Legendre ladder
 
 
-class PfaMethod(Enum):
-    INTEGRAL = "Integral"
-    LEADING_CLOSED_FORM = "LeadingClosedForm"
-
-
-@dataclass(frozen=True)
-class PfaResult:
-    force_per_length: float
-    method: PfaMethod
-
-
 def _pair_factor(bc: BoundaryPair) -> float:
-    """Multiplier relative to the DD integral for any boundary pair."""
-    factor = 1.0
-    if bc in COMPOSITE_PAIRS:
-        bc, weight = COMPOSITE_PAIRS[bc]
-        factor = weight
-    if bc in (BoundaryPair.DN, BoundaryPair.ND):
-        # a Dirichlet/Neumann plate pair is repulsive, weaker by 7/8
-        factor *= -7.0 / 8.0
-    return factor
+    """Multiplier relative to the DD force: the sum over bc's scalar parts,
+    where a Dirichlet/Neumann plate pair is repulsive and weaker by 7/8."""
+    return sum(-7.0 / 8.0 if part in (BoundaryPair.DN, BoundaryPair.ND)
+               else 1.0 for part in scalar_parts(bc))
 
 
 def _leading_amplitude(pair: CylinderPair) -> float:
-    """The DD force per unit length of the d -> 0 limit, once the pair is
-    checked; DomainError where it is not a finite double (a gap so small
-    that d^3.5 underflows)."""
-    derive_params(pair)
+    """The DD force per unit length of the d -> 0 limit; DomainError where
+    it is not a finite double (a gap so small that d^3.5 underflows)."""
     span = pair.b - pair.a if pair.kind is Kind.INTERIOR else pair.a + pair.b
     gap_power = pair.d ** 3.5
     if gap_power > 0.0:
@@ -65,7 +46,7 @@ def _leading_amplitude(pair: CylinderPair) -> float:
                       "~ d^-3.5 is not a finite double")
 
 
-def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
+def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> float:
     """PFA force per unit length from the exact surface integral.
 
     The gap profile is h(theta) = sqrt(R^2 + delta^2 - 2 R delta cos(theta)) - r
@@ -98,11 +79,9 @@ def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
         return ((near + lift) / (dist + other_r)) ** -4.0
 
     value, _ = integrate_finite(inv_gap4, 0.0, math.pi, _REL_TOL)
-    force = -(math.pi ** 2) * surf_r / 240.0 * value * _pair_factor(bc)
-    return PfaResult(force_per_length=force, method=PfaMethod.INTEGRAL)
+    return -(math.pi ** 2) * surf_r / 240.0 * value * _pair_factor(bc)
 
 
-def pfa_force_leading(pair: CylinderPair, bc: BoundaryPair) -> PfaResult:
+def pfa_force_leading(pair: CylinderPair, bc: BoundaryPair) -> float:
     """Closed-form d -> 0 limit of the PFA force per unit length."""
-    return PfaResult(force_per_length=_leading_amplitude(pair) * _pair_factor(bc),
-                     method=PfaMethod.LEADING_CLOSED_FORM)
+    return _leading_amplitude(pair) * _pair_factor(bc)

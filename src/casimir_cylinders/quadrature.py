@@ -35,26 +35,26 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     weights are within 7e-13 relative for n <= 512, where numpy's miss by
     up to 1.1e-10.
     """
+    def legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_n(x) and P_n'(x) by the three-term recurrence."""
+        p0 = np.ones_like(x)
+        p1 = x.copy()
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2.0 * j - 1.0) * x * p1 - (j - 1.0) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
     m = (n + 1) // 2
     k = np.arange(m)
     x = np.cos(math.pi * (k + 0.75) / (n + 0.5))
     if n % 2:
         x[m - 1] = 0.0
     for _ in range(64):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2.0 * j - 1.0) * x * p1 - (j - 1.0) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
+        p, dp = legendre(x)
+        dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2.0 * j - 1.0) * x * p1 - (j - 1.0) * p0) / j
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
+    _, dp = legendre(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     skip = 1 if n % 2 else 0
     nodes = np.concatenate((-x[:m - skip], x[::-1]))

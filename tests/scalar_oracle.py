@@ -1,10 +1,13 @@
 """Scalar reference oracle for the round-trip operator.
 
 One scaled element S_mn at a time, its p-sum walked outward from the peak
-term by term.  It shares only the log-Bessel tables with the package's
-matrix route (which cuts the p-window once from the log-envelope of the
-whole matrix), so the matrix tests can check the parity blocks element by
-element against an independent summation.
+term by term.  The package's matrix route cuts the p-window once from the
+log-envelope of the whole matrix instead, so the matrix tests can check the
+parity blocks element by element against an independent summation.  What
+it shares with that route is its inputs, not its sum: the log-Bessel tables
+(`_XiTables`), the default p cap (`_default_p_cap`), the p-peak guess it
+starts the walk from (`_p_center`) and the scalar-pair check
+(`_check_scalar_bc`).
 """
 from __future__ import annotations
 

@@ -8,7 +8,6 @@ from casimir_cylinders import (
     CylinderPair,
     DomainError,
     ENERGY_BRACKETS,
-    ExpansionKind,
     FORCE_BRACKETS,
     Kind,
     PfaBias,
@@ -95,8 +94,7 @@ def test_exterior_nd_force_bracket():
 def test_force_amplitude_is_pfa_leading(kind, b):
     pair = CylinderPair(kind=kind, a=1.0, b=b, d=0.1)
     for bc in BoundaryPair:
-        assert force_expansion(pair, bc).amplitude \
-            == pfa_force_leading(pair, bc).force_per_length
+        assert force_expansion(pair, bc).amplitude == pfa_force_leading(pair, bc)
 
 
 def test_energy_amplitude_ratio():
@@ -150,18 +148,21 @@ def test_exterior_dn_nd_mirror():
             == energy_expansion(rev, BoundaryPair.ND).bracket
 
 
-def test_composite_expansion():
-    dd = force_expansion(INT12, BoundaryPair.DD)
-    nn = force_expansion(INT12, BoundaryPair.NN)
-    pcpc = force_expansion(INT12, BoundaryPair.PCPC)
-    assert pcpc.amplitude == 2.0 * dd.amplitude
-    assert abs(pcpc.bracket - 0.5 * (dd.bracket + nn.bracket)) < 1e-15
-
-    dn = force_expansion(INT12, BoundaryPair.DN)
-    nd = force_expansion(INT12, BoundaryPair.ND)
-    pcip = force_expansion(INT12, BoundaryPair.PCIP)
-    assert pcip.amplitude == 2.0 * dn.amplitude
-    assert abs(pcip.bracket - 0.5 * (dn.bracket + nd.bracket)) < 1e-15
+@pytest.mark.parametrize("pair", [INT12, EXT11], ids=["interior", "exterior"])
+@pytest.mark.parametrize("builder", [energy_expansion, force_expansion],
+                         ids=["energy", "force"])
+def test_composite_expansion(builder, pair):
+    # a composite is the sum of its TM and TE parts; their amplitudes are
+    # equal, so the summed expansion's bracket is the parts' mean
+    for composite, tm, te in [
+        (BoundaryPair.PCPC, BoundaryPair.DD, BoundaryPair.NN),
+        (BoundaryPair.PCIP, BoundaryPair.DN, BoundaryPair.ND),
+    ]:
+        one, two = builder(pair, tm), builder(pair, te)
+        both = builder(pair, composite)
+        assert one.amplitude == two.amplitude
+        assert both.amplitude == one.amplitude + two.amplitude
+        assert both.bracket == 0.5 * (one.bracket + two.bracket)
 
 
 def test_cylinder_plate_brackets():
@@ -181,15 +182,17 @@ def test_cylinder_plate_brackets():
 
 
 def test_cylinder_plate_amplitudes():
-    dd = cylinder_plate_limit(2.0, BoundaryPair.DD)
+    amp = {bc: cylinder_plate_limit(2.0, bc).amplitude for bc in BoundaryPair}
+    dd, nn = amp[BoundaryPair.DD], amp[BoundaryPair.NN]
+    dn, nd = amp[BoundaryPair.DN], amp[BoundaryPair.ND]
     ref = -math.pi ** 3 * math.sqrt(2.0) / (768.0 * math.sqrt(2.0))
-    assert abs(dd.amplitude - ref) < 1e-14 * abs(ref)
-    dn = cylinder_plate_limit(2.0, BoundaryPair.DN)
-    assert dn.amplitude == dd.amplitude * (-7.0 / 8.0)
-    pcpc = cylinder_plate_limit(2.0, BoundaryPair.PCPC)
-    assert pcpc.amplitude == 2.0 * dd.amplitude
-    assert dd.kind is ExpansionKind.FORCE
-    assert dd.geometry_kind is None
+    assert type(dd) is float
+    assert abs(dd - ref) < 1e-14 * abs(ref)
+    assert nn == dd
+    assert dn == dd * (-7.0 / 8.0)
+    assert nd == dn
+    assert amp[BoundaryPair.PCPC] == dd + nn
+    assert amp[BoundaryPair.PCIP] == dn + nd
     with pytest.raises(DomainError):
         cylinder_plate_limit(0.0, BoundaryPair.DD)
 
@@ -219,9 +222,3 @@ def test_limit_consistency():
     with pytest.raises(DomainError):
         limit_consistency_check(1.0, 500.0, BoundaryPair.DD)
 
-
-def test_expansion_metadata():
-    res = energy_expansion(EXT11, BoundaryPair.ND)
-    assert res.kind is ExpansionKind.ENERGY
-    assert res.bc is BoundaryPair.ND
-    assert res.geometry_kind is Kind.EXTERIOR

@@ -9,7 +9,11 @@ from casimir_cylinders import (
     Kind,
     derive_params,
 )
-from casimir_cylinders.geometry import COMPOSITE_PAIRS, SCALAR_PAIRS
+from casimir_cylinders.geometry import (
+    COMPOSITE_PAIRS,
+    SCALAR_PAIRS,
+    scalar_parts,
+)
 
 
 def test_interior_derived_params():
@@ -33,13 +37,6 @@ def test_exterior_derived_params():
 def test_interior_beta_is_alpha_plus_one_exactly():
     p = derive_params(CylinderPair(Kind.INTERIOR, 0.7, 2.9, 0.3))
     assert p.beta == p.alpha + 1.0
-
-
-def test_length_is_metadata_only():
-    a = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
-    b = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1, L=37.0)
-    assert a.L == 1.0
-    assert derive_params(a) == derive_params(b)
 
 
 @pytest.mark.parametrize("bad", [
@@ -72,5 +69,12 @@ def test_exterior_allows_any_radii_order():
 def test_boundary_pair_split():
     assert set(SCALAR_PAIRS) == {BoundaryPair.DD, BoundaryPair.NN,
                                  BoundaryPair.DN, BoundaryPair.ND}
-    assert COMPOSITE_PAIRS[BoundaryPair.PCPC] == (BoundaryPair.DD, 2.0)
-    assert COMPOSITE_PAIRS[BoundaryPair.PCIP] == (BoundaryPair.DN, 2.0)
+    # each composite is its (TM, TE) scalar parts
+    assert COMPOSITE_PAIRS == {
+        BoundaryPair.PCPC: (BoundaryPair.DD, BoundaryPair.NN),
+        BoundaryPair.PCIP: (BoundaryPair.DN, BoundaryPair.ND),
+    }
+    for bc in SCALAR_PAIRS:
+        assert scalar_parts(bc) == (bc,)
+    for bc, parts in COMPOSITE_PAIRS.items():
+        assert scalar_parts(bc) == parts

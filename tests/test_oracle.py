@@ -45,11 +45,6 @@ def test_point_beta_defaults_to_alpha_plus_one():
     assert p.beta == 1.75
 
 
-def test_point_rejects_inconsistent_beta():
-    with pytest.raises(DomainError):
-        PerturbationPoint(s=0, m=1.0, tau=1.0, eps=0.0, alpha=1.0, beta=3.0)
-
-
 @pytest.mark.parametrize("kw", [
     dict(s=-1), dict(s=1.5), dict(m=0.0), dict(m=-2.0),
     dict(tau=0.0), dict(tau=1.2), dict(eps=-0.1), dict(alpha=0.0),

@@ -8,7 +8,6 @@ from casimir_cylinders import (
     CylinderPair,
     Kind,
     DomainError,
-    PfaMethod,
     integrate_finite,
     pfa_force_integral,
     pfa_force_leading,
@@ -42,78 +41,78 @@ def test_derivation_constant():
 def test_leading_closed_form_interior():
     res = pfa_force_leading(INTERIOR, BoundaryPair.DD)
     ref = -math.pi ** 3 * math.sqrt(2.0) / (768.0 * math.sqrt(2.0)) * 0.1 ** -3.5
-    assert res.method is PfaMethod.LEADING_CLOSED_FORM
-    assert abs(res.force_per_length - ref) <= 1e-13 * abs(ref)
-    assert abs(res.force_per_length + 127.67) < 0.01
+    assert type(res) is float
+    assert abs(res - ref) <= 1e-13 * abs(ref)
+    assert abs(res + 127.67) < 0.01
 
 
 def test_leading_closed_form_exterior():
     pair = CylinderPair(kind=Kind.EXTERIOR, a=1.0, b=1.0, d=0.1)
     res = pfa_force_leading(pair, BoundaryPair.DD)
     ref = -math.pi ** 3 / (768.0 * 2.0) * 0.1 ** -3.5
-    assert abs(res.force_per_length - ref) <= 1e-13 * abs(ref)
-    assert abs(res.force_per_length + 63.83) < 0.01
+    assert abs(res - ref) <= 1e-13 * abs(ref)
+    assert abs(res + 63.83) < 0.01
 
 
 def test_leading_dn_repulsive():
     res = pfa_force_leading(INTERIOR, BoundaryPair.DN)
-    assert res.force_per_length > 0.0
-    assert abs(res.force_per_length - 111.71) < 0.01
+    assert res > 0.0
+    assert abs(res - 111.71) < 0.01
 
 
 def test_integral_matches_oracle_interior():
     res = pfa_force_integral(INTERIOR, BoundaryPair.DD)
     ref = _INTEGRAL_REF["interior"]
-    assert res.method is PfaMethod.INTEGRAL
-    assert abs(res.force_per_length - ref) <= 1e-10 * abs(ref)
+    assert type(res) is float
+    assert abs(res - ref) <= 1e-10 * abs(ref)
 
 
 def test_integral_matches_oracle_exterior():
     res = pfa_force_integral(EXTERIOR, BoundaryPair.DD)
     ref = _INTEGRAL_REF["exterior"]
-    assert abs(res.force_per_length - ref) <= 1e-10 * abs(ref)
+    assert abs(res - ref) <= 1e-10 * abs(ref)
 
 
 @pytest.mark.parametrize("kind", [Kind.INTERIOR, Kind.EXTERIOR])
 def test_integral_small_gap_accuracy(kind):
     pair = CylinderPair(kind=kind, a=1.0, b=2.0, d=0.01)
-    got = pfa_force_integral(pair, BoundaryPair.DD).force_per_length
+    got = pfa_force_integral(pair, BoundaryPair.DD)
     ref = _SMALL_GAP_REF[kind.value]
     assert abs(got - ref) <= 2e-15 * abs(ref)
 
 
 @pytest.mark.parametrize("pair", [INTERIOR, EXTERIOR])
 def test_boundary_pair_factors_exact(pair):
-    dd = pfa_force_integral(pair, BoundaryPair.DD).force_per_length
-    nn = pfa_force_integral(pair, BoundaryPair.NN).force_per_length
-    dn = pfa_force_integral(pair, BoundaryPair.DN).force_per_length
-    nd = pfa_force_integral(pair, BoundaryPair.ND).force_per_length
-    pcpc = pfa_force_integral(pair, BoundaryPair.PCPC).force_per_length
-    pcip = pfa_force_integral(pair, BoundaryPair.PCIP).force_per_length
+    dd = pfa_force_integral(pair, BoundaryPair.DD)
+    nn = pfa_force_integral(pair, BoundaryPair.NN)
+    dn = pfa_force_integral(pair, BoundaryPair.DN)
+    nd = pfa_force_integral(pair, BoundaryPair.ND)
+    pcpc = pfa_force_integral(pair, BoundaryPair.PCPC)
+    pcip = pfa_force_integral(pair, BoundaryPair.PCIP)
     assert nn == dd
     assert dn == -7.0 / 8.0 * dd
     assert nd == dn
-    assert pcpc == 2.0 * dd
-    assert pcip == 2.0 * dn
+    assert pcpc == dd + nn
+    assert pcip == dn + nd
     assert dd < 0.0 and dn > 0.0 and pcpc < 0.0 and pcip > 0.0
 
 
 def test_leading_factors_exact():
-    dd = pfa_force_leading(INTERIOR, BoundaryPair.DD).force_per_length
-    assert pfa_force_leading(INTERIOR, BoundaryPair.NN).force_per_length == dd
-    assert pfa_force_leading(INTERIOR, BoundaryPair.DN).force_per_length \
-        == -7.0 / 8.0 * dd
-    assert pfa_force_leading(INTERIOR, BoundaryPair.PCPC).force_per_length \
-        == 2.0 * dd
+    dd = pfa_force_leading(INTERIOR, BoundaryPair.DD)
+    nn = pfa_force_leading(INTERIOR, BoundaryPair.NN)
+    dn = pfa_force_leading(INTERIOR, BoundaryPair.DN)
+    nd = pfa_force_leading(INTERIOR, BoundaryPair.ND)
+    assert nn == dd
+    assert dn == -7.0 / 8.0 * dd
+    assert nd == dn
+    assert pfa_force_leading(INTERIOR, BoundaryPair.PCPC) == dd + nn
+    assert pfa_force_leading(INTERIOR, BoundaryPair.PCIP) == dn + nd
 
 
 def test_integral_approaches_leading():
-    res = pfa_force_integral(
-        CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.001),
-        BoundaryPair.DD).force_per_length
-    lead = pfa_force_leading(
-        CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.001),
-        BoundaryPair.DD).force_per_length
+    pair = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.001)
+    res = pfa_force_integral(pair, BoundaryPair.DD)
+    lead = pfa_force_leading(pair, BoundaryPair.DD)
     assert abs(res / lead - 1.0) < 0.01
 
 
@@ -121,8 +120,8 @@ def test_integral_approaches_leading():
 def test_residual_shrinks_linearly(kind, b):
     def residual(d):
         p = CylinderPair(kind=kind, a=1.0, b=b, d=d)
-        num = pfa_force_integral(p, BoundaryPair.DD).force_per_length
-        den = pfa_force_leading(p, BoundaryPair.DD).force_per_length
+        num = pfa_force_integral(p, BoundaryPair.DD)
+        den = pfa_force_leading(p, BoundaryPair.DD)
         return abs(num / den - 1.0)
 
     r1 = residual(0.01)
@@ -134,10 +133,8 @@ def test_exterior_swap_invariance():
     fwd = CylinderPair(kind=Kind.EXTERIOR, a=1.0, b=1.5, d=0.3)
     rev = CylinderPair(kind=Kind.EXTERIOR, a=1.5, b=1.0, d=0.3)
     for bc in BoundaryPair:
-        assert pfa_force_integral(fwd, bc).force_per_length \
-            == pfa_force_integral(rev, bc).force_per_length
-        assert pfa_force_leading(fwd, bc).force_per_length \
-            == pfa_force_leading(rev, bc).force_per_length
+        assert pfa_force_integral(fwd, bc) == pfa_force_integral(rev, bc)
+        assert pfa_force_leading(fwd, bc) == pfa_force_leading(rev, bc)
 
 
 # d^3.5 is 0 below ~1e-93 and subnormal at 1e-90, where the quotient

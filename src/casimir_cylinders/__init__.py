@@ -25,13 +25,7 @@ from .errors import (
     NonPositiveDeterminant,
     PSumNoConvergence,
 )
-from .geometry import (
-    BoundaryPair,
-    CylinderPair,
-    DerivedParams,
-    Kind,
-    derive_params,
-)
+from .geometry import BoundaryPair, CylinderPair, Kind
 from .pfa import pfa_force_integral, pfa_force_leading
 from .quadrature import gauss_hermite, integrate_finite
 from .scattering import (
@@ -49,7 +43,6 @@ __all__ = [
     "BoundaryPair",
     "CasimirCylError",
     "CylinderPair",
-    "DerivedParams",
     "DomainError",
     "ENERGY_BRACKETS",
     "EnergyResult",
@@ -67,7 +60,6 @@ __all__ = [
     "casimir_force_exact",
     "classify_pfa_bias",
     "cylinder_plate_limit",
-    "derive_params",
     "energy_expansion",
     "force_expansion",
     "gauss_hermite",

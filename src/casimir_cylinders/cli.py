@@ -396,7 +396,7 @@ GATES = (
     Gate("oracle", "zeta sums", _zeta_sums, 1e-12, 1.0),
     Gate("oracle", "q-integration closures", _q_closures, 1e-11, 5.0),
     Gate("oracle", "reflection coefficients s<= {s_top}", _b_s_grid, 1e-8,
-         60.0),
+         5.0),
     Gate("oracle", "partition identities", _partitions, 1e-12, None),
     Gate("oracle", "endpoint substitution", _endpoints, 1e-8, None),
     Gate("oracle", "NTLO brackets dual route", _ntlo_brackets, 1e-6, 30.0,

@@ -1,4 +1,4 @@
-"""Cylinder pair geometry and the derived small-separation parameters.
+"""Cylinder pair geometry and the boundary letters of each pair.
 
 Two infinite parallel cylinders of radii ``a`` and ``b`` at surface-to-surface
 separation ``d``.  In the interior configuration cylinder a sits inside
@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidGeometry
+from .errors import DomainError, InvalidGeometry
 
 
 class Kind(enum.Enum):
@@ -51,6 +51,18 @@ def scalar_parts(bc: BoundaryPair) -> tuple[BoundaryPair, ...]:
     return COMPOSITE_PAIRS.get(bc, (bc,))
 
 
+def neumann(bc: BoundaryPair) -> tuple[bool, bool]:
+    """Whether the letter on cylinder a, and on cylinder b, is Neumann.
+
+    Every constant of a scalar pair is read off these two letters; a
+    composite pair has no letters of its own and raises DomainError.
+    """
+    if bc not in SCALAR_PAIRS:
+        raise DomainError(
+            f"{bc} is a composite pairing; compose it from scalar results")
+    return bc.value[0] == "N", bc.value[1] == "N"
+
+
 @dataclass(frozen=True)
 class CylinderPair:
     """Geometry of the pair; every result in the package is reported per
@@ -70,25 +82,9 @@ class CylinderPair:
             raise InvalidGeometry(
                 f"interior pair needs a + d < b, got a={self.a}, d={self.d}, b={self.b}")
 
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Center distance and the dimensionless expansion parameters.
-
-    alpha = a/(b-a) and beta = alpha + 1 = b/(b-a) only make sense for the
-    interior configuration and are None otherwise.  eps = d/(b-a) interior,
-    d/(a+b) exterior; the short-distance expansions are series in eps.
-    """
-
-    delta: float
-    alpha: float | None
-    beta: float | None
-    eps: float
-
-
-def derive_params(pair: CylinderPair) -> DerivedParams:
-    a, b, d = pair.a, pair.b, pair.d
-    if pair.kind == Kind.INTERIOR:
-        gap = b - a
-        return DerivedParams(delta=gap - d, alpha=a / gap, beta=b / gap, eps=d / gap)
-    return DerivedParams(delta=a + b + d, alpha=None, beta=None, eps=d / (a + b))
+    @property
+    def delta(self) -> float:
+        """Center-to-center distance: b - a - d interior, a + b + d exterior."""
+        if self.kind is Kind.INTERIOR:
+            return self.b - self.a - self.d
+        return self.a + self.b + self.d

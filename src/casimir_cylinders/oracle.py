@@ -9,24 +9,31 @@ check one against the other.  It validates the derivation; the scattering
 module remains the production path for energies.
 
 Conventions.  A perturbation point fixes (s, m, tau, eps, alpha) with
-beta = alpha + 1.  The chain variables satisfy n_0 = n_{s+1} = 0.  For NN
-and ND boundary pairs the reflection polynomials are evaluated with n_i
-and n_{i+1} interchanged; DN shares the DD forms and differs only through
-the tau*(tau^2-1) offsets collected in f_frak.
+beta = alpha + 1.  The chain variables satisfy n_0 = n_{s+1} = 0.  A
+scalar pair acts only through its two boundary letters
+(`geometry.neumann`):
+
+- where cylinder a is Neumann (NN, ND) the reflection polynomials are
+  evaluated with n_i and n_{i+1} interchanged;
+- the offset tau*(tau^2-1)/m enters f_frak, B^s and the NTLO bracket with
+  weight kappa = [a is N] - [b is N]*alpha/beta: DD 0, NN 1/beta,
+  DN -alpha/beta, ND 1;
+- a mixed pair (letters differ) reflects with alternating signs.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .geometry import (SCALAR_PAIRS, BoundaryPair, CylinderPair, Kind,
-                       derive_params)
+from .geometry import BoundaryPair, CylinderPair, Kind, neumann
 from .quadrature import _hermgauss, gauss_hermite
 
-_SWAP_PAIRS = (BoundaryPair.NN, BoundaryPair.ND)
 _GH_NODES = 12  # polynomial-exact through degree 23
+_S_MAX = 3      # top order of the 12^s chain tensor rule
 
 
 @dataclass(frozen=True)
@@ -102,26 +109,24 @@ def _d_poly_dd(pt, n, n2, q):
                 - n ** 2 + 2 * n * n2 + 3 * n2 ** 2))
 
 
+def _kappa(bc: BoundaryPair, al: float, be: float) -> float:
+    """Weight of the letters' offset tau*(tau^2-1)/m, [a is N] - [b is N]
+    * alpha/beta; one quotient over beta keeps DD, DN and ND exact."""
+    a_n, b_n = neumann(bc)
+    return (a_n * be - b_n * al) / be
+
+
 def f_frak(bc: BoundaryPair, pt: PerturbationPoint):
-    """The n-independent order-eps piece; the only place letters DN/ND act
-    beyond an n-swap."""
+    """The n-independent order-eps piece.  Beyond the n-swap, the letters
+    act only here, through the offset weight kappa."""
     al, be, m, tau = pt.alpha, pt.beta, pt.m, pt.tau
-    base = -(1.0 + al + al ** 2) * tau * (5.0 * tau ** 2 - 3.0) / (12.0 * m * be)
-    if bc is BoundaryPair.DD:
-        return base
-    if bc is BoundaryPair.NN:
-        return base + tau * (tau ** 2 - 1.0) / (m * be)
-    if bc is BoundaryPair.DN:
-        return base - al * tau * (tau ** 2 - 1.0) / (be * m)
-    if bc is BoundaryPair.ND:
-        return base + tau * (tau ** 2 - 1.0) / m
-    raise DomainError("scalar boundary pair required")
+    return (-(1.0 + al + al ** 2) * tau * (5.0 * tau ** 2 - 3.0) / (12.0 * m * be)
+            + _kappa(bc, al, be) * tau * (tau ** 2 - 1.0) / m)
 
 
 def _swap_args(bc, n_i, n_ip1):
-    if bc in _SWAP_PAIRS:
-        return n_ip1, n_i
-    return n_i, n_ip1
+    """(n_i, n_{i+1}), interchanged where cylinder a is Neumann."""
+    return (n_ip1, n_i) if neumann(bc)[0] else (n_i, n_ip1)
 
 
 def g_frak(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1, q_i):
@@ -156,44 +161,31 @@ def g_hat_closed(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
 
 
 def k_frak_closed(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
+    """The n-dependent part of the closed order-eps q-average, as its 15
+    monomials in eps, D = n - n' and S = n + n' (after the n-swap)."""
     n, n2 = _swap_args(bc, n_i, n_ip1)
     al, be, m, tau, eps = pt.alpha, pt.beta, pt.m, pt.tau, pt.eps
+    t2 = tau * tau
+    d = n - n2
+    s = n + n2
+    d2, s2 = d * d, s * s
     return (
-        -(al ** 2 + 3 * al + 3) * (3.0 * tau ** 2 - 1.0) * tau / (16.0 * m * be)
-        - tau ** 2 * (3.0 * tau ** 2 - 1.0) / (16.0 * m ** 2)
-        * ((al ** 2 + al) * (n - n2) ** 2 + (n + n2) ** 2)
-        - tau ** 3 * (3.0 * tau ** 2 - 1.0) * be / (192.0 * m ** 3)
-        * (n - n2) ** 2 * ((al ** 2 - al) * (n - n2) ** 2
-                           + 7 * n ** 2 + 10 * n * n2 + 7 * n2 ** 2)
-        - eps * be * (1.0 - tau ** 2) / (2.0 * al)
-        - eps * tau * (1.0 - tau ** 2) / (4.0 * al * m)
-        * (al ** 2 * (n - n2) ** 2 + (n + n2) ** 2)
-        + eps * (1.0 - tau ** 2)
-        + be * tau * (3.0 * tau ** 2 - 1.0) / (4.0 * m)
-        - tau ** 2 / (8.0 * m ** 2) * (-2.0 * al ** 2 * tau ** 2 * (n - n2) ** 2
-                                       + 2.0 * tau ** 2 * (n ** 2 - 2 * n * n2
-                                                           - 5 * n2 ** 2)
-                                       + al ** 2 * (n - n2) ** 2
-                                       - n ** 2 + 2 * n * n2 + 3 * n2 ** 2)
-        + 5.0 * (al + 2) ** 2 * tau ** 3 / (48.0 * m * be)
-        + al * (al + 2) * tau ** 4 / (16.0 * m ** 2) * (n - n2) ** 2
-        - eps * (al + 2) * tau ** 2 / (2.0 * al)
-        + 3.0 * tau ** 4 * (n + n2) ** 2 / (32.0 * m ** 2)
-        + be * tau ** 5 * (n ** 2 - n2 ** 2) ** 2 / (32.0 * m ** 3)
-        - eps * tau ** 3 * (n + n2) ** 2 / (4.0 * m * al)
-        + al ** 2 * be * tau ** 5 / (64.0 * m ** 3) * (n - n2) ** 4
-        - eps * be * tau ** 3 / (4.0 * m) * (n - n2) ** 2
-        + be ** 2 * tau ** 6 * (n + n2) ** 2 * (n - n2) ** 4 / (128.0 * m ** 4)
-        - eps * be * tau ** 4 * (n ** 2 - n2 ** 2) ** 2 / (8.0 * m ** 2 * al)
-        + eps ** 2 * tau * m * be / al ** 2
-        + eps ** 2 * tau ** 2 * (n + n2) ** 2 / (2.0 * al ** 2)
-        - (al + 2) * tau ** 3 / (4.0 * m)
-        - al * be * tau ** 4 / (8.0 * m ** 2) * (n - n2) ** 2
-        + eps * be * tau ** 2 / al
-        - tau ** 4 * n2 * (n + n2) / (4.0 * m ** 2)
-        - be * tau ** 5 * n2 * (n + n2) * (n - n2) ** 2 / (8.0 * m ** 3)
-        + eps * tau ** 3 * n2 * (n + n2) / (m * al)
-        - eps ** 2 * m * tau / al
+        tau * ((20.0 * t2 - 9.0) * al ** 2 + (29.0 * t2 - 15.0) * al
+               + 5.0 * t2 - 3.0) / (48.0 * m * be)
+        + t2 * (5.0 * t2 - 2.0) / (32.0 * m ** 2) * s2
+        - t2 * (5.0 * t2 - 2.0) / (8.0 * m ** 2) * d * s
+        - t2 * (al ** 2 - al + (3.0 * al - 2.0) * t2) / (16.0 * m ** 2) * d2
+        + be * tau ** 5 / (16.0 * m ** 3) * d2 * d * s
+        - be * tau ** 3 * (4.0 * t2 - 1.0) / (32.0 * m ** 3) * d2 * s2
+        + be * tau ** 3 * (al ** 2 - al + 1.0 + 3.0 * (al - 1.0) * t2)
+        / (192.0 * m ** 3) * d2 * d2
+        + be ** 2 * tau ** 6 / (128.0 * m ** 4) * d2 * d2 * s2
+        + eps * ((al + t2 - 1.0) / (2.0 * al)
+                 + tau * (2.0 * t2 - 1.0) / (4.0 * al * m) * s2
+                 - tau ** 3 / (2.0 * al * m) * d * s
+                 - tau * (al + t2) / (4.0 * m) * d2
+                 - be * tau ** 4 / (8.0 * al * m ** 2) * d2 * s2)
+        + eps ** 2 * (m * tau / al ** 2 + t2 / (2.0 * al ** 2) * s2)
     )
 
 
@@ -206,18 +198,21 @@ def q_integral_rate(pt: PerturbationPoint) -> float:
     return pt.alpha ** 2 * pt.tau / (pt.m * pt.beta)
 
 
+def _gauss_mean(f, lam: float) -> float:
+    """Mean of f over the normalized Gaussian weight exp(-lam x^2)."""
+    return math.sqrt(lam / math.pi) * gauss_hermite(f, lam, _GH_NODES)
+
+
 def g_hat_numeric(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1) -> float:
     """Normalized Gauss-Hermite q-average of g_frak."""
-    lam = q_integral_rate(pt)
-    raw = gauss_hermite(lambda q: g_frak(bc, pt, n_i, n_ip1, q), lam, _GH_NODES)
-    return math.sqrt(lam / math.pi) * raw
+    return _gauss_mean(lambda q: g_frak(bc, pt, n_i, n_ip1, q),
+                       q_integral_rate(pt))
 
 
 def h_hat_numeric(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1) -> float:
     """Normalized Gauss-Hermite q-average of h_frak."""
-    lam = q_integral_rate(pt)
-    raw = gauss_hermite(lambda q: h_frak(bc, pt, n_i, n_ip1, q), lam, _GH_NODES)
-    return math.sqrt(lam / math.pi) * raw
+    return _gauss_mean(lambda q: h_frak(bc, pt, n_i, n_ip1, q),
+                       q_integral_rate(pt))
 
 
 # ---------------------------------------------------------------------------
@@ -263,71 +258,62 @@ def b_s_closed(bc: BoundaryPair, pt: PerturbationPoint) -> float:
                                         + (-2.0 * k ** 2 + 3.0 * al ** 2 - 1.0))
              + tau * ((-7.0 * k ** 2 + 3.0 * al + 2.0) * tau ** 2
                       + 4.0 * k ** 2 + al ** 2 - al - 1.0) / (16.0 * be * m * k))
-    if bc is BoundaryPair.NN:
-        value += k * tau * (tau ** 2 - 1.0) / (m * be)
-    elif bc is BoundaryPair.ND:
-        value += k * tau * (tau ** 2 - 1.0) / m
-    elif bc is BoundaryPair.DN:
-        value -= al * k * tau * (tau ** 2 - 1.0) / (be * m)
-    elif bc is not BoundaryPair.DD:
-        raise DomainError("scalar boundary pair required")
-    return value
+    return value + _kappa(bc, al, be) * k * tau * (tau ** 2 - 1.0) / m
 
 
-def _chain_nodes(pt: PerturbationPoint):
-    """Gauss-Hermite tensor nodes mapped onto the coupled n-chain.
+@lru_cache(maxsize=_S_MAX + 1)
+def _chain_rule(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 12^s-node Gauss-Hermite tensor rule of the n-chain at c = 1.
 
-    Whitens the tridiagonal quadratic form c * n^T A n (A = tridiag(-1,2,-1))
-    by n = L^{-T} y / sqrt(c), turning the weight into exp(-|y|^2).
-    Returns (n_full, weights) with n_full of shape (s+2, nodes^s) including
-    the clamped n_0 = n_{s+1} = 0 rows.
+    Whitens the tridiagonal quadratic form n^T A n (A = tridiag(-1,2,-1))
+    by n = L^{-T} y, turning the weight into exp(-|y|^2).  Returns
+    (n_full, weights), read-only: n_full of shape (s+2, 12^s) with the
+    clamped n_0 = n_{s+1} = 0 rows, weights normalized to sum to 1.
     """
-    s = pt.s
-    c = pt.beta * pt.tau / (4.0 * pt.m)
     x, w = _hermgauss(_GH_NODES)
-    mesh = np.meshgrid(*([x] * s), indexing="ij")
-    y = np.stack([g.ravel() for g in mesh])
-    wmesh = np.meshgrid(*([w] * s), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wmesh]), axis=0)
+    index = np.indices((_GH_NODES,) * s).reshape(s, _GH_NODES ** s)
     a_mat = 2.0 * np.eye(s) - np.eye(s, k=1) - np.eye(s, k=-1)
-    chol = np.linalg.cholesky(a_mat)
-    n_inner = np.linalg.solve(chol.T, y) / math.sqrt(c)
+    n_inner = np.linalg.solve(np.linalg.cholesky(a_mat).T, x[index])
     zeros = np.zeros((1, n_inner.shape[1]))
-    return np.vstack([zeros, n_inner, zeros]), weights
+    n_full = np.vstack([zeros, n_inner, zeros])
+    weights = np.prod(w[index], axis=0) * math.pi ** (-s / 2.0)
+    n_full.setflags(write=False)
+    weights.setflags(write=False)
+    return n_full, weights
+
+
+def _chain_mean(pt: PerturbationPoint, links) -> float:
+    """Mean of links(n_full) over the normalized chain weight
+    exp(-c sum_i (n_i - n_{i+1})^2), c = beta tau/(4m).
+
+    links maps the (s+2, nodes) chain rows, n_0 = n_{s+1} = 0 included, to
+    one value per node; the rule is exact for polynomial links of degree
+    up to 23 in each whitened variable.
+    """
+    if pt.s > _S_MAX:
+        raise DomainError(
+            f"nested n-integration supported for s in 0..{_S_MAX}")
+    n_full, weights = _chain_rule(pt.s)
+    c = pt.beta * pt.tau / (4.0 * pt.m)
+    return float(weights @ links(n_full / math.sqrt(c)))
 
 
 def b_s_numeric(bc: BoundaryPair, pt: PerturbationPoint) -> float:
     """Nested Gauss-Hermite evaluation of B^s straight from the closed
     q-averages, bypassing the analytic n-integration it validates."""
-    s = pt.s
-    if s not in (0, 1, 2, 3):
-        raise DomainError("nested n-integration supported for s in {0,1,2,3}")
-    if s == 0:
-        return float(h_hat_closed(bc, pt, 0.0, 0.0))
-    n_full, weights = _chain_nodes(pt)
-    total = np.zeros(n_full.shape[1])
-    for i in range(s + 1):
-        total += h_hat_closed(bc, pt, n_full[i], n_full[i + 1])
-    g_rows = [g_hat_closed(bc, pt, n_full[i], n_full[i + 1])
-              for i in range(s + 1)]
-    for i in range(s + 1):
-        for j in range(i + 1, s + 1):
-            total += g_rows[i] * g_rows[j]
-    return float(weights @ total) * math.pi ** (-s / 2.0)
+    def links(n):
+        h = [h_hat_closed(bc, pt, n[i], n[i + 1]) for i in range(pt.s + 1)]
+        g = [g_hat_closed(bc, pt, n[i], n[i + 1]) for i in range(pt.s + 1)]
+        return sum((gi * gj for gi, gj in itertools.combinations(g, 2)),
+                   sum(h))
+    return _chain_mean(pt, links)
 
 
 def i_term_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int) -> float:
     """Single chain-average <Hhat_i>, uniform in i (endpoints included)."""
-    s = pt.s
-    if not 0 <= i <= s:
+    if not 0 <= i <= pt.s:
         raise DomainError("term index must satisfy 0 <= i <= s")
-    if s == 0:
-        return float(h_hat_closed(bc, pt, 0.0, 0.0))
-    if s > 3:
-        raise DomainError("nested n-integration supported for s in {0,1,2,3}")
-    n_full, weights = _chain_nodes(pt)
-    vals = h_hat_closed(bc, pt, n_full[i], n_full[i + 1])
-    return float(weights @ vals) * math.pi ** (-s / 2.0)
+    return _chain_mean(pt, lambda n: h_hat_closed(bc, pt, n[i], n[i + 1]))
 
 
 def i_endpoint_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int) -> float:
@@ -349,7 +335,7 @@ def i_endpoint_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int) -> float
         f = lambda x: h_hat_closed(bc, pt, 0.0, x)
     else:
         f = lambda x: h_hat_closed(bc, pt, x, 0.0)
-    return math.sqrt(lam / math.pi) * gauss_hermite(f, lam, _GH_NODES)
+    return _gauss_mean(f, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +428,16 @@ def e1_from_b(pair: CylinderPair, bc: BoundaryPair) -> float:
     """
     if pair.kind is not Kind.INTERIOR:
         raise DomainError("the reflection expansion here is interior-only")
-    if bc not in SCALAR_PAIRS:
-        raise DomainError("scalar boundary pair required")
-    params = derive_params(pair)
-    al, be, epsv = params.alpha, params.beta, params.eps
-    chi = 0 if bc in (BoundaryPair.DD, BoundaryPair.NN) else 1
-    kappa = {BoundaryPair.DD: 0.0, BoundaryPair.NN: 1.0 / be,
-             BoundaryPair.DN: -al / be, BoundaryPair.ND: 1.0}[bc]
+    a_n, b_n = neumann(bc)
+    alternating = a_n != b_n
+    gap = pair.b - pair.a
+    al, be, epsv = pair.a / gap, pair.b / gap, pair.d / gap
 
     s_max = 200
     shells = _shell_terms(np.arange(1.0, s_max + 2.0), al, be, epsv,
-                          kappa).tolist()
-    signs = np.ones(s_max + 1) if chi == 0 \
-        else np.array([(-1.0) ** (s + 1) for s in range(s_max + 1)])
+                          _kappa(bc, al, be)).tolist()
+    signs = np.array([(-1.0) ** (s + 1) for s in range(s_max + 1)]) \
+        if alternating else np.ones(s_max + 1)
     partial = float(signs @ shells)
 
     a_fit, b_fit = _bracket_tail_pair(shells[s_max], shells[s_max - 1],
@@ -462,11 +445,11 @@ def e1_from_b(pair: CylinderPair, bc: BoundaryPair) -> float:
     a_alt, b_alt = _bracket_tail_pair(shells[s_max - 2], shells[s_max - 3],
                                       s_max - 1)
     k_next = s_max + 2
-    sign_lead = 1.0 if chi == 0 else (-1.0) ** k_next
-    tail = sign_lead * (a_fit * _power_tail(4.0, k_next, bool(chi))
-                        + b_fit * _power_tail(2.0, k_next, bool(chi)))
-    tail_alt = sign_lead * (a_alt * _power_tail(4.0, k_next, bool(chi))
-                            + b_alt * _power_tail(2.0, k_next, bool(chi)))
+    sign_lead = (-1.0) ** k_next if alternating else 1.0
+    tail = sign_lead * (a_fit * _power_tail(4.0, k_next, alternating)
+                        + b_fit * _power_tail(2.0, k_next, alternating))
+    tail_alt = sign_lead * (a_alt * _power_tail(4.0, k_next, alternating)
+                            + b_alt * _power_tail(2.0, k_next, alternating))
     e1_sum = partial + tail
     if abs(tail - tail_alt) > 1e-8 * abs(e1_sum):
         raise NoConvergence("reflection-sum tail estimate above 1e-8 of sum")
@@ -475,7 +458,7 @@ def e1_from_b(pair: CylinderPair, bc: BoundaryPair) -> float:
 
     zeta_partial = float(np.sum(signs * np.array(
         [(s + 1.0) ** -4 for s in range(s_max + 1)])))
-    zeta_chi = zeta_partial + sign_lead * _power_tail(4.0, k_next, bool(chi))
+    zeta_chi = zeta_partial + sign_lead * _power_tail(4.0, k_next, alternating)
     e0 = (-3.0 * al ** 2.5 * math.sqrt(be)
           / (64.0 * math.sqrt(2.0) * math.pi * pair.a ** 2 * epsv ** 2.5)
           * zeta_chi)

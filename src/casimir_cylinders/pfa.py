@@ -12,13 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import (
-    BoundaryPair,
-    CylinderPair,
-    Kind,
-    derive_params,
-    scalar_parts,
-)
+from .geometry import BoundaryPair, CylinderPair, Kind, neumann, scalar_parts
 from .errors import DomainError
 from .quadrature import integrate_finite
 
@@ -27,9 +21,9 @@ _REL_TOL = 1e-11        # of the surface integral's Gauss-Legendre ladder
 
 def _pair_factor(bc: BoundaryPair) -> float:
     """Multiplier relative to the DD force: the sum over bc's scalar parts,
-    where a Dirichlet/Neumann plate pair is repulsive and weaker by 7/8."""
-    return sum(-7.0 / 8.0 if part in (BoundaryPair.DN, BoundaryPair.ND)
-               else 1.0 for part in scalar_parts(bc))
+    where a mixed pair (letters differ) is repulsive and weaker by 7/8."""
+    return sum(-7.0 / 8.0 if a_n != b_n else 1.0
+               for a_n, b_n in map(neumann, scalar_parts(bc)))
 
 
 def _leading_amplitude(pair: CylinderPair) -> float:
@@ -65,7 +59,7 @@ def pfa_force_integral(pair: CylinderPair, bc: BoundaryPair) -> float:
     cancelling term.
     """
     _leading_amplitude(pair)    # DomainError where d^-3.5 is not a double
-    delta = derive_params(pair).delta
+    delta = pair.delta
     if pair.kind is Kind.INTERIOR:
         surf_r, other_r = pair.b, pair.a
     else:

@@ -112,8 +112,7 @@ from .errors import (
     NonPositiveDeterminant,
     PSumNoConvergence,
 )
-from .geometry import (SCALAR_PAIRS, BoundaryPair, CylinderPair, Kind,
-                       derive_params)
+from .geometry import BoundaryPair, CylinderPair, Kind, neumann
 
 _BASE_NODES = 24        # steps of the level-0 xi rule: h = 1/4, 25 nodes
 _XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
@@ -164,12 +163,6 @@ class EnergyResult:
     converged: bool
 
 
-def _check_scalar_bc(bc: BoundaryPair) -> None:
-    if bc not in SCALAR_PAIRS:
-        raise DomainError(
-            f"{bc} is a composite pairing; compose it from scalar results")
-
-
 class _XiTables:
     """Log-scale Bessel tables for a set of imaginary frequencies.
 
@@ -183,19 +176,15 @@ class _XiTables:
     """
 
     def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi):
-        params = derive_params(pair)
         xi = np.asarray(xi, dtype=float)
         self.interior = pair.kind is Kind.INTERIOR
         self.za = pair.a * xi
         self.zb = pair.b * xi
-        self.zd = params.delta * xi
+        self.zd = pair.delta * xi
         self.xi = xi
         self.log_xi = np.log(xi)
-        inner, outer = bc.name[0], bc.name[1]
-        self._inner_prime = inner == "N"
-        self._outer_prime = outer == "N"
-        self.sign = (-1.0 if self._inner_prime else 1.0) * \
-                    (-1.0 if self._outer_prime else 1.0)
+        self._inner_prime, self._outer_prime = neumann(bc)
+        self.sign = -1.0 if self._inner_prime != self._outer_prime else 1.0
         self._num = None
         self._den = None
         self._ratio = None
@@ -271,7 +260,7 @@ def _pass_tables(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
 def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
                    tol: float) -> np.ndarray:
     """The nodes xi as a 1-D float array, once the arguments are checked."""
-    _check_scalar_bc(bc)
+    neumann(bc)     # DomainError for a composite pair
     xi = np.asarray(xi, dtype=float)
     if half_width < 0:
         raise DomainError("half_width must be >= 0")
@@ -733,7 +722,7 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     plus the tail bound of its rows, and xi_nodes counts its nodes.  rel_tol
     must be finite and at least 1e-10.
     """
-    _check_scalar_bc(bc)
+    neumann(bc)     # DomainError for a composite pair
     if not (math.isfinite(rel_tol) and rel_tol >= 1e-10):
         raise DomainError(f"rel_tol must be finite and >= 1e-10, got {rel_tol}")
     tol_elem = max(1e-13, 1e-3 * rel_tol)

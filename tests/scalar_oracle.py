@@ -7,7 +7,7 @@ parity blocks element by element against an independent summation.  What
 it shares with that route is its inputs, not its sum: the log-Bessel tables
 (`_XiTables`), the default p cap (`_default_p_cap`), the p-peak guess it
 starts the walk from (`_p_center`) and the scalar-pair check
-(`_check_scalar_bc`).
+(`geometry.neumann`).
 """
 from __future__ import annotations
 
@@ -16,13 +16,8 @@ import math
 import numpy as np
 
 from casimir_cylinders.errors import DomainError, PSumNoConvergence
-from casimir_cylinders.geometry import BoundaryPair, CylinderPair, Kind
-from casimir_cylinders.scattering import (
-    _XiTables,
-    _check_scalar_bc,
-    _default_p_cap,
-    _p_center,
-)
+from casimir_cylinders.geometry import BoundaryPair, CylinderPair, Kind, neumann
+from casimir_cylinders.scattering import _XiTables, _default_p_cap, _p_center
 
 _SMALL_RUN = 10            # consecutive negligible p-terms that end the sum
 
@@ -36,7 +31,7 @@ def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
     than tol of the running total; all terms share one sign, so the total
     grows monotonically and the stopping test is safe.
     """
-    _check_scalar_bc(bc)
+    neumann(bc)     # DomainError for a composite pair
     if not xi > 0:
         raise DomainError("xi must be positive")
     if not tol > 0:

@@ -1,42 +1,32 @@
 import math
 
+import numpy as np
 import pytest
 
 from casimir_cylinders import (
     BoundaryPair,
     CylinderPair,
+    DomainError,
     InvalidGeometry,
     Kind,
-    derive_params,
 )
 from casimir_cylinders.geometry import (
     COMPOSITE_PAIRS,
     SCALAR_PAIRS,
+    neumann,
     scalar_parts,
 )
+from casimir_cylinders.oracle import _kappa, _swap_args
+from casimir_cylinders.pfa import _pair_factor
+from casimir_cylinders.scattering import _XiTables
+
+DD, NN, DN, ND = SCALAR_PAIRS
 
 
-def test_interior_derived_params():
-    pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
-    p = derive_params(pair)
-    assert math.isclose(p.delta, 0.9, rel_tol=0, abs_tol=1e-15)
-    assert p.alpha == 1.0
-    assert p.beta == 2.0
-    assert math.isclose(p.eps, 0.1, rel_tol=1e-15)
-
-
-def test_exterior_derived_params():
-    pair = CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.1)
-    p = derive_params(pair)
-    assert p.delta == 3.1
-    assert p.alpha is None
-    assert p.beta is None
-    assert math.isclose(p.eps, 0.1 / 3.0, rel_tol=1e-15)
-
-
-def test_interior_beta_is_alpha_plus_one_exactly():
-    p = derive_params(CylinderPair(Kind.INTERIOR, 0.7, 2.9, 0.3))
-    assert p.beta == p.alpha + 1.0
+def test_center_distance():
+    assert math.isclose(CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1).delta,
+                        0.9, rel_tol=0, abs_tol=1e-15)
+    assert CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.1).delta == 3.1
 
 
 @pytest.mark.parametrize("bad", [
@@ -63,7 +53,7 @@ def test_interior_needs_room_for_the_gap():
 def test_exterior_allows_any_radii_order():
     small_in_front = CylinderPair(Kind.EXTERIOR, 0.1, 5.0, 0.2)
     big_in_front = CylinderPair(Kind.EXTERIOR, 5.0, 0.1, 0.2)
-    assert derive_params(small_in_front).delta == derive_params(big_in_front).delta
+    assert small_in_front.delta == big_in_front.delta
 
 
 def test_boundary_pair_split():
@@ -78,3 +68,30 @@ def test_boundary_pair_split():
         assert scalar_parts(bc) == (bc,)
     for bc, parts in COMPOSITE_PAIRS.items():
         assert scalar_parts(bc) == parts
+
+
+def test_neumann_letters():
+    assert [neumann(bc) for bc in SCALAR_PAIRS] == [
+        (False, False), (True, True), (False, True), (True, False)]
+    for bc in COMPOSITE_PAIRS:
+        with pytest.raises(DomainError):
+            neumann(bc)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.7, 1.0, 2.3, 41.5])
+def test_letter_rule_reproduces_the_pair_tables(alpha):
+    # each table as it was written out pair by pair before the letters
+    # carried it
+    beta = alpha + 1.0
+    kappa = {DD: 0.0, NN: 1.0 / beta, DN: -alpha / beta, ND: 1.0}
+    for bc, want in kappa.items():
+        assert math.isclose(_kappa(bc, alpha, beta), want, rel_tol=1e-14)
+    swapped = {bc for bc in SCALAR_PAIRS if _swap_args(bc, 1, 2) == (2, 1)}
+    assert swapped == {NN, ND}
+    mixed = {bc for bc in SCALAR_PAIRS if len(set(neumann(bc))) == 2}
+    assert mixed == {DN, ND}
+    pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
+    for bc, sign, factor in ((DD, 1.0, 1.0), (NN, 1.0, 1.0),
+                             (DN, -1.0, -0.875), (ND, -1.0, -0.875)):
+        assert _XiTables(pair, bc, np.array([1.0])).sign == sign
+        assert _pair_factor(bc) == factor

@@ -28,7 +28,7 @@ from casimir_cylinders.oracle import (
     q_integral_rate,
 )
 from casimir_cylinders import oracle
-from casimir_cylinders.oracle import _chain_nodes, _power_tail
+from casimir_cylinders.oracle import _chain_mean, _chain_rule, _power_tail
 
 
 def pt(**kw):
@@ -93,6 +93,18 @@ def test_nn_forms_are_swapped_dd_forms():
             == g_hat_closed(BoundaryPair.DD, p, n2, n)
         assert k_frak_closed(BoundaryPair.ND, p, n, n2) \
             == k_frak_closed(BoundaryPair.DD, p, n2, n)
+
+
+@pytest.mark.parametrize("bc,kw,n,n2,want", [
+    # values of the earlier term-by-term form (27 products in n and n2)
+    (BoundaryPair.DD, dict(s=1, m=1.3, tau=0.6, eps=0.07, alpha=0.8),
+     1.7, -0.4, -0.026136742080571988),
+    (BoundaryPair.NN, dict(s=2, m=0.45, tau=0.85, eps=0.21, alpha=2.6),
+     -2.2, 0.9, 161.8770178678073),
+])
+def test_k_frak_closed_pinned(bc, kw, n, n2, want):
+    got = k_frak_closed(bc, PerturbationPoint(**kw), n, n2)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 # -- q-integration theorem --------------------------------------------------
@@ -248,15 +260,28 @@ def test_b_s_numeric_rejects_large_s():
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_sqrt_eps_order_integrates_to_zero(s):
     p = PerturbationPoint(s=s, m=1.0, tau=0.8, eps=0.05, alpha=1.0)
-    n_full, weights = _chain_nodes(p)
     total = 0.0
     scale = 0.0
     for bc in (BoundaryPair.DD, BoundaryPair.NN):
         for i in range(s + 1):
-            vals = g_hat_closed(bc, p, n_full[i], n_full[i + 1])
-            total += float(weights @ vals)
-            scale += float(weights @ np.abs(vals))
+            def link(n):
+                return g_hat_closed(bc, p, n[i], n[i + 1])
+            total += _chain_mean(p, link)
+            scale += _chain_mean(p, lambda n: np.abs(link(n)))
     assert abs(total) <= 1e-12 * (1.0 + scale)
+
+
+def test_chain_rule_per_order():
+    n_full, weights = _chain_rule(0)
+    assert n_full.tolist() == [[0.0], [0.0]]
+    assert weights.tolist() == [1.0]
+    for s in (1, 2, 3):
+        n_full, weights = _chain_rule(s)
+        assert n_full.shape == (s + 2, 12 ** s)
+        assert not n_full[[0, -1]].any()
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        assert not (n_full.flags.writeable or weights.flags.writeable)
+    assert _chain_rule(2) is _chain_rule(2)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

@@ -7,8 +7,6 @@ Units: hbar = c = 1; every result is per unit cylinder length.
 """
 
 from .asymptotics import (
-    ENERGY_BRACKETS,
-    FORCE_BRACKETS,
     ExpansionResult,
     PfaBias,
     classify_pfa_bias,
@@ -44,10 +42,8 @@ __all__ = [
     "CasimirCylError",
     "CylinderPair",
     "DomainError",
-    "ENERGY_BRACKETS",
     "EnergyResult",
     "ExpansionResult",
-    "FORCE_BRACKETS",
     "InvalidGeometry",
     "Kind",
     "NoConvergence",

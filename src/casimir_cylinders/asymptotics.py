@@ -2,23 +2,25 @@
 
 Energy and force behave as  amplitude * (1 + bracket * d)  for d -> 0,
 where the amplitude is the closed-form PFA leading term and the bracket
-collects the next-to-leading coefficient.  Brackets are stored as exact
-rational / rational-over-pi^2 pairs and evaluated only on request, so
-tests can check coefficient arithmetic without float round-off.  A
-composite pair is the sum of its scalar parts: its amplitude is theirs
-summed and, the parts' amplitudes being equal, its bracket their mean.
+collects the next-to-leading coefficient.  The bracket is read off the
+pair's two boundary letters from four exact constants, evaluated only on
+request, so tests can check coefficient arithmetic without float
+round-off.  A composite pair is the sum of its scalar parts: its
+amplitude is theirs summed and, the parts' amplitudes being equal, its
+bracket their mean.
 
-Bracket structure, interior sign convention (span = b - a):
+Letter rule (span = b - a, s1 = 1 interior; span = a + b, s1 = -1 exterior):
 
-    theta_1 = s1 * A / span + (B + C/pi^2) * span/(a*b) + s3 * R/pi^2 / r
+    theta_1 = s1 * A / span + K * span/(a*b) - R_a/a + s1 * R_b/b
 
-with r = b for DN, r = a for ND (the Neumann-carrying radius), R = 0 for
-DD/NN.  Exterior replaces span by a + b and flips s1 and the DN radius
-sign; the ND radius sign stays put.
+Every pair takes A = SPAN_INV and K = MIXED_RATIONAL; both letters N add
+MIXED_PI2/pi^2 to K; where the letters differ, the Neumann cylinder's R
+(R_a or R_b, the other being 0) is RADIUS_PI2/pi^2.  The force takes 3/5
+of every term; the cylinder-plate limit b -> infinity keeps K/a - R_a/a.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from .geometry import (
     BoundaryPair,
     CylinderPair,
     Kind,
+    neumann,
     scalar_parts,
 )
 from .pfa import _pair_factor, pfa_force_leading
@@ -54,33 +57,27 @@ class ExpansionResult:
     bracket: float
 
 
-@dataclass(frozen=True)
-class BracketCoeffs:
-    """Exact coefficients A, B, C, R of the bracket structure above."""
-
-    span_inv: Fraction
-    mixed_rational: Fraction
-    mixed_pi2: Fraction
-    radius_pi2: Fraction
-
-
-ENERGY_BRACKETS = {
-    BoundaryPair.DD: BracketCoeffs(Fraction(7, 12), Fraction(7, 36),
-                                   Fraction(0), Fraction(0)),
-    BoundaryPair.NN: BracketCoeffs(Fraction(7, 12), Fraction(7, 36),
-                                   Fraction(-40, 3), Fraction(0)),
-    BoundaryPair.DN: BracketCoeffs(Fraction(7, 12), Fraction(7, 36),
-                                   Fraction(0), Fraction(160, 21)),
-    BoundaryPair.ND: BracketCoeffs(Fraction(7, 12), Fraction(7, 36),
-                                   Fraction(0), Fraction(160, 21)),
-}
+# the paper's energy bracket constants, combined by the letter rule above
+SPAN_INV = Fraction(7, 12)
+MIXED_RATIONAL = Fraction(7, 36)
+MIXED_PI2 = Fraction(-40, 3)
+RADIUS_PI2 = Fraction(160, 21)
 
 # F = -dE/dd of amplitude * d^{-5/2} * (1 + theta d) is (5/2) amplitude
-# d^{-7/2} * (1 + (3/5) theta d): every force coefficient is 3/5 of energy's
-FORCE_BRACKETS = {
-    bc: BracketCoeffs(*(Fraction(3, 5) * c for c in astuple(coeffs)))
-    for bc, coeffs in ENERGY_BRACKETS.items()
-}
+# d^{-7/2} * (1 + (3/5) theta d): every force constant is 3/5 of energy's
+FORCE_FACTOR = Fraction(3, 5)
+
+
+def _letter_terms(part: BoundaryPair, factor: Fraction
+                  ) -> tuple[float, float, float, float]:
+    """(A, K, R_a, R_b) of the letter rule for part, each times factor."""
+    a_n, b_n = neumann(part)
+    mixed = float(factor * MIXED_RATIONAL)
+    if a_n and b_n:
+        mixed += float(factor * MIXED_PI2) / _PI2
+    radius = float(factor * RADIUS_PI2) / _PI2 if a_n != b_n else 0.0
+    return (float(factor * SPAN_INV), mixed, radius if a_n else 0.0,
+            radius if b_n else 0.0)
 
 
 def _part_mean(bc: BoundaryPair, scalar_bracket) -> float:
@@ -93,31 +90,22 @@ def _part_mean(bc: BoundaryPair, scalar_bracket) -> float:
     return sum(scalar_bracket(part) for part in parts) / len(parts)
 
 
-def _bracket(pair: CylinderPair, bc: BoundaryPair, table: dict) -> float:
-    """NTLO bracket of bc at pair from an ENERGY/FORCE_BRACKETS table."""
-    a, b = pair.a, pair.b
-    if pair.kind is Kind.INTERIOR:
-        span, s1 = b - a, 1.0
-    else:
-        span, s1 = a + b, -1.0
+def _bracket(pair: CylinderPair, bc: BoundaryPair, factor: Fraction) -> float:
+    """NTLO bracket of bc at pair, the energy's constants times factor."""
+    a, b, span = pair.a, pair.b, pair.span
+    s1 = 1.0 if pair.kind is Kind.INTERIOR else -1.0
 
     def scalar_bracket(part: BoundaryPair) -> float:
-        coeffs = table[part]
-        value = (s1 * float(coeffs.span_inv) / span
-                 + (float(coeffs.mixed_rational)
-                    + float(coeffs.mixed_pi2) / _PI2) * span / (a * b))
-        if part is BoundaryPair.DN:
-            value += s1 * float(coeffs.radius_pi2) / _PI2 / b
-        elif part is BoundaryPair.ND:
-            value -= float(coeffs.radius_pi2) / _PI2 / a
-        return value
+        span_inv, mixed, on_a, on_b = _letter_terms(part, factor)
+        return (s1 * span_inv / span + mixed * span / (a * b)
+                - on_a / a + s1 * on_b / b)
 
     return _part_mean(bc, scalar_bracket)
 
 
 def energy_expansion(pair: CylinderPair, bc: BoundaryPair) -> ExpansionResult:
     """E/L ~ amplitude*(1 + bracket*d) with amplitude ~ d^(-5/2)."""
-    bracket = _bracket(pair, bc, ENERGY_BRACKETS)
+    bracket = _bracket(pair, bc, Fraction(1))
     return ExpansionResult(pfa_force_leading(pair, bc) * (2.0 * pair.d / 5.0),
                            bracket)
 
@@ -127,7 +115,7 @@ def force_expansion(pair: CylinderPair, bc: BoundaryPair) -> ExpansionResult:
 
     The amplitude reuses the PFA closed form, so the two agree bit for bit.
     """
-    bracket = _bracket(pair, bc, FORCE_BRACKETS)
+    bracket = _bracket(pair, bc, FORCE_FACTOR)
     return ExpansionResult(pfa_force_leading(pair, bc), bracket)
 
 
@@ -137,17 +125,13 @@ def cylinder_plate_limit(a: float, bc: BoundaryPair) -> ExpansionResult:
     Both geometries collapse onto the same expansion; the amplitude field
     carries the d-independent coefficient of d^(-7/2).
     """
-    if a <= 0:
-        raise DomainError("radius a must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"radius a must be positive and finite, got {a!r}")
 
     def scalar_bracket(part: BoundaryPair) -> float:
-        coeffs = FORCE_BRACKETS[part]
-        # span/(a*b) -> 1/a and the 1/span, DN 1/b terms vanish
-        value = (float(coeffs.mixed_rational)
-                 + float(coeffs.mixed_pi2) / _PI2) / a
-        if part is BoundaryPair.ND:
-            value -= float(coeffs.radius_pi2) / _PI2 / a
-        return value
+        # span/(a*b) -> 1/a; the 1/span and 1/b terms vanish
+        _, mixed, on_a, _ = _letter_terms(part, FORCE_FACTOR)
+        return mixed / a - on_a / a
 
     amplitude = -math.pi ** 3 * math.sqrt(a) / (768.0 * math.sqrt(2.0))
     return ExpansionResult(amplitude * _pair_factor(bc),

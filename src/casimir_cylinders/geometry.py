@@ -83,8 +83,11 @@ class CylinderPair:
                 f"interior pair needs a + d < b, got a={self.a}, d={self.d}, b={self.b}")
 
     @property
+    def span(self) -> float:
+        """Center distance at contact (d = 0): b - a interior, a + b exterior."""
+        return self.b - self.a if self.kind is Kind.INTERIOR else self.a + self.b
+
+    @property
     def delta(self) -> float:
         """Center-to-center distance: b - a - d interior, a + b + d exterior."""
-        if self.kind is Kind.INTERIOR:
-            return self.b - self.a - self.d
-        return self.a + self.b + self.d
+        return self.span - self.d if self.kind is Kind.INTERIOR else self.span + self.d

@@ -29,11 +29,10 @@ def _pair_factor(bc: BoundaryPair) -> float:
 def _leading_amplitude(pair: CylinderPair) -> float:
     """The DD force per unit length of the d -> 0 limit; DomainError where
     it is not a finite double (a gap so small that d^3.5 underflows)."""
-    span = pair.b - pair.a if pair.kind is Kind.INTERIOR else pair.a + pair.b
     gap_power = pair.d ** 3.5
     if gap_power > 0.0:
         amplitude = (-math.pi ** 3 * math.sqrt(pair.a * pair.b)
-                     / (768.0 * math.sqrt(2.0 * span) * gap_power))
+                     / (768.0 * math.sqrt(2.0 * pair.span) * gap_power))
         if math.isfinite(amplitude):
             return amplitude
     raise DomainError(f"gap d={pair.d!r} too small: the PFA amplitude "

@@ -231,30 +231,35 @@ class _XiTables:
 
 
 def _pass_tables(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
-                 half_width: int) -> tuple[_XiTables, list[slice]]:
-    """One table set for the nodes xi, and the lane groups that assemble it.
+                 half_width: int) -> tuple[_XiTables, list[slice], np.ndarray]:
+    """One table set for the nodes xi, its lane groups, and its windows.
 
     The set is built to the widest first window, with the translation table
     one order past it for the force's derivative; a group whose window
     doubles grows the set once for all.  Groups take consecutive lanes while
     lanes x (widest first window + 1) x (2N + 1), the size of one stacked
     exponent array, stays within ``_GROUP_ELEMENTS``; a lane wider than
-    that is a group of its own.
+    that is a group of its own.  The windows' rows are the first windows
+    and the p caps of the lanes.
     """
     tables = _XiTables(pair, bc, xi)
-    first = [_first_rows(pair, zd, half_width) for zd in tables.zd.tolist()]
+    first = _first_rows(pair, tables.zd, half_width)
+    caps = _default_p_cap(tables.zd, half_width, half_width) + 2.0 * first
+    p_hi = int(first.max())
     tables.prefactor_logs(half_width)
-    tables.ratio_log(max(first))
-    tables.trans_log(max(first) + half_width + 1)
+    tables.ratio_log(p_hi)
+    tables.trans_log(p_hi + half_width + 1)
+    # integral floats, cast once the tables that they size exist
+    windows = np.stack([first, caps]).astype(np.int64)
     groups, start, widest = [], 0, 0
-    for lane, rows in enumerate(first):
+    for lane, rows in enumerate(windows[0].tolist()):
         widest = max(widest, rows)
         if lane > start and (lane - start + 1) * (widest + 1) \
                 * (2 * half_width + 1) > _GROUP_ELEMENTS:
             groups.append(slice(start, lane))
             start, widest = lane, rows
-    groups.append(slice(start, len(first)))
-    return tables, groups
+    groups.append(slice(start, windows.shape[1]))
+    return tables, groups, windows
 
 
 def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
@@ -264,36 +269,38 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     xi = np.asarray(xi, dtype=float)
     if half_width < 0:
         raise DomainError("half_width must be >= 0")
-    if xi.ndim != 1 or not xi.size or not np.all(xi > 0):
-        raise DomainError("xi must be a nonempty 1-D array of positive nodes")
+    if xi.ndim != 1 or not xi.size or not np.all(np.isfinite(xi) & (xi > 0)):
+        raise DomainError(
+            "xi must be a nonempty 1-D array of positive finite nodes")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
     return xi
 
 
-def _p_center(pair: CylinderPair, m: int, lo: int, hi: int) -> int:
+def _p_center(pair: CylinderPair, m: int, lo, hi):
     # translation factors peak where the far-cylinder order tracks (b/a)*m;
     # side-by-side cylinders couple dominantly through p near 0.  The saddle
     # estimate holds in the small-gap regime; outside it the summand support
     # is set by the translation factors, so clamp to that box.
     if pair.kind is Kind.INTERIOR:
-        return min(max(int(round(pair.b / pair.a * m)), lo), hi)
+        return np.clip(round(pair.b / pair.a * m), lo, hi)
     return 0
 
 
-def _default_p_cap(zd: float, m: int, n: int) -> int:
-    return int(10.0 * (zd + abs(m) + abs(n) + 50.0))
+def _default_p_cap(zd, m: int, n: int):
+    # an integral float, or one per lane for an array zd
+    return np.floor(10.0 * (zd + abs(m) + abs(n) + 50.0))
 
 
-def _first_rows(pair: CylinderPair, zd: float, half_width: int) -> int:
-    """Last row p_hi of the first window of a matrix at half_width N.
+def _first_rows(pair: CylinderPair, zd, half_width: int) -> np.ndarray:
+    """Last row p_hi of each lane's first window at N, an integral float.
 
     The p-centre is odd and nondecreasing in m, so the window is symmetric
     (p_lo = -p_hi) and only its p >= 0 half is built.
     """
-    span = int(math.ceil(zd)) + 20
-    center = _p_center(pair, half_width, -half_width - span, half_width + span)
-    return center + half_width + int(math.ceil(zd)) + 40
+    box = np.ceil(zd) + 20.0
+    center = _p_center(pair, half_width, -half_width - box, half_width + box)
+    return center + half_width + box + 20.0
 
 
 def _order_window(table: np.ndarray, p_to: int, n: int,
@@ -389,10 +396,12 @@ def _gram_blocks(logs: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _window_blocks(pair: CylinderPair, tables: _XiTables, lanes: slice,
-                   half_width: int, tol: float, derivative: bool
+                   windows: np.ndarray, half_width: int, tol: float,
+                   derivative: bool
                    ) -> tuple[float, list[np.ndarray], np.ndarray]:
     """(sign, [G] or [G, H] over each lane's envelope window, window widths).
 
+    ``windows`` are the table set's, as ``_pass_tables`` returns them.
     Assembles the table lanes ``lanes`` as one stacked group: G and H are
     stacked on axes (parity, lane), as ``_gram_blocks`` returns them.  Each
     row's envelope is its largest exponent, less the largest exponent of
@@ -412,10 +421,7 @@ def _window_blocks(pair: CylinderPair, tables: _XiTables, lanes: slice,
     flip = -1 if pair.kind is Kind.INTERIOR else 1
     num, den = tables.prefactor_logs(half_width)
     half = 0.5 * (num[lanes, :half_width + 1] - den[lanes, :half_width + 1])
-    zd = tables.zd[lanes].tolist()
-    first = np.array([_first_rows(pair, z, half_width) for z in zd])
-    caps = np.array([_default_p_cap(z, half_width, half_width) + 2 * p
-                     for z, p in zip(zd, first.tolist())])
+    first, caps = windows[:, lanes]
     floor = 0.5 * math.log(tol * 1e-14)
     p_hi = int(first.max())
     while True:
@@ -460,9 +466,10 @@ def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
     dropped term of G is below tol * 1e-14 of the largest term.  The
     one-node case of the assembly ``xi_rows`` runs.
     """
-    tables = _XiTables(pair, bc, _checked_nodes(bc, [xi], half_width, tol))
-    sign, (g,), _ = _window_blocks(pair, tables, slice(None), half_width,
-                                   tol, False)
+    tables, _, windows = _pass_tables(
+        pair, bc, _checked_nodes(bc, [xi], half_width, tol), half_width)
+    sign, (g,), _ = _window_blocks(pair, tables, slice(None), windows,
+                                   half_width, tol, False)
     return RoundTripMatrix(half_width=half_width, even=g[0, 0],
                            odd=g[1, 0, 1:, 1:], sign=sign,
                            prefactor_log=-2.0 * pair.d * xi)
@@ -597,12 +604,12 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     xi = _checked_nodes(bc, xi, half_width, tol)
     derivative = quantity == "force"
     evaluate = _force_lanes if derivative else _log_det_lanes
-    tables, groups = _pass_tables(pair, bc, xi, half_width)
+    tables, groups, windows = _pass_tables(pair, bc, xi, half_width)
     rows = np.empty((xi.size, half_width + 1))
     widths = np.empty(xi.size, dtype=int)
     for lanes in groups:
         sign, blocks, widths[lanes] = _window_blocks(
-            pair, tables, lanes, half_width, tol, derivative)
+            pair, tables, lanes, windows, half_width, tol, derivative)
         rows[lanes] = evaluate(sign * np.exp(-2.0 * pair.d * xi[lanes]),
                                blocks)
     return rows, widths

@@ -39,7 +39,7 @@ def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
     m, n = int(m), int(n)
     tables = _XiTables(pair, bc, np.array([xi]))
     zd = float(tables.zd[0])
-    cap = _default_p_cap(zd, m, n) if p_cap is None else int(p_cap)
+    cap = int(_default_p_cap(zd, m, n) if p_cap is None else p_cap)
     flip = -1 if pair.kind is Kind.INTERIOR else 1   # translation index p -+ m
 
     # summand support: translation factors die superexponentially once the

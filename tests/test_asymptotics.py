@@ -7,8 +7,6 @@ from casimir_cylinders import (
     BoundaryPair,
     CylinderPair,
     DomainError,
-    ENERGY_BRACKETS,
-    FORCE_BRACKETS,
     Kind,
     PfaBias,
     classify_pfa_bias,
@@ -18,6 +16,7 @@ from casimir_cylinders import (
     limit_consistency_check,
     pfa_force_leading,
 )
+from casimir_cylinders import asymptotics
 from casimir_cylinders.geometry import SCALAR_PAIRS
 
 PI2 = math.pi ** 2
@@ -25,40 +24,67 @@ INT12 = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.1)
 EXT11 = CylinderPair(kind=Kind.EXTERIOR, a=1.0, b=1.0, d=0.1)
 
 
+# The paper's brackets pair by pair, as exact (A, B, C, R) in
+#   theta = s1 A/span + (B + C/pi^2) span/(a b) + the R/pi^2 radius term;
+# written out per pair so the reference does not share the module's rule.
+ENERGY_TABLE = {
+    BoundaryPair.DD: (Fraction(7, 12), Fraction(7, 36), 0, 0),
+    BoundaryPair.NN: (Fraction(7, 12), Fraction(7, 36), Fraction(-40, 3), 0),
+    BoundaryPair.DN: (Fraction(7, 12), Fraction(7, 36), 0, Fraction(160, 21)),
+    BoundaryPair.ND: (Fraction(7, 12), Fraction(7, 36), 0, Fraction(160, 21)),
+}
+FORCE_TABLE = {
+    BoundaryPair.DD: (Fraction(7, 20), Fraction(7, 60), 0, 0),
+    BoundaryPair.NN: (Fraction(7, 20), Fraction(7, 60), Fraction(-8), 0),
+    BoundaryPair.DN: (Fraction(7, 20), Fraction(7, 60), 0, Fraction(32, 7)),
+    BoundaryPair.ND: (Fraction(7, 20), Fraction(7, 60), 0, Fraction(32, 7)),
+}
+
+
 def bracket_by_hand(table, bc, kind, a, b):
-    """Re-derive the bracket from the coefficient table, independent of the
+    """Re-derive the bracket from a per-pair table, independent of the
     module's evaluation path: sign pattern is +1/span interior, -1/span
     exterior; the Neumann-side 1/radius term attaches to b for DN (sign
     follows the geometry) and to a for ND (sign fixed)."""
-    c = table[bc]
+    span_inv, mixed_rational, mixed_pi2, radius_pi2 = map(float, table[bc])
     span, s1 = (b - a, 1.0) if kind is Kind.INTERIOR else (a + b, -1.0)
-    value = (s1 * float(c.span_inv) / span
-             + (float(c.mixed_rational) + float(c.mixed_pi2) / PI2)
-             * span / (a * b))
+    value = (s1 * span_inv / span
+             + (mixed_rational + mixed_pi2 / PI2) * span / (a * b))
     if bc is BoundaryPair.DN:
-        value += s1 * float(c.radius_pi2) / PI2 / b
+        value += s1 * radius_pi2 / PI2 / b
     if bc is BoundaryPair.ND:
-        value -= float(c.radius_pi2) / PI2 / a
+        value -= radius_pi2 / PI2 / a
     return value
 
 
 def test_energy_coefficients_exact():
-    for bc in SCALAR_PAIRS:
-        assert ENERGY_BRACKETS[bc].span_inv == Fraction(7, 12)
-        assert ENERGY_BRACKETS[bc].mixed_rational == Fraction(7, 36)
-    assert ENERGY_BRACKETS[BoundaryPair.DD].mixed_pi2 == 0
-    assert ENERGY_BRACKETS[BoundaryPair.NN].mixed_pi2 == Fraction(-40, 3)
-    assert ENERGY_BRACKETS[BoundaryPair.DN].radius_pi2 == Fraction(160, 21)
-    assert ENERGY_BRACKETS[BoundaryPair.ND].radius_pi2 == Fraction(160, 21)
+    assert asymptotics.SPAN_INV == Fraction(7, 12)
+    assert asymptotics.MIXED_RATIONAL == Fraction(7, 36)
+    assert asymptotics.MIXED_PI2 == Fraction(-40, 3)
+    assert asymptotics.RADIUS_PI2 == Fraction(160, 21)
 
 
 def test_force_coefficients_are_three_fifths():
+    assert asymptotics.FORCE_FACTOR == Fraction(3, 5)
     for bc in SCALAR_PAIRS:
-        e, f = ENERGY_BRACKETS[bc], FORCE_BRACKETS[bc]
-        assert f.span_inv == e.span_inv * Fraction(3, 5)
-        assert f.mixed_rational == e.mixed_rational * Fraction(3, 5)
-        assert f.mixed_pi2 == e.mixed_pi2 * Fraction(3, 5)
-        assert f.radius_pi2 == e.radius_pi2 * Fraction(3, 5)
+        assert FORCE_TABLE[bc] == tuple(Fraction(3, 5) * c
+                                        for c in ENERGY_TABLE[bc])
+
+
+@pytest.mark.parametrize("table,factor", [
+    (ENERGY_TABLE, Fraction(1)), (FORCE_TABLE, Fraction(3, 5))],
+    ids=["energy", "force"])
+def test_letter_rule_reproduces_the_pair_tables(table, factor):
+    # each pair's letters switch on exactly its row of the paper's table:
+    # the mixed pi^2 term for NN, the radius term on the Neumann cylinder
+    # (b for DN, a for ND), nothing more for DD
+    for bc in SCALAR_PAIRS:
+        span_inv, mixed_rational, mixed_pi2, radius_pi2 = map(float, table[bc])
+        radius = radius_pi2 / PI2
+        want = (span_inv, mixed_rational + mixed_pi2 / PI2,
+                radius if bc is BoundaryPair.ND else 0.0,
+                radius if bc is BoundaryPair.DN else 0.0)
+        assert asymptotics._letter_terms(bc, factor) == want
 
 
 def test_interior_energy_brackets():
@@ -127,7 +153,7 @@ def test_amplitude_signs():
     ("energy", energy_expansion), ("force", force_expansion),
 ])
 def test_bracket_structure_over_grid(kind, table_name, builder):
-    table = ENERGY_BRACKETS if table_name == "energy" else FORCE_BRACKETS
+    table = ENERGY_TABLE if table_name == "energy" else FORCE_TABLE
     for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 7.5), (1.0, 1.0), (3.0, 1.0)]:
         if kind is Kind.INTERIOR and not a < b:
             continue
@@ -193,8 +219,9 @@ def test_cylinder_plate_amplitudes():
     assert nd == dn
     assert amp[BoundaryPair.PCPC] == dd + nn
     assert amp[BoundaryPair.PCIP] == dn + nd
-    with pytest.raises(DomainError):
-        cylinder_plate_limit(0.0, BoundaryPair.DD)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            cylinder_plate_limit(bad, BoundaryPair.DD)
 
 
 def test_classify_pfa_bias():

@@ -29,6 +29,12 @@ def test_center_distance():
     assert CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.1).delta == 3.1
 
 
+def test_span_is_the_center_distance_at_contact():
+    # delta at d = 0: b - a interior, a + b exterior
+    assert CylinderPair(Kind.INTERIOR, 1.0, 2.5, 0.1).span == 1.5
+    assert CylinderPair(Kind.EXTERIOR, 1.0, 2.5, 0.1).span == 3.5
+
+
 @pytest.mark.parametrize("bad", [
     dict(a=-1.0, b=2.0, d=0.1),
     dict(a=0.0, b=2.0, d=0.1),

@@ -7,7 +7,7 @@ from casimir_cylinders.oracle import PerturbationPoint
 
 # names deleted from the package; none may come back by accident
 _REMOVED = ("PfaMethod", "PfaResult", "ExpansionKind", "DerivedParams",
-            "derive_params")
+            "derive_params", "ENERGY_BRACKETS", "FORCE_BRACKETS")
 
 
 def test_all_names_resolve():

@@ -178,8 +178,10 @@ def test_matrix_argument_validation():
            (lambda: build_matrix(INT_05, dd, -1.0, 2), "xi must be"),
            (lambda: xi_rows(INT_05, BoundaryPair.PCPC, one, 2), "composite"),
            (lambda: xi_rows(INT_05, dd, one, -1), "half_width"),
+           (lambda: build_matrix(INT_05, dd, math.inf, 2), "xi must be"),
            (lambda: xi_rows(INT_05, dd, np.array([1.0, -1.0]), 2),
             "xi must be"),
+           (lambda: xi_rows(INT_05, dd, np.array([np.inf]), 3), "xi must be"),
            (lambda: xi_rows(INT_05, dd, np.ones((1, 1)), 2), "xi must be"),
            (lambda: xi_rows(INT_05, dd, np.array([]), 2), "xi must be"),
            (lambda: xi_rows(INT_05, dd, one, 2, quantity="torque"),
@@ -204,9 +206,9 @@ def _one_node(pair, bc, xi, half_width, tol, quantity="energy"):
 def _lane_blocks(pair, bc, xi, half_width, tol, derivative=False):
     """[G_even, G_odd] (then H_even, H_odd) of one node over its envelope
     window, and the window width."""
-    tables = _XiTables(pair, bc, np.array([xi]))
-    _, blocks, widths = _window_blocks(pair, tables, slice(None), half_width,
-                                       tol, derivative)
+    tables, _, windows = _pass_tables(pair, bc, np.array([xi]), half_width)
+    _, blocks, widths = _window_blocks(pair, tables, slice(None), windows,
+                                       half_width, tol, derivative)
     parts = [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
     return parts, int(widths[0])
 
@@ -410,9 +412,9 @@ def test_logdet_tail_lanes_match_mpmath(bc):
     mp = pytest.importorskip("mpmath")
     pair, n = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1), 20
     xi = np.sort(_xi_grid(pair.d, 1)[0])[-16:]
-    tables, _ = _pass_tables(pair, bc, xi, n)
-    sign, (g,), _ = _window_blocks(pair, tables, slice(None), n, 1e-12,
-                                   False)
+    tables, _, windows = _pass_tables(pair, bc, xi, n)
+    sign, (g,), _ = _window_blocks(pair, tables, slice(None), windows, n,
+                                   1e-12, False)
     scale = sign * np.exp(-2.0 * pair.d * xi)
     got = _log_det_lanes(scale, [g]).sum(axis=1)
     with mp.workdps(60):
@@ -580,8 +582,9 @@ def _counted_lanes(monkeypatch) -> dict:
     builds = {}
     inner = scattering._window_blocks
 
-    def counted(pair, tables, lanes, half_width, *args):
-        sign, blocks, widths = inner(pair, tables, lanes, half_width, *args)
+    def counted(pair, tables, lanes, windows, half_width, *args):
+        sign, blocks, widths = inner(pair, tables, lanes, windows, half_width,
+                                     *args)
         builds[half_width] = builds.get(half_width, 0) + widths.size
         return sign, blocks, widths
 
@@ -681,13 +684,13 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
     # own one-lane build
     n, tol = 12, 1e-12
     xi = _MIXED_XI_D / pair.d
-    tables, _ = _pass_tables(pair, bc, xi, n)
+    tables, _, windows = _pass_tables(pair, bc, xi, n)
     force = quantity == "force"
-    sign, blocks, widths = _window_blocks(pair, tables, slice(None), n, tol,
-                                          force)
+    sign, blocks, widths = _window_blocks(pair, tables, slice(None), windows,
+                                          n, tol, force)
     scale = sign * np.exp(-2.0 * pair.d * xi)
     rows = (_force_lanes if force else _log_det_lanes)(scale, blocks)
-    first = np.array([_first_rows(pair, z, n) for z in tables.zd.tolist()])
+    first = _first_rows(pair, tables.zd, n)
     doubled = (widths - 1) // 2 >= first
     assert doubled.any() and not doubled.all()
     if quantity == "energy":
@@ -712,11 +715,14 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
     from casimir_cylinders import scattering
     n, tol, bc = 12, 1e-12, BoundaryPair.DD
     xi = _MIXED_XI_D / pair.d
-    tables, _ = _pass_tables(pair, bc, xi, n)
-    _, _, widths = _window_blocks(pair, tables, slice(None), n, tol, False)
+    tables, _, windows = _pass_tables(pair, bc, xi, n)
+    _, _, widths = _window_blocks(pair, tables, slice(None), windows, n, tol,
+                                  False)
     checked = 0
-    for lane, (z, w) in enumerate(zip(tables.zd.tolist(), widths.tolist())):
-        f, cut = _first_rows(pair, z, n), (w - 1) // 2
+    for lane, (z, f, w) in enumerate(zip(tables.zd.tolist(),
+                                         windows[0].tolist(),
+                                         widths.tolist())):
+        cut = (w - 1) // 2
         if cut < f:
             continue
         reached = f << (cut // f).bit_length() - 1
@@ -724,10 +730,11 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
             monkeypatch.setattr(
                 scattering, "_default_p_cap",
                 lambda zd, m, k, z=z, base=cap - 2 * f:
-                    base if zd == z else 10 ** 9)
+                    np.where(zd == z, base, 1e9))
             for build in (
-                    lambda: _window_blocks(pair, tables, slice(None), n, tol,
-                                           False),
+                    lambda: _window_blocks(
+                        pair, tables, slice(None),
+                        _pass_tables(pair, bc, xi, n)[2], n, tol, False),
                     lambda: _one_node(pair, bc, xi[lane], n, tol)):
                 if fails:
                     with pytest.raises(PSumNoConvergence):

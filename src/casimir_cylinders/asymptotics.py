@@ -97,6 +97,7 @@ def _bracket(pair: CylinderPair, bc: BoundaryPair, factor: Fraction) -> float:
 
     def scalar_bracket(part: BoundaryPair) -> float:
         span_inv, mixed, on_a, on_b = _letter_terms(part, factor)
+        # a radius term that is 0 adds a signed zero, which keeps the bits
         return (s1 * span_inv / span + mixed * span / (a * b)
                 - on_a / a + s1 * on_b / b)
 

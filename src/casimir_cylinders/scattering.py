@@ -591,10 +591,10 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
             ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, widths): the per-|m| rows of the per-xi term at each node.
 
-    ``xi`` is a 1-D array of positive nodes.  Row i holds r[0..N] at xi[i]
-    (N = half_width), of ln det(1 - M) for ``quantity="energy"`` and of
-    tr[(1 - M)^{-1} d_d M] for ``"force"``; r[:N'+1] sums to the term of
-    the N' truncation.  widths[i] is the node's p-window width; tol cuts
+    ``xi`` is a 1-D array of positive finite nodes.  Row i holds r[0..N]
+    at xi[i] (N = half_width), of ln det(1 - M) for ``quantity="energy"``
+    and of tr[(1 - M)^{-1} d_d M] for ``"force"``; r[:N'+1] sums to the
+    term of the N' truncation.  widths[i] is the node's p-window width; tol cuts
     the window as in ``build_matrix``.  The nodes share one table set and
     are assembled in lane groups.
     """

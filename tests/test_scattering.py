@@ -28,7 +28,6 @@ from casimir_cylinders.scattering import (
     _MAX_QUAD_LEVEL,
     RoundTripMatrix,
     _XiTables,
-    _first_rows,
     _force_lanes,
     _gram_blocks,
     _grown_half_width,
@@ -665,6 +664,29 @@ def test_xi_node_budget(monkeypatch, run, budget):
     assert sum(builds.values()) <= budget
 
 
+@pytest.mark.parametrize("pair", [
+    CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1),
+    CylinderPair(Kind.INTERIOR, 1.0, 100.0, 0.99),
+    CylinderPair(Kind.EXTERIOR, 1.0, 1.5, 0.8)],
+    ids=["interior", "near-plate", "exterior"])
+def test_lane_windows_match_the_scalar_rule(pair):
+    # the first windows and p caps of a table set, formed over all lanes
+    # at once, equal the one-node rule in Python integers: the p-centre
+    # round(b/a N) clamped to N + ceil(zd) + 20, the window ceil(zd) + 40
+    # past it, and the cap 10 (zd + 2N + 50) + 2 p_hi
+    xi = np.append(_xi_grid(pair.d, 0)[0], 1e-9)
+    for n in (0, 12, 61):
+        _, _, windows = _pass_tables(pair, BoundaryPair.DD, xi, n)
+        want = []
+        for zd in (pair.delta * xi).tolist():
+            box = math.ceil(zd) + 20
+            center = (min(max(round(pair.b / pair.a * n), -n - box), n + box)
+                      if pair.kind is Kind.INTERIOR else 0)
+            first = center + n + math.ceil(zd) + 40
+            want.append((first, int(10.0 * (zd + n + n + 50.0)) + 2 * first))
+        assert windows.T.tolist() == [list(w) for w in want]
+
+
 # xi d from the far low-frequency end, where interior d=0.1 and exterior
 # d=0.8 windows double past their first rows, to the far tail, where
 # ln det(1 - M) is tiny
@@ -690,8 +712,7 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
                                           n, tol, force)
     scale = sign * np.exp(-2.0 * pair.d * xi)
     rows = (_force_lanes if force else _log_det_lanes)(scale, blocks)
-    first = _first_rows(pair, tables.zd, n)
-    doubled = (widths - 1) // 2 >= first
+    doubled = (widths - 1) // 2 >= windows[0]
     assert doubled.any() and not doubled.all()
     if quantity == "energy":
         chol = np.linalg.cholesky(np.eye(n + 1)

@@ -41,16 +41,18 @@ from .geometry import (
     BoundaryPair,
     CylinderPair,
     Kind,
+    neumann,
 )
 from .oracle import (
     PerturbationPoint,
+    b_s_chain_numeric,
     b_s_closed,
-    b_s_numeric,
     chain_square_backward,
     chain_square_forward,
     chain_square_sum,
     e0_coefficient_check,
     e1_from_b,
+    f_frak,
     g_hat_closed,
     g_hat_numeric,
     h_hat_closed,
@@ -268,19 +270,19 @@ def _zeta_sums(level: str) -> tuple[float, str]:
 
 
 def _q_closures(level: str) -> tuple[float, str]:
+    # 200 points, drawn one at a time (m, tau, eps, alpha, then n1 and n2)
+    # and checked as one batch
     rng = np.random.default_rng(20240811)
-    worst = 0.0
-    for _ in range(200):
-        pt = PerturbationPoint(
-            s=1, m=float(rng.uniform(0.3, 3.0)), tau=float(rng.uniform(0.05, 1.0)),
-            eps=float(rng.uniform(0.0, 0.3)), alpha=float(rng.uniform(0.4, 2.5)))
-        n1, n2 = rng.uniform(-2.0, 2.0, size=2)
-        for bc in SCALAR_PAIRS:
-            worst = max(
-                worst,
-                abs(g_hat_numeric(bc, pt, n1, n2) - g_hat_closed(bc, pt, n1, n2)),
-                abs(h_hat_numeric(bc, pt, n1, n2) - h_hat_closed(bc, pt, n1, n2)))
-    return _worst(worst)
+    m, tau, eps, alpha, n1, n2 = np.array([
+        [rng.uniform(0.3, 3.0), rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.3),
+         rng.uniform(0.4, 2.5), *rng.uniform(-2.0, 2.0, size=2)]
+        for _ in range(200)]).T
+    pt = PerturbationPoint(s=1, m=m, tau=tau, eps=eps, alpha=alpha)
+    return _worst(max(
+        float(np.max(np.abs(numeric(bc, pt, n1, n2) - closed(bc, pt, n1, n2))))
+        for bc in SCALAR_PAIRS
+        for numeric, closed in ((g_hat_numeric, g_hat_closed),
+                                (h_hat_numeric, h_hat_closed))))
 
 
 # top reflection order of the b_s grid per level
@@ -288,12 +290,22 @@ _S_TOP = {"fast": 2, "slow": 3}
 
 
 def _b_s_grid(level: str) -> tuple[float, str]:
-    grid = itertools.product(range(_S_TOP[level] + 1), (0.5, 1.0, 2.0),
-                             (0.25, 0.75, 1.0), (0.5, 1.0, 2.0))
-    points = (PerturbationPoint(s=s, m=m, tau=tau, eps=0.1, alpha=alpha)
-              for s, m, tau, alpha in grid)
-    return _worst(max(abs(b_s_numeric(bc, pt) - b_s_closed(bc, pt))
-                      for pt in points for bc in SCALAR_PAIRS))
+    # one batch of 27 (m, tau, alpha) points per order s; the pairs of one
+    # n-swap share the chain mean and differ by their s+1 offsets f_frak
+    m, tau, alpha = np.array(list(itertools.product(
+        (0.5, 1.0, 2.0), (0.25, 0.75, 1.0), (0.5, 1.0, 2.0)))).T
+    worst = 0.0
+    for s in range(_S_TOP[level] + 1):
+        pt = PerturbationPoint(s=s, m=m, tau=tau, eps=0.1, alpha=alpha)
+        chain = {}
+        for bc in SCALAR_PAIRS:
+            swap = neumann(bc)[0]
+            if swap not in chain:
+                chain[swap] = b_s_chain_numeric(bc, pt)
+            numeric = (s + 1) * f_frak(bc, pt) + chain[swap]
+            worst = max(worst,
+                        float(np.max(np.abs(numeric - b_s_closed(bc, pt)))))
+    return _worst(worst)
 
 
 def _partitions(level: str) -> tuple[float, str]:
@@ -394,9 +406,9 @@ GATES = (
     Gate("bessel", "bessel wronskian grid", _bessel_wronskian, 1e-12, 5.0),
     Gate("bessel", "bessel spot values", _bessel_spots, 1e-12, None),
     Gate("oracle", "zeta sums", _zeta_sums, 1e-12, 1.0),
-    Gate("oracle", "q-integration closures", _q_closures, 1e-11, 5.0),
+    Gate("oracle", "q-integration closures", _q_closures, 1e-11, 1.0),
     Gate("oracle", "reflection coefficients s<= {s_top}", _b_s_grid, 1e-8,
-         5.0),
+         1.0),
     Gate("oracle", "partition identities", _partitions, 1e-12, None),
     Gate("oracle", "endpoint substitution", _endpoints, 1e-8, None),
     Gate("oracle", "NTLO brackets dual route", _ntlo_brackets, 1e-6, 30.0,

@@ -8,6 +8,10 @@ analytic integration produces, and numeric Gauss-Hermite evaluations that
 check one against the other.  It validates the derivation; the scattering
 module remains the production path for energies.
 
+Points may be batched: m, tau, eps and alpha of a `PerturbationPoint` may
+be arrays of one shape, and every function here then returns one value per
+entry, from one numpy pass over the batch.  A point of floats gives floats.
+
 Conventions.  A perturbation point fixes (s, m, tau, eps, alpha) with
 beta = alpha + 1.  The chain variables satisfy n_0 = n_{s+1} = 0.  A
 scalar pair acts only through its two boundary letters
@@ -38,28 +42,45 @@ _S_MAX = 3      # top order of the 12^s chain tensor rule
 
 @dataclass(frozen=True)
 class PerturbationPoint:
-    """One evaluation point of the reflection-order machinery."""
+    """One evaluation point of the reflection-order machinery, or a batch.
+
+    m, tau, eps and alpha are each a float or an array; the arrays share
+    one shape, one entry per point, and a float is shared by every point.
+    s is one int for the whole batch.
+    """
 
     s: int
-    m: float
-    tau: float
-    eps: float
-    alpha: float
+    m: float | np.ndarray
+    tau: float | np.ndarray
+    eps: float | np.ndarray
+    alpha: float | np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.s, int) or self.s < 0:
             raise DomainError("s must be a nonnegative integer")
-        if self.m <= 0:
-            raise DomainError("m must be positive")
-        if not 0.0 < self.tau <= 1.0:
+        shapes = set()
+        for name in ("m", "tau", "eps", "alpha"):
+            value = getattr(self, name)
+            if np.ndim(value):
+                value = np.array(value, dtype=float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+                shapes.add(value.shape)
+        if len(shapes) > 1:
+            raise DomainError("m, tau, eps and alpha arrays must share one "
+                              f"shape, got {sorted(shapes)}")
+        m, tau, eps, alpha = self.m, self.tau, self.eps, self.alpha
+        if not np.all(np.isfinite(m) & (m > 0)):
+            raise DomainError("m must be positive and finite")
+        if not np.all((tau > 0) & (tau <= 1)):
             raise DomainError("tau must lie in (0, 1]")
-        if self.eps < 0:
-            raise DomainError("eps must be nonnegative")
-        if self.alpha <= 0:
-            raise DomainError("alpha must be positive")
+        if not np.all(np.isfinite(eps) & (eps >= 0)):
+            raise DomainError("eps must be nonnegative and finite")
+        if not np.all(np.isfinite(alpha) & (alpha > 0)):
+            raise DomainError("alpha must be positive and finite")
 
     @property
-    def beta(self) -> float:
+    def beta(self):
         return self.alpha + 1.0
 
 
@@ -109,7 +130,7 @@ def _d_poly_dd(pt, n, n2, q):
                 - n ** 2 + 2 * n * n2 + 3 * n2 ** 2))
 
 
-def _kappa(bc: BoundaryPair, al: float, be: float) -> float:
+def _kappa(bc: BoundaryPair, al, be):
     """Weight of the letters' offset tau*(tau^2-1)/m, [a is N] - [b is N]
     * alpha/beta; one quotient over beta keeps DD, DN and ND exact."""
     a_n, b_n = neumann(bc)
@@ -193,23 +214,38 @@ def h_hat_closed(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
     return k_frak_closed(bc, pt, n_i, n_ip1) + f_frak(bc, pt)
 
 
-def q_integral_rate(pt: PerturbationPoint) -> float:
+def q_integral_rate(pt: PerturbationPoint):
     """Gaussian decay rate of the q-integration weight."""
     return pt.alpha ** 2 * pt.tau / (pt.m * pt.beta)
 
 
-def _gauss_mean(f, lam: float) -> float:
-    """Mean of f over the normalized Gaussian weight exp(-lam x^2)."""
-    return math.sqrt(lam / math.pi) * gauss_hermite(f, lam, _GH_NODES)
+def _point_value(value):
+    """A Python float for one point, the array of values for a batch."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def g_hat_numeric(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1) -> float:
+def _gauss_mean(f, lam):
+    """Mean of f over the normalized Gaussian weight exp(-lam x^2), for
+    each entry of lam: sqrt(lam/pi) times the `gauss_hermite` sum.
+
+    f is called once, on the 12 nodes along a new leading axis, so the
+    fields of a batched point broadcast against them unchanged.
+    """
+    x, w = _hermgauss(_GH_NODES)
+    lam = np.asarray(lam)
+    batch = (1,) * lam.ndim
+    r = 1.0 / np.sqrt(lam)
+    values = w.reshape(w.shape + batch) * f(x.reshape(x.shape + batch) * r)
+    return _point_value(np.sqrt(lam / math.pi) * (r * np.sum(values, axis=0)))
+
+
+def g_hat_numeric(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
     """Normalized Gauss-Hermite q-average of g_frak."""
     return _gauss_mean(lambda q: g_frak(bc, pt, n_i, n_ip1, q),
                        q_integral_rate(pt))
 
 
-def h_hat_numeric(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1) -> float:
+def h_hat_numeric(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
     """Normalized Gauss-Hermite q-average of h_frak."""
     return _gauss_mean(lambda q: h_frak(bc, pt, n_i, n_ip1, q),
                        q_integral_rate(pt))
@@ -250,7 +286,7 @@ def chain_square_backward(n):
 # the order-eps coefficient B^s: closed form and nested-Gaussian oracle
 
 
-def b_s_closed(bc: BoundaryPair, pt: PerturbationPoint) -> float:
+def b_s_closed(bc: BoundaryPair, pt: PerturbationPoint):
     al, be, m, tau, eps = pt.alpha, pt.beta, pt.m, pt.tau, pt.eps
     k = pt.s + 1.0
     value = (eps ** 2 * m * tau * k * (k ** 2 + 3.0 * al + 2.0) / (3.0 * al ** 2 * be)
@@ -282,41 +318,64 @@ def _chain_rule(s: int) -> tuple[np.ndarray, np.ndarray]:
     return n_full, weights
 
 
-def _chain_mean(pt: PerturbationPoint, links) -> float:
-    """Mean of links(n_full) over the normalized chain weight
-    exp(-c sum_i (n_i - n_{i+1})^2), c = beta tau/(4m).
+def _chain_mean(pt: PerturbationPoint, links):
+    """Mean of links(n) over the normalized chain weight
+    exp(-c sum_i (n_i - n_{i+1})^2), c = beta tau/(4m), for each point.
 
-    links maps the (s+2, nodes) chain rows, n_0 = n_{s+1} = 0 included, to
-    one value per node; the rule is exact for polynomial links of degree
-    up to 23 in each whitened variable.
+    links maps chain rows n, of shape (s+2, nodes, *batch) with the clamped
+    n_0 = n_{s+1} = 0 rows included, to one value per node and point; the
+    rule is exact for polynomial links of degree up to 23 in each whitened
+    variable.  The nodes go to links in slices of at most 12^_S_MAX
+    node-points, the size of one point's rule at the top order.
     """
     if pt.s > _S_MAX:
         raise DomainError(
             f"nested n-integration supported for s in 0..{_S_MAX}")
     n_full, weights = _chain_rule(pt.s)
-    c = pt.beta * pt.tau / (4.0 * pt.m)
-    return float(weights @ links(n_full / math.sqrt(c)))
+    root_c = np.sqrt(pt.beta * pt.tau / (4.0 * pt.m))
+    step = max(1, _GH_NODES ** _S_MAX // max(1, np.size(root_c)))
+    total = 0.0
+    for k in range(0, weights.size, step):
+        n = n_full[:, k:k + step]
+        n = n.reshape(n.shape + (1,) * np.ndim(root_c)) / root_c
+        total = total + np.tensordot(weights[k:k + step], links(n), axes=1)
+    return _point_value(total)
 
 
-def b_s_numeric(bc: BoundaryPair, pt: PerturbationPoint) -> float:
-    """Nested Gauss-Hermite evaluation of B^s straight from the closed
-    q-averages, bypassing the analytic n-integration it validates."""
+def b_s_chain_numeric(bc: BoundaryPair, pt: PerturbationPoint):
+    """B^s less its s+1 offset terms f_frak, by nested Gauss-Hermite.
+
+    This is the chain mean of the k_frak links and the g_hat products; bc
+    enters it only through the n-swap, so pairs of one swap (DD and DN, NN
+    and ND) share it.
+    """
     def links(n):
-        h = [h_hat_closed(bc, pt, n[i], n[i + 1]) for i in range(pt.s + 1)]
-        g = [g_hat_closed(bc, pt, n[i], n[i + 1]) for i in range(pt.s + 1)]
+        ends = [(n[i], n[i + 1]) for i in range(pt.s + 1)]
+        k = [k_frak_closed(bc, pt, *end) for end in ends]
+        g = [g_hat_closed(bc, pt, *end) for end in ends]
         return sum((gi * gj for gi, gj in itertools.combinations(g, 2)),
-                   sum(h))
+                   sum(k))
     return _chain_mean(pt, links)
 
 
-def i_term_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int) -> float:
+def b_s_numeric(bc: BoundaryPair, pt: PerturbationPoint):
+    """Nested Gauss-Hermite evaluation of B^s straight from the closed
+    q-averages, bypassing the analytic n-integration it validates.
+
+    The offset f_frak does not depend on n and the chain weights sum to 1,
+    so its s+1 copies are added outside the chain mean.
+    """
+    return (pt.s + 1) * f_frak(bc, pt) + b_s_chain_numeric(bc, pt)
+
+
+def i_term_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int):
     """Single chain-average <Hhat_i>, uniform in i (endpoints included)."""
     if not 0 <= i <= pt.s:
         raise DomainError("term index must satisfy 0 <= i <= s")
     return _chain_mean(pt, lambda n: h_hat_closed(bc, pt, n[i], n[i + 1]))
 
 
-def i_endpoint_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int) -> float:
+def i_endpoint_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int):
     """<Hhat_i> for i = 0 or i = s via the telescoped one-variable route.
 
     The telescoped rewritings reduce the chain weight to a single Gaussian
@@ -328,7 +387,7 @@ def i_endpoint_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int) -> float
     if i not in (0, s):
         raise DomainError("reduced route applies to the chain endpoints only")
     if s == 0:
-        return float(h_hat_closed(bc, pt, 0.0, 0.0))
+        return _point_value(h_hat_closed(bc, pt, 0.0, 0.0))
     c = pt.beta * pt.tau / (4.0 * pt.m)
     lam = c * (s + 1.0) / s
     if i == 0:

@@ -596,7 +596,9 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     and of tr[(1 - M)^{-1} d_d M] for ``"force"``; r[:N'+1] sums to the
     term of the N' truncation.  widths[i] is the node's p-window width; tol cuts
     the window as in ``build_matrix``.  The nodes share one table set and
-    are assembled in lane groups.
+    are assembled in lane groups.  Where the round-trip prefactor
+    e^{-2 d xi} is an exact 0, M is exactly 0: such a node gets zero rows
+    and width 0, and builds no table.
     """
     if quantity not in ("energy", "force"):
         raise DomainError(
@@ -604,14 +606,18 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     xi = _checked_nodes(bc, xi, half_width, tol)
     derivative = quantity == "force"
     evaluate = _force_lanes if derivative else _log_det_lanes
-    tables, groups, windows = _pass_tables(pair, bc, xi, half_width)
-    rows = np.empty((xi.size, half_width + 1))
-    widths = np.empty(xi.size, dtype=int)
+    prefactor = np.exp(-2.0 * pair.d * xi)
+    live = np.flatnonzero(prefactor)
+    rows = np.zeros((xi.size, half_width + 1))
+    widths = np.zeros(xi.size, dtype=int)
+    if not live.size:
+        return rows, widths
+    tables, groups, windows = _pass_tables(pair, bc, xi[live], half_width)
     for lanes in groups:
-        sign, blocks, widths[lanes] = _window_blocks(
+        nodes = live[lanes]
+        sign, blocks, widths[nodes] = _window_blocks(
             pair, tables, lanes, windows, half_width, tol, derivative)
-        rows[lanes] = evaluate(sign * np.exp(-2.0 * pair.d * xi[lanes]),
-                               blocks)
+        rows[nodes] = evaluate(sign * prefactor[nodes], blocks)
     return rows, widths
 
 

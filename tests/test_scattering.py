@@ -195,6 +195,23 @@ def test_matrix_argument_validation():
             call()
 
 
+@pytest.mark.parametrize("quantity", ["energy", "force"])
+def test_zero_prefactor_nodes_give_zero_rows(quantity):
+    # e^{-2 d xi} is an exact 0 at xi = 1e300, so M is 0 there: zero rows
+    # and width 0, with no table sized to the node's window
+    dd = BoundaryPair.DD
+    rows, widths = xi_rows(INT_05, dd, np.array([1e300]), 3,
+                           quantity=quantity)
+    assert rows.tolist() == [[0.0] * 4] and widths.tolist() == [0]
+    mixed, mixed_widths = xi_rows(INT_05, dd, np.array([1.0, 1e300]), 3,
+                                  quantity=quantity)
+    alone, alone_widths = xi_rows(INT_05, dd, np.array([1.0]), 3,
+                                  quantity=quantity)
+    assert mixed[0].tobytes() == alone[0].tobytes()
+    assert mixed_widths.tolist() == [alone_widths[0], 0]
+    assert not mixed[1].any()
+
+
 def _one_node(pair, bc, xi, half_width, tol, quantity="energy"):
     """(rows, p-window width) of one node from ``xi_rows``."""
     rows, widths = xi_rows(pair, bc, np.array([xi]), half_width, tol,

@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -203,6 +204,15 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    workers = args.parallel
+    if workers is None:
+        # read on each call, so a bad CASIMIR_CYL_THREADS is a usage error
+        # of sweep alone, worded as argparse words a bad --parallel
+        text = os.environ.get("CASIMIR_CYL_THREADS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            args.error(f"argument --parallel: invalid int value: {text!r}")
     methods = _parse_methods(args.method)
     bc = _parse_bc(args.bc)
     for method in methods:
@@ -213,7 +223,7 @@ def cmd_sweep(args) -> int:
              for d in sorted(grid) for method in sorted(methods)]
     # the pool forks all of its workers at once, so start no more than
     # there are points or cores
-    workers = min(args.parallel, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
@@ -269,14 +279,17 @@ def _zeta_sums(level: str) -> tuple[float, str]:
                       abs(alternating / plain - 7.0 / 8.0)))
 
 
-def _q_closures(level: str) -> tuple[float, str]:
-    # 200 points, drawn one at a time (m, tau, eps, alpha, then n1 and n2)
-    # and checked as one batch
+def _q_closure_points() -> np.ndarray:
+    """The 200 q-closure points as rows (m, tau, eps, alpha, n1, n2),
+    drawn in that order point by point, in one call."""
     rng = np.random.default_rng(20240811)
-    m, tau, eps, alpha, n1, n2 = np.array([
-        [rng.uniform(0.3, 3.0), rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.3),
-         rng.uniform(0.4, 2.5), *rng.uniform(-2.0, 2.0, size=2)]
-        for _ in range(200)]).T
+    return rng.uniform((0.3, 0.05, 0.0, 0.4, -2.0, -2.0),
+                       (3.0, 1.0, 0.3, 2.5, 2.0, 2.0), size=(200, 6))
+
+
+def _q_closures(level: str) -> tuple[float, str]:
+    # 200 random points, checked as one batch
+    m, tau, eps, alpha, n1, n2 = _q_closure_points().T
     pt = PerturbationPoint(s=1, m=m, tau=tau, eps=eps, alpha=alpha)
     return _worst(max(
         float(np.max(np.abs(numeric(bc, pt, n1, n2) - closed(bc, pt, n1, n2))))
@@ -444,7 +457,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call, built on the first."""
     parser = argparse.ArgumentParser(
         prog="casimir-cyl",
         description="Casimir interaction of two parallel cylinders "
@@ -476,11 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="log-spaced separation sweep")
     common(ps)
     ps.add_argument("--d-grid", required=True, help="start:stop:count")
-    # a string default goes through type=int only when sweep runs, so a bad
-    # CASIMIR_CYL_THREADS is a usage error of sweep alone
-    ps.add_argument("--parallel", type=int,
-                    default=os.environ.get("CASIMIR_CYL_THREADS", "1"))
-    ps.set_defaults(func=cmd_sweep)
+    # None: cmd_sweep reads CASIMIR_CYL_THREADS, else 1
+    ps.add_argument("--parallel", type=int, default=None)
+    ps.set_defaults(func=cmd_sweep, error=ps.error)
 
     pv = sub.add_parser("verify", help="run built-in validation suites")
     pv.add_argument("--suite", choices=(*_SUITES, "all"), default="all")

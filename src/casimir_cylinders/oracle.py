@@ -38,6 +38,7 @@ from .quadrature import _hermgauss, gauss_hermite
 
 _GH_NODES = 12  # polynomial-exact through degree 23
 _S_MAX = 3      # top order of the 12^s chain tensor rule
+_NODE_BUDGET = 2 ** 13  # node-points per slice of a chain mean
 
 
 @dataclass(frozen=True)
@@ -174,40 +175,53 @@ def h_frak(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1, q_i):
 
 
 def g_hat_closed(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
-    n, n2 = _swap_args(bc, n_i, n_ip1)
-    al, be, m, tau, eps = pt.alpha, pt.beta, pt.m, pt.tau, pt.eps
-    return (tau ** 2 * (n - 3.0 * n2) / (4.0 * m)
-            + be * tau ** 3 * (n + n2) * (n - n2) ** 2 / (8.0 * m ** 2)
-            - eps * tau * (n + n2) / al)
-
-
-def k_frak_closed(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
-    """The n-dependent part of the closed order-eps q-average, as its 15
-    monomials in eps, D = n - n' and S = n + n' (after the n-swap)."""
+    """The closed order-sqrt(eps) q-average, in D = n - n' and S = n + n'
+    (after the n-swap): D tau^2/(2m) + S (c_S + c_SDD D^2)."""
     n, n2 = _swap_args(bc, n_i, n_ip1)
     al, be, m, tau, eps = pt.alpha, pt.beta, pt.m, pt.tau, pt.eps
     t2 = tau * tau
+    c_s = -t2 / (4.0 * m) - eps * tau / al
+    c_sdd = be * t2 * tau / (8.0 * m * m)
+    d = n - n2
+    return t2 / (2.0 * m) * d + (n + n2) * (c_s + c_sdd * (d * d))
+
+
+def k_frak_closed(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
+    """The n-dependent part of the closed order-eps q-average.
+
+    Its 15 monomials in eps, D = n - n' and S = n + n' (after the n-swap)
+    fold, once per call on the point fields, into eight per-point
+    coefficients of 1, S^2, D S, D^2, D^3 S, D^2 S^2, D^4 and D^4 S^2, the
+    eps and eps^2 terms included.  The node arrays then see only Horner
+    in D^2, about 19 operations on arrays of their size.
+    """
+    n, n2 = _swap_args(bc, n_i, n_ip1)
+    al, be, m, tau, eps = pt.alpha, pt.beta, pt.m, pt.tau, pt.eps
+    t2 = tau * tau
+    t3 = t2 * tau
+    m2 = m * m
+    m3 = m2 * m
+    e_al = eps / al
+    c_1 = (tau * ((20.0 * t2 - 9.0) * al ** 2 + (29.0 * t2 - 15.0) * al
+                  + 5.0 * t2 - 3.0) / (48.0 * m * be)
+           + e_al * (al + t2 - 1.0) / 2.0 + e_al * e_al * m * tau)
+    c_ss = (t2 * (5.0 * t2 - 2.0) / (32.0 * m2)
+            + e_al * tau * (2.0 * t2 - 1.0) / (4.0 * m)
+            + e_al * e_al * t2 / 2.0)
+    c_ds = -t2 * (5.0 * t2 - 2.0) / (8.0 * m2) - e_al * t3 / (2.0 * m)
+    c_dd = (-t2 * (al ** 2 - al + (3.0 * al - 2.0) * t2) / (16.0 * m2)
+            - eps * tau * (al + t2) / (4.0 * m))
+    c_ddds = be * t3 * t2 / (16.0 * m3)
+    c_ddss = (-be * t3 * (4.0 * t2 - 1.0) / (32.0 * m3)
+              - e_al * be * t2 * t2 / (8.0 * m2))
+    c_dddd = (be * t3 * (al ** 2 - al + 1.0 + 3.0 * (al - 1.0) * t2)
+              / (192.0 * m3))
+    c_ddddss = be * be * t3 * t3 / (128.0 * m3 * m)
     d = n - n2
     s = n + n2
     d2, s2 = d * d, s * s
-    return (
-        tau * ((20.0 * t2 - 9.0) * al ** 2 + (29.0 * t2 - 15.0) * al
-               + 5.0 * t2 - 3.0) / (48.0 * m * be)
-        + t2 * (5.0 * t2 - 2.0) / (32.0 * m ** 2) * s2
-        - t2 * (5.0 * t2 - 2.0) / (8.0 * m ** 2) * d * s
-        - t2 * (al ** 2 - al + (3.0 * al - 2.0) * t2) / (16.0 * m ** 2) * d2
-        + be * tau ** 5 / (16.0 * m ** 3) * d2 * d * s
-        - be * tau ** 3 * (4.0 * t2 - 1.0) / (32.0 * m ** 3) * d2 * s2
-        + be * tau ** 3 * (al ** 2 - al + 1.0 + 3.0 * (al - 1.0) * t2)
-        / (192.0 * m ** 3) * d2 * d2
-        + be ** 2 * tau ** 6 / (128.0 * m ** 4) * d2 * d2 * s2
-        + eps * ((al + t2 - 1.0) / (2.0 * al)
-                 + tau * (2.0 * t2 - 1.0) / (4.0 * al * m) * s2
-                 - tau ** 3 / (2.0 * al * m) * d * s
-                 - tau * (al + t2) / (4.0 * m) * d2
-                 - be * tau ** 4 / (8.0 * al * m ** 2) * d2 * s2)
-        + eps ** 2 * (m * tau / al ** 2 + t2 / (2.0 * al ** 2) * s2)
-    )
+    return (c_1 + c_ss * s2 + d * s * (c_ds + c_ddds * d2)
+            + d2 * (c_dd + c_ddss * s2 + d2 * (c_dddd + c_ddddss * s2)))
 
 
 def h_hat_closed(bc: BoundaryPair, pt: PerturbationPoint, n_i, n_ip1):
@@ -325,15 +339,17 @@ def _chain_mean(pt: PerturbationPoint, links):
     links maps chain rows n, of shape (s+2, nodes, *batch) with the clamped
     n_0 = n_{s+1} = 0 rows included, to one value per node and point; the
     rule is exact for polynomial links of degree up to 23 in each whitened
-    variable.  The nodes go to links in slices of at most 12^_S_MAX
-    node-points, the size of one point's rule at the top order.
+    variable.  The nodes go to links in slices of at most _NODE_BUDGET
+    = 2^13 node-points (nodes times points), so each float array of a
+    slice holds 64 KB; a scalar point's rule at the top order is one slice,
+    and 27 points at s = 3 take 6.
     """
     if pt.s > _S_MAX:
         raise DomainError(
             f"nested n-integration supported for s in 0..{_S_MAX}")
     n_full, weights = _chain_rule(pt.s)
     root_c = np.sqrt(pt.beta * pt.tau / (4.0 * pt.m))
-    step = max(1, _GH_NODES ** _S_MAX // max(1, np.size(root_c)))
+    step = max(1, _NODE_BUDGET // max(1, np.size(root_c)))
     total = 0.0
     for k in range(0, weights.size, step):
         n = n_full[:, k:k + step]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from casimir_cylinders import cli
@@ -204,10 +205,9 @@ def test_sweep_thread_env_default(monkeypatch):
     assert with_env.stdout == plain.stdout
 
 
-def test_sweep_pool_no_wider_than_grid(monkeypatch, capsys):
-    # the pool forks every worker it is given at once, so a 2-point sweep
-    # asks for 2 workers whatever --parallel says; the fake pool runs the
-    # tasks in process, so no worker is ever started
+def _record_pool_sizes(monkeypatch):
+    """Replace the sweep pool by one that runs its tasks in process and
+    records its width in the returned list, on a 64-core machine."""
     sizes = []
 
     class RecordingPool:
@@ -225,6 +225,14 @@ def test_sweep_pool_no_wider_than_grid(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    return sizes
+
+
+def test_sweep_pool_no_wider_than_grid(monkeypatch, capsys):
+    # the pool forks every worker it is given at once, so a 2-point sweep
+    # asks for 2 workers whatever --parallel says; the fake pool runs the
+    # tasks in process, so no worker is ever started
+    sizes = _record_pool_sizes(monkeypatch)
     base = ["sweep", "--kind", "interior", "--bc", "dd", "--a", "1",
             "--b", "2", "--d-grid", "0.1:0.2:2", "--method", "pfa-leading",
             "--no-timing"]
@@ -248,6 +256,31 @@ def test_thread_env_not_an_int(monkeypatch, capsys):
         cli.main(["sweep", *geometry, "--d-grid", "0.1:0.2:2"])
     assert exc.value.code == 2
     assert "invalid int value" in capsys.readouterr().err
+
+
+def test_thread_env_read_on_every_sweep(monkeypatch, capsys):
+    # the parser is built once, but each sweep reads CASIMIR_CYL_THREADS
+    # anew; the fake pool records its width and starts no worker
+    sizes = _record_pool_sizes(monkeypatch)
+    base = ["sweep", "--kind", "interior", "--bc", "dd", "--a", "1",
+            "--b", "2", "--d-grid", "0.1:0.2:3", "--method", "pfa-leading",
+            "--no-timing"]
+    for threads, want in (("1", []), ("2", [2]), ("3", [2, 3])):
+        monkeypatch.setenv("CASIMIR_CYL_THREADS", threads)
+        assert cli.main(base) == 0
+        assert sizes == want
+    assert cli.build_parser.cache_info().misses <= 1
+
+
+def test_q_closure_points_match_the_scalar_draws():
+    # one uniform call over a (200, 6) array of bounds draws the stream of
+    # the earlier per-point scalar calls, bit for bit
+    rng = np.random.default_rng(20240811)
+    old = np.array([
+        [rng.uniform(0.3, 3.0), rng.uniform(0.05, 1.0), rng.uniform(0.0, 0.3),
+         rng.uniform(0.4, 2.5), *rng.uniform(-2.0, 2.0, size=2)]
+        for _ in range(200)])
+    assert np.array_equal(cli._q_closure_points(), old)
 
 
 def test_verify_fast_passes():

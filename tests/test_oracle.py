@@ -9,6 +9,7 @@ from casimir_cylinders import BoundaryPair, CylinderPair, DomainError, Kind, ene
 from casimir_cylinders.geometry import SCALAR_PAIRS
 from casimir_cylinders.oracle import (
     PerturbationPoint,
+    b_s_chain_numeric,
     b_s_closed,
     b_s_numeric,
     chain_square_backward,
@@ -170,6 +171,60 @@ def test_k_frak_closed_pinned(bc, kw, n, n2, want):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def _g_hat_terms(p, n, n2):
+    # the earlier form of g_hat_closed, term by term (n, n2 after the swap)
+    al, be, m, tau, eps = p.alpha, p.beta, p.m, p.tau, p.eps
+    return (tau ** 2 * (n - 3.0 * n2) / (4.0 * m),
+            be * tau ** 3 * (n + n2) * (n - n2) ** 2 / (8.0 * m ** 2),
+            -eps * tau * (n + n2) / al)
+
+
+def _k_frak_terms(p, n, n2):
+    # the earlier form of k_frak_closed, as its 15 monomials in eps,
+    # D = n - n2 and S = n + n2 (n, n2 after the swap)
+    al, be, m, tau, eps = p.alpha, p.beta, p.m, p.tau, p.eps
+    t2 = tau * tau
+    d = n - n2
+    s = n + n2
+    d2, s2 = d * d, s * s
+    return (
+        tau * ((20.0 * t2 - 9.0) * al ** 2 + (29.0 * t2 - 15.0) * al
+               + 5.0 * t2 - 3.0) / (48.0 * m * be),
+        t2 * (5.0 * t2 - 2.0) / (32.0 * m ** 2) * s2,
+        -t2 * (5.0 * t2 - 2.0) / (8.0 * m ** 2) * d * s,
+        -t2 * (al ** 2 - al + (3.0 * al - 2.0) * t2) / (16.0 * m ** 2) * d2,
+        be * tau ** 5 / (16.0 * m ** 3) * d2 * d * s,
+        -be * tau ** 3 * (4.0 * t2 - 1.0) / (32.0 * m ** 3) * d2 * s2,
+        be * tau ** 3 * (al ** 2 - al + 1.0 + 3.0 * (al - 1.0) * t2)
+        / (192.0 * m ** 3) * d2 * d2,
+        be ** 2 * tau ** 6 / (128.0 * m ** 4) * d2 * d2 * s2,
+        eps * (al + t2 - 1.0) / (2.0 * al),
+        eps * tau * (2.0 * t2 - 1.0) / (4.0 * al * m) * s2,
+        -eps * tau ** 3 / (2.0 * al * m) * d * s,
+        -eps * tau * (al + t2) / (4.0 * m) * d2,
+        -eps * be * tau ** 4 / (8.0 * al * m ** 2) * d2 * s2,
+        eps ** 2 * m * tau / al ** 2,
+        eps ** 2 * t2 / (2.0 * al ** 2) * s2,
+    )
+
+
+@pytest.mark.parametrize("bc", [BoundaryPair.DD, BoundaryPair.NN])
+@pytest.mark.parametrize("closed,terms", [(g_hat_closed, _g_hat_terms),
+                                          (k_frak_closed, _k_frak_terms)],
+                         ids=["g_hat", "k_frak"])
+def test_folded_forms_match_the_term_by_term_forms(closed, terms, bc):
+    # the per-point coefficients and Horner in D^2 agree with the sum of
+    # the monomials to rounding, on both sides of the n-swap
+    rng = np.random.default_rng(47)
+    p = _random_batch(rng, 1, size=2500)
+    n, n2 = rng.uniform(-6.0, 6.0, size=(2, p.m.size))
+    swapped = (n2, n) if bc is BoundaryPair.NN else (n, n2)
+    parts = terms(p, *swapped)
+    got = closed(bc, p, n, n2)
+    assert np.all(np.abs(got - sum(parts))
+                  <= 1e-13 * (1.0 + sum(np.abs(t) for t in parts)))
+
+
 # -- q-integration theorem --------------------------------------------------
 
 
@@ -328,6 +383,35 @@ def test_sqrt_eps_order_integrates_to_zero(s):
             total += _chain_mean(p, link)
             scale += _chain_mean(p, lambda n: np.abs(link(n)))
     assert abs(total) <= 1e-12 * (1.0 + scale)
+
+
+def test_chain_mean_does_not_depend_on_the_slice_budget(monkeypatch):
+    # one point's rule per slice (27 slices of 64 nodes) and the whole rule
+    # in one slice give the default 6 slices' means to rounding, measured
+    # against each mean's own scale, the chain mean of |links|
+    m, tau, alpha = np.array(list(itertools.product(
+        (0.5, 1.0, 2.0), (0.25, 0.75, 1.0), (0.5, 1.0, 2.0)))).T
+    p = PerturbationPoint(s=3, m=m, tau=tau, eps=0.1, alpha=alpha)
+    chain_mean = oracle._chain_mean
+    scales = []
+
+    def recording(point, links):
+        scales.append(chain_mean(point, lambda n: np.abs(links(n))))
+        return chain_mean(point, links)
+
+    monkeypatch.setattr(oracle, "_chain_mean", recording)
+
+    def means():
+        return [f(bc) for bc in (BoundaryPair.DD, BoundaryPair.NN)
+                for f in (lambda bc: b_s_chain_numeric(bc, p),
+                          *(lambda bc, i=i: i_term_numeric(bc, p, i)
+                            for i in range(4)))]
+
+    want = means()
+    for budget in (12 ** 3, 27 * 12 ** 3):
+        monkeypatch.setattr(oracle, "_NODE_BUDGET", budget)
+        for got, ref, scale in zip(means(), want, scales):
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 def test_chain_rule_per_order():

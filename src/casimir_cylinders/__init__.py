@@ -25,15 +25,7 @@ from .errors import (
 )
 from .geometry import BoundaryPair, CylinderPair, Kind
 from .pfa import pfa_force_integral, pfa_force_leading
-from .quadrature import gauss_hermite, integrate_finite
-from .scattering import (
-    EnergyResult,
-    RoundTripMatrix,
-    build_matrix,
-    casimir_energy_exact,
-    casimir_force_exact,
-    log_det_one_minus,
-)
+from .scattering import EnergyResult, casimir_energy_exact, casimir_force_exact
 
 __version__ = "0.1.0"
 
@@ -50,18 +42,13 @@ __all__ = [
     "NonPositiveDeterminant",
     "PSumNoConvergence",
     "PfaBias",
-    "RoundTripMatrix",
-    "build_matrix",
     "casimir_energy_exact",
     "casimir_force_exact",
     "classify_pfa_bias",
     "cylinder_plate_limit",
     "energy_expansion",
     "force_expansion",
-    "gauss_hermite",
-    "integrate_finite",
     "limit_consistency_check",
-    "log_det_one_minus",
     "pfa_force_integral",
     "pfa_force_leading",
     "__version__",

@@ -168,24 +168,43 @@ def _emit(records: list[dict], fmt: str, out=None) -> None:
                            else str(rec[f]) for f in _FIELDS) + "\n")
 
 
-def cmd_compute(args) -> int:
-    methods = _parse_methods(args.method)
+def _run_points(args, points: list[tuple[float, str]],
+                workers: int = 1) -> int:
+    """Run the (d, method) points of the geometry in args and emit them.
+
+    Every combination is checked before any point runs.  Each diagnostic is
+    printed as ``d=<d> <method>: <diag>``; returns 2 at the first invalid
+    point, else the worst exit code of the points.
+    """
     bc = _parse_bc(args.bc)
-    for method in methods:
+    for _, method in points:
         _check_combo(method, bc, args.quantity)
-    records, worst = [], 0
-    for method in methods:
-        rec, code, diag = _run_task((args.kind, args.bc, args.a, args.b,
-                                     args.d, method, args.quantity,
-                                     args.rel_tol, not args.no_timing))
+    tasks = [(args.kind, args.bc, args.a, args.b, d, method, args.quantity,
+              args.rel_tol, not args.no_timing) for d, method in points]
+    # the pool forks all of its workers at once, so start no more than
+    # there are points or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_task, tasks))
+    else:
+        results = [_run_task(t) for t in tasks]
+    worst = 0
+    records = []
+    for rec, code, diag in results:
         if diag:
-            print(f"{method}: {diag}", file=sys.stderr)
+            print(f"d={rec['d']} {rec['method']}: {diag}", file=sys.stderr)
         if code == 2:
             return 2
         records.append(rec)
         worst = max(worst, code)
     _emit(records, args.format)
     return worst
+
+
+def cmd_compute(args) -> int:
+    return _run_points(args, [(args.d, method)
+                              for method in _parse_methods(args.method)])
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -214,32 +233,9 @@ def cmd_sweep(args) -> int:
         except ValueError:
             args.error(f"argument --parallel: invalid int value: {text!r}")
     methods = _parse_methods(args.method)
-    bc = _parse_bc(args.bc)
-    for method in methods:
-        _check_combo(method, bc, args.quantity)
     grid = _parse_grid(args.d_grid)
-    tasks = [(args.kind, args.bc, args.a, args.b, d, method, args.quantity,
-              args.rel_tol, not args.no_timing)
-             for d in sorted(grid) for method in sorted(methods)]
-    # the pool forks all of its workers at once, so start no more than
-    # there are points or cores
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
-    worst = 0
-    records = []
-    for rec, code, diag in results:
-        if diag:
-            print(f"d={rec['d']} {rec['method']}: {diag}", file=sys.stderr)
-        if code == 2:
-            return 2
-        records.append(rec)
-        worst = max(worst, code)
-    _emit(records, args.format)
-    return worst
+    return _run_points(args, [(d, method) for d in sorted(grid)
+                              for method in sorted(methods)], workers)
 
 
 def _worst(worst: float) -> tuple[float, str]:

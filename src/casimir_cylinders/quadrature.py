@@ -1,7 +1,7 @@
 """One-dimensional integration primitives.
 
-Gauss-Legendre with node doubling on finite intervals and Gauss-Hermite
-rules for Gaussian-weighted integrals.
+Gauss-Legendre with node doubling on finite intervals, and the cached
+Gauss-Hermite nodes that `oracle` averages over.
 
 Integrands are called with a numpy array of abscissas and must return the
 array of values (vectorized contract); every caller in this package complies.
@@ -106,15 +106,3 @@ def integrate_finite(f: Callable, lo: float, hi: float,
             return value, err
     raise NoConvergence(
         f"integrate_finite: {_MAX_DOUBLINGS} doublings reached, err {err:.3e}")
-
-
-def gauss_hermite(f: Callable, lam: float, n_nodes: int) -> float:
-    """∫ f(q) e^{-lam q^2} dq over the real line.
-
-    Exact for polynomial f of degree <= 2*n_nodes - 1.
-    """
-    if not lam > 0:
-        raise DomainError("lambda must be > 0")
-    x, w = _hermgauss(n_nodes)
-    r = 1.0 / math.sqrt(lam)
-    return r * float(np.sum(w * np.asarray(f(x * r))))

@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -267,8 +268,10 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     """The nodes xi as a 1-D float array, once the arguments are checked."""
     neumann(bc)     # DomainError for a composite pair
     xi = np.asarray(xi, dtype=float)
-    if half_width < 0:
-        raise DomainError("half_width must be >= 0")
+    if (isinstance(half_width, bool) or not isinstance(half_width, Integral)
+            or half_width < 0):
+        raise DomainError(
+            f"half_width must be an int >= 0, got {half_width!r}")
     if xi.ndim != 1 or not xi.size or not np.all(np.isfinite(xi) & (xi > 0)):
         raise DomainError(
             "xi must be a nonempty 1-D array of positive finite nodes")
@@ -715,7 +718,11 @@ def _grown_half_width(n_half: int, bound: float, q: float,
 def _initial_half_width(pair: CylinderPair) -> int:
     # dominant angular momentum scales like (cylinder radius)/(gap)
     radius = pair.a if pair.kind is Kind.INTERIOR else max(pair.a, pair.b)
-    return int(math.ceil(4.0 + 3.0 * radius / pair.d))
+    width = 4.0 + 3.0 * radius / pair.d     # inf at a subnormal gap
+    if width > _N_CAP:
+        raise NoConvergence(
+            f"initial truncation N={width:.3g} exceeds cap {_N_CAP}")
+    return math.ceil(width)
 
 
 def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
@@ -744,9 +751,6 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     stats = {"p_max": 0}
 
     n_half = _initial_half_width(pair)
-    if n_half > _N_CAP:
-        raise NoConvergence(
-            f"initial truncation N={n_half} exceeds cap {_N_CAP}")
     level = 0
     while True:
         rows, level, err_quad = _converged_level(

@@ -155,6 +155,20 @@ def test_gap_below_double_range_exits_2(method):
     assert "too small" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("quantity", ["energy", "force"])
+def test_exact_at_subnormal_gap_exits_3(quantity, capsys):
+    # the initial truncation overflows: a one-line diagnostic, not an
+    # OverflowError, and the NaN record is still emitted
+    code = cli.main(["compute", "--kind", "interior", "--bc", "dd",
+                     "--a", "1", "--b", "2", "--d", "1e-310",
+                     "--quantity", quantity, "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ("d=1e-310 exact: initial truncation N=inf "
+                            "exceeds cap 4096\n")
+    assert csv_rows(captured.out)[0]["value_per_length"] == "nan"
+
+
 @pytest.mark.parametrize("rel_tol", ["nan", "inf"])
 def test_nonfinite_rel_tol_exits_2(rel_tol):
     # rejected up front: a NaN tolerance never stops the xi ladder

@@ -30,7 +30,12 @@ from casimir_cylinders.oracle import (
     q_integral_rate,
 )
 from casimir_cylinders import oracle
-from casimir_cylinders.oracle import _chain_mean, _chain_rule, _power_tail
+from casimir_cylinders.oracle import (
+    _chain_mean,
+    _chain_rule,
+    _gauss_mean,
+    _power_tail,
+)
 
 
 def pt(**kw):
@@ -226,6 +231,42 @@ def test_folded_forms_match_the_term_by_term_forms(closed, terms, bc):
 
 
 # -- q-integration theorem --------------------------------------------------
+
+
+def test_gauss_mean_quadratic():
+    assert abs(_gauss_mean(lambda q: q * q, 1.0) - 0.5) < 1e-15
+
+
+def test_gauss_mean_odd_vanishes():
+    # odd moments through degree 23 vanish to rounding of the |q| moment
+    for k in range(12):
+        odd = _gauss_mean(lambda q, k=k: q ** (2 * k + 1), 2.0)
+        size = _gauss_mean(lambda q, k=k: abs(q) ** (2 * k + 1), 2.0)
+        assert abs(odd) <= 1e-14 * size
+
+
+def test_gauss_mean_plain_weight():
+    assert abs(_gauss_mean(np.ones_like, 4.0) - 1.0) < 1e-15
+
+
+def test_gauss_mean_exactness_ladder():
+    # the 12-node rule is exact through degree 23: the mean of q^(2k)
+    # against e^(-lam q^2) is Gamma(k + 1/2) / (sqrt(pi) lam^k)
+    lam = 1.7
+    for k in range(12):
+        ref = math.gamma(k + 0.5) / (math.sqrt(math.pi) * lam ** k)
+        got = _gauss_mean(lambda q, k=k: q ** (2 * k), lam)
+        assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_gauss_mean_batch_of_rates():
+    # one call serves a batch of rates; a scalar rate gets a Python float
+    lam = np.array([0.5, 1.0, 4.0, 50.0])
+    got = _gauss_mean(lambda q: q ** 4, lam)
+    assert got.shape == lam.shape
+    assert np.all(np.abs(got - 0.75 / lam ** 2) <= 1e-14 * 0.75 / lam ** 2)
+    one = _gauss_mean(lambda q: q ** 4, 4.0)
+    assert type(one) is float and one == got[2]
 
 
 def test_q_integral_rate():

@@ -8,10 +8,10 @@ from casimir_cylinders import (
     CylinderPair,
     Kind,
     DomainError,
-    integrate_finite,
     pfa_force_integral,
     pfa_force_leading,
 )
+from casimir_cylinders.quadrature import integrate_finite
 
 INTERIOR = CylinderPair(kind=Kind.INTERIOR, a=1.0, b=2.0, d=0.1)
 EXTERIOR = CylinderPair(kind=Kind.EXTERIOR, a=1.0, b=1.5, d=0.3)

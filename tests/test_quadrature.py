@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from casimir_cylinders import gauss_hermite, integrate_finite
 from casimir_cylinders import quadrature
 from casimir_cylinders.errors import DomainError, NoConvergence
+from casimir_cylinders.quadrature import integrate_finite
 
 
 def test_finite_constant():
@@ -70,33 +70,6 @@ def test_finite_nonfinite_sum_stops_at_first_rung(monkeypatch):
         integrate_finite(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0,
                          1e-8)
     assert rungs == [32]
-
-
-def test_gauss_hermite_quadratic():
-    assert abs(gauss_hermite(lambda q: q * q, 1.0, 8)
-               - math.sqrt(math.pi) / 2.0) < 1e-13
-
-
-def test_gauss_hermite_odd_vanishes():
-    assert abs(gauss_hermite(lambda q: q ** 3, 2.0, 8)) < 1e-14
-
-
-def test_gauss_hermite_plain_weight():
-    assert abs(gauss_hermite(lambda q: q * 0 + 1.0, 4.0, 6)
-               - math.sqrt(math.pi / 4.0)) < 1e-14
-
-
-def test_gauss_hermite_exactness_ladder():
-    # n nodes integrate q^(2n-2) against e^(-q^2): reference Gamma(n - 1/2)
-    for n in range(2, 9):
-        ref = math.gamma(n - 0.5)
-        got = gauss_hermite(lambda q: q ** (2 * n - 2), 1.0, n)
-        assert abs(got - ref) <= 1e-13 * ref
-
-
-def test_gauss_hermite_rejects_bad_rate():
-    with pytest.raises(DomainError):
-        gauss_hermite(lambda q: 1.0, 0.0, 8)
 
 
 def test_legendre_rule_polynomial_exactness():

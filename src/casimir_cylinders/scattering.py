@@ -42,11 +42,12 @@ lookups, and the window ends at the last row whose largest exponent is
 within (1/2) ln(tol * 1e-14) of the largest exponent of Z.  The rows are
 formed again twice as far only while that cut reaches the last one formed.
 
-The lookups depend on xi only, so the nodes of one ``xi_rows`` call share
-one set of tables: each table is one batched call across those nodes (the
-drivers pass at most ``_LANES`` at a time), sized from the widest first
-window of the set, and a node whose window doubles past it grows the whole
-set once.
+The lookups depend on xi only, so the nodes of one ``xi_rows`` call are
+one assembly pass, one ``_XiTables``: it holds the tables, each one batched
+call across those nodes (the drivers pass at most ``_LANES`` at a time)
+sized from the widest first window of the set, the lanes' first windows
+and p caps, and the lane groups; a node whose window doubles past the
+tables grows them once for all, through ``_XiTables.grow``.
 
 The unit of assembly is a group of consecutive lanes of a table set,
 stacked along a leading lane axis, so one numpy call serves every node of
@@ -164,103 +165,68 @@ class EnergyResult:
     converged: bool
 
 
+def _letter_logs(z, n_max: int, prime: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled (ln I, ln K) tables at z to order n_max, primed for N."""
+    if prime:
+        return (log_i_prime_scaled_table(z, n_max),
+                log_k_prime_scaled_table(z, n_max))
+    return log_i_scaled_table(z, n_max), log_k_scaled_table(z, n_max)
+
+
 class _XiTables:
-    """Log-scale Bessel tables for a set of imaginary frequencies.
+    """One assembly pass over the nodes xi, the lanes: tables, windows, groups.
 
-    ``xi`` is a 1-D array of frequencies, the lanes of an assembly pass;
-    each table has one row per lane and is built by one call across all
-    lanes.  A request past a table's end regrows it for every lane at once,
-    to at least twice its order, so a pass regrows each table only a few
-    times.
-    All orders enter through their absolute value, so tables run over
-    nonnegative orders only.
+    Each table has one row per lane and is built by one call across all
+    lanes; orders enter through their absolute value, so tables run over
+    nonnegative orders only.  ``half`` is (num - den)/2 over k = 0..N;
+    the reflection ratio reaches the widest first window p_hi and the
+    translation table p_hi + N + 1, one order on for the force's
+    derivative, and ``grow`` is the one place those two regrow.
+    ``windows`` holds each lane's first window and p cap; ``groups`` are
+    the lane groups of the module notes, slices of consecutive lanes.
     """
 
-    def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi):
-        xi = np.asarray(xi, dtype=float)
+    def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi,
+                 half_width: int):
+        self.xi = xi = np.asarray(xi, dtype=float)
         self.interior = pair.kind is Kind.INTERIOR
-        self.za = pair.a * xi
-        self.zb = pair.b * xi
-        self.zd = pair.delta * xi
-        self.xi = xi
+        self.flip = -1 if self.interior else 1   # translation index p -+ m
+        self.half_width = half_width
         self.log_xi = np.log(xi)
-        self._inner_prime, self._outer_prime = neumann(bc)
-        self.sign = -1.0 if self._inner_prime != self._outer_prime else 1.0
-        self._num = None
-        self._den = None
-        self._ratio = None
-        self._trans = None
+        self.zb, self.zd = pair.b * xi, pair.delta * xi
+        inner, self._outer = neumann(bc)
+        self.sign = -1.0 if inner != self._outer else 1.0
+        num, den = _letter_logs(pair.a * xi, half_width, inner)
+        self.half = 0.5 * (num - den)
+        first = _first_rows(pair, self.zd, half_width)
+        caps = _default_p_cap(self.zd, half_width) + 2.0 * first
+        self.windows = np.stack([first, caps]).astype(np.int64)  # integral
+        self.p_hi = 0
+        self.grow(int(first.max()))
+        self.groups, start, widest = [], 0, 0
+        for lane, rows in enumerate(self.windows[0].tolist()):
+            widest = max(widest, rows)
+            if lane > start and (lane - start + 1) * (widest + 1) \
+                    * (2 * half_width + 1) > _GROUP_ELEMENTS:
+                self.groups.append(slice(start, lane))
+                start, widest = lane, rows
+        self.groups.append(slice(start, xi.size))
 
-    @staticmethod
-    def _order(table: np.ndarray | None, n_max: int) -> int | None:
-        """Order to build a table to, or None when it already reaches n_max."""
-        if table is None:
-            return n_max
-        have = table.shape[-1] - 1
-        return None if n_max <= have else max(n_max, 2 * have)
-
-    def prefactor_logs(self, n_max: int):
-        n_max = self._order(self._num, n_max)
-        if n_max is not None:
-            if self._inner_prime:
-                self._num = log_i_prime_scaled_table(self.za, n_max)
-                self._den = log_k_prime_scaled_table(self.za, n_max)
-            else:
-                self._num = log_i_scaled_table(self.za, n_max)
-                self._den = log_k_scaled_table(self.za, n_max)
-        return self._num, self._den
-
-    def ratio_log(self, p_max: int) -> np.ndarray:
-        """log of the reflection ratio magnitude at the far cylinder."""
-        p_max = self._order(self._ratio, p_max)
-        if p_max is not None:
-            if self._outer_prime:
-                lk = log_k_prime_scaled_table(self.zb, p_max)
-                li = log_i_prime_scaled_table(self.zb, p_max)
-            else:
-                lk = log_k_scaled_table(self.zb, p_max)
-                li = log_i_scaled_table(self.zb, p_max)
-            self._ratio = (lk - li) if self.interior else (li - lk)
-        return self._ratio
-
-    def trans_log(self, j_max: int) -> np.ndarray:
-        j_max = self._order(self._trans, j_max)
-        if j_max is not None:
-            self._trans = (log_i_scaled_table(self.zd, j_max) if self.interior
-                           else log_k_scaled_table(self.zd, j_max))
-        return self._trans
-
-
-def _pass_tables(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
-                 half_width: int) -> tuple[_XiTables, list[slice], np.ndarray]:
-    """One table set for the nodes xi, its lane groups, and its windows.
-
-    The set is built to the widest first window, with the translation table
-    one order past it for the force's derivative; a group whose window
-    doubles grows the set once for all.  Groups take consecutive lanes while
-    lanes x (widest first window + 1) x (2N + 1), the size of one stacked
-    exponent array, stays within ``_GROUP_ELEMENTS``; a lane wider than
-    that is a group of its own.  The windows' rows are the first windows
-    and the p caps of the lanes.
-    """
-    tables = _XiTables(pair, bc, xi)
-    first = _first_rows(pair, tables.zd, half_width)
-    caps = _default_p_cap(tables.zd, half_width, half_width) + 2.0 * first
-    p_hi = int(first.max())
-    tables.prefactor_logs(half_width)
-    tables.ratio_log(p_hi)
-    tables.trans_log(p_hi + half_width + 1)
-    # integral floats, cast once the tables that they size exist
-    windows = np.stack([first, caps]).astype(np.int64)
-    groups, start, widest = [], 0, 0
-    for lane, rows in enumerate(windows[0].tolist()):
-        widest = max(widest, rows)
-        if lane > start and (lane - start + 1) * (widest + 1) \
-                * (2 * half_width + 1) > _GROUP_ELEMENTS:
-            groups.append(slice(start, lane))
-            start, widest = lane, rows
-    groups.append(slice(start, windows.shape[1]))
-    return tables, groups, windows
+    def grow(self, p_hi: int) -> None:
+        """Past the tables' end, rebuild the ratio table to p_hi and the
+        translation table to p_hi + N + 1, for every lane, at least doubling.
+        """
+        if p_hi <= self.p_hi:
+            return
+        self.p_hi = p_hi = max(p_hi, 2 * self.p_hi)
+        j_max = p_hi + self.half_width + 1
+        self.trans = (log_i_scaled_table(self.zd, j_max) if self.interior
+                      else log_k_scaled_table(self.zd, j_max))
+        # log of the reflection ratio magnitude at the far cylinder, built
+        # last so that its I and K tables are not held while trans is built
+        li, lk = _letter_logs(self.zb, p_hi, self._outer)
+        self.ratio = (lk - li) if self.interior else (li - lk)
 
 
 def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
@@ -269,9 +235,9 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     neumann(bc)     # DomainError for a composite pair
     xi = np.asarray(xi, dtype=float)
     if (isinstance(half_width, bool) or not isinstance(half_width, Integral)
-            or half_width < 0):
-        raise DomainError(
-            f"half_width must be an int >= 0, got {half_width!r}")
+            or not 0 <= half_width <= _N_CAP):
+        raise DomainError(f"half_width must be an int in [0, {_N_CAP}] "
+                          f"(the truncation cap), got {half_width!r}")
     if xi.ndim != 1 or not xi.size or not np.all(np.isfinite(xi) & (xi > 0)):
         raise DomainError(
             "xi must be a nonempty 1-D array of positive finite nodes")
@@ -280,29 +246,27 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     return xi
 
 
-def _p_center(pair: CylinderPair, m: int, lo, hi):
-    # translation factors peak where the far-cylinder order tracks (b/a)*m;
-    # side-by-side cylinders couple dominantly through p near 0.  The saddle
-    # estimate holds in the small-gap regime; outside it the summand support
-    # is set by the translation factors, so clamp to that box.
-    if pair.kind is Kind.INTERIOR:
-        return np.clip(round(pair.b / pair.a * m), lo, hi)
-    return 0
-
-
-def _default_p_cap(zd, m: int, n: int):
-    # an integral float, or one per lane for an array zd
-    return np.floor(10.0 * (zd + abs(m) + abs(n) + 50.0))
+def _default_p_cap(zd, half_width: int):
+    # the per-element cap 10 (zd + |m| + |n| + 50) at |m| = |n| = N: an
+    # integral float, or one per lane for an array zd
+    return np.floor(10.0 * (zd + half_width + half_width + 50.0))
 
 
 def _first_rows(pair: CylinderPair, zd, half_width: int) -> np.ndarray:
     """Last row p_hi of each lane's first window at N, an integral float.
 
-    The p-centre is odd and nondecreasing in m, so the window is symmetric
+    Translation factors peak where the far-cylinder order tracks (b/a) m;
+    side-by-side cylinders couple dominantly through p near 0.  The saddle
+    estimate holds in the small-gap regime; outside it the summand support
+    is set by the translation factors, so the p-centre is clamped to that
+    box.  It is odd and nondecreasing in m, so the window is symmetric
     (p_lo = -p_hi) and only its p >= 0 half is built.
     """
     box = np.ceil(zd) + 20.0
-    center = _p_center(pair, half_width, -half_width - box, half_width + box)
+    center = 0
+    if pair.kind is Kind.INTERIOR:
+        center = np.clip(round(pair.b / pair.a * half_width),
+                         -half_width - box, half_width + box)
     return center + half_width + box + 20.0
 
 
@@ -323,15 +287,14 @@ def _order_window(table: np.ndarray, p_to: int, n: int,
     return (ahead, behind) if flip > 0 else (behind, ahead)
 
 
-def _row_logs(tables: _XiTables, lanes: slice, p_to: int, half: np.ndarray,
-              flip: int, derivative: bool
+def _row_logs(tables: _XiTables, lanes: slice, p_to: int, derivative: bool
               ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exponents of the rows p = 0..p_to (p >= 0) of the window, unfolded.
 
     One array per sign of k across the table lanes ``lanes``, with axes
     (lane, k, p): Z transposed, so that reductions over k run across
-    contiguous rows.  ``half`` holds the lanes' (num - den)/2 over k = 0..N.
-    Returns [(parity, Z at -k for k >= 1)], where parity[0] holds Z at +k
+    contiguous rows; the set is grown to p_to first.  Returns
+    [(parity, Z at -k for k >= 1)], where parity[0] holds Z at +k
     and parity[1] is room for the odd part of the fold, followed with
     ``derivative`` by the same for W: Z with its translation factor
     replaced by that factor's d-derivative (W = Z o D for the
@@ -344,12 +307,13 @@ def _row_logs(tables: _XiTables, lanes: slice, p_to: int, half: np.ndarray,
     returns it whole: malloc is left no freed top of the heap to trim and
     fault in again at the next group, whatever references the caller keeps.
     """
-    n = half.shape[-1] - 1
+    tables.grow(p_to)
+    n, half = tables.half_width, tables.half[lanes]
     ps = np.arange(p_to + 1)
-    row = 0.5 * tables.ratio_log(p_to)[lanes, :p_to + 1] \
+    row = 0.5 * tables.ratio[lanes, :p_to + 1] \
         + np.where(ps > 0, _HALF_LN2, 0.0)
     col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
-    trans = [tables.trans_log(p_to + n + 1)[lanes]]
+    trans = [tables.trans[lanes]]
     if derivative:
         # ln|d/dd B_j(delta xi)|: B = I (d delta/dd = -1) for interior pairs
         # and B = K (d delta/dd = +1, K' < 0) for exterior ones, so the
@@ -360,7 +324,7 @@ def _row_logs(tables: _XiTables, lanes: slice, p_to: int, half: np.ndarray,
     base = np.add(col[:, :, None], row[:, None, :], out=slots[0, 1])
     logs = []
     for table, arrays in zip(trans, slots):
-        ahead, behind = _order_window(table, p_to, n, flip)
+        ahead, behind = _order_window(table, p_to, n, tables.flip)
         np.add(base, ahead, out=arrays[0])
         np.add(base[:, 1:], behind[:, 1:], out=arrays[2, :, 1:])
         logs.append((arrays[:2], arrays[2, :, 1:]))
@@ -398,13 +362,10 @@ def _gram_blocks(logs: list[tuple[np.ndarray, np.ndarray]]
     return blocks
 
 
-def _window_blocks(pair: CylinderPair, tables: _XiTables, lanes: slice,
-                   windows: np.ndarray, half_width: int, tol: float,
-                   derivative: bool
-                   ) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """(sign, [G] or [G, H] over each lane's envelope window, window widths).
+def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
+                   derivative: bool) -> tuple[list[np.ndarray], np.ndarray]:
+    """([G] or [G, H] over each lane's envelope window, window widths).
 
-    ``windows`` are the table set's, as ``_pass_tables`` returns them.
     Assembles the table lanes ``lanes`` as one stacked group: G and H are
     stacked on axes (parity, lane), as ``_gram_blocks`` returns them.  Each
     row's envelope is its largest exponent, less the largest exponent of
@@ -421,14 +382,11 @@ def _window_blocks(pair: CylinderPair, tables: _XiTables, lanes: slice,
     widest window of that sequence at or below its cut, so whether a lane
     fails does not depend on the lanes it is grouped with.
     """
-    flip = -1 if pair.kind is Kind.INTERIOR else 1
-    num, den = tables.prefactor_logs(half_width)
-    half = 0.5 * (num[lanes, :half_width + 1] - den[lanes, :half_width + 1])
-    first, caps = windows[:, lanes]
+    first, caps = tables.windows[:, lanes]
     floor = 0.5 * math.log(tol * 1e-14)
     p_hi = int(first.max())
     while True:
-        logs = _row_logs(tables, lanes, p_hi, half, flip, derivative)
+        logs = _row_logs(tables, lanes, p_hi, derivative)
         rows = [np.maximum(parity[0].max(axis=1),
                            minus.max(axis=1, initial=-np.inf))
                 for parity, minus in logs]
@@ -444,7 +402,7 @@ def _window_blocks(pair: CylinderPair, tables: _XiTables, lanes: slice,
             lane = int(over[0])
             raise PSumNoConvergence(
                 f"matrix p-window exceeded cap {caps[lane]} at "
-                f"xi={tables.xi[lanes][lane]}, N={half_width}")
+                f"xi={tables.xi[lanes][lane]}, N={tables.half_width}")
         if cut.max() < p_hi:
             break
         del logs, rows, envelope
@@ -457,7 +415,7 @@ def _window_blocks(pair: CylinderPair, tables: _XiTables, lanes: slice,
         for parity, minus in kept:
             np.copyto(parity[0], -np.inf, where=past)
             np.copyto(minus, -np.inf, where=past)
-    return tables.sign, _gram_blocks(kept), 2 * cut + 1
+    return _gram_blocks(kept), 2 * cut + 1
 
 
 def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
@@ -469,12 +427,11 @@ def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
     dropped term of G is below tol * 1e-14 of the largest term.  The
     one-node case of the assembly ``xi_rows`` runs.
     """
-    tables, _, windows = _pass_tables(
-        pair, bc, _checked_nodes(bc, [xi], half_width, tol), half_width)
-    sign, (g,), _ = _window_blocks(pair, tables, slice(None), windows,
-                                   half_width, tol, False)
+    tables = _XiTables(pair, bc, _checked_nodes(bc, [xi], half_width, tol),
+                       half_width)
+    (g,), _ = _window_blocks(tables, slice(None), tol, False)
     return RoundTripMatrix(half_width=half_width, even=g[0, 0],
-                           odd=g[1, 0, 1:, 1:], sign=sign,
+                           odd=g[1, 0, 1:, 1:], sign=tables.sign,
                            prefactor_log=-2.0 * pair.d * xi)
 
 
@@ -615,12 +572,11 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     widths = np.zeros(xi.size, dtype=int)
     if not live.size:
         return rows, widths
-    tables, groups, windows = _pass_tables(pair, bc, xi[live], half_width)
-    for lanes in groups:
+    tables = _XiTables(pair, bc, xi[live], half_width)
+    for lanes in tables.groups:
         nodes = live[lanes]
-        sign, blocks, widths[nodes] = _window_blocks(
-            pair, tables, lanes, windows, half_width, tol, derivative)
-        rows[nodes] = evaluate(sign * prefactor[nodes], blocks)
+        blocks, widths[nodes] = _window_blocks(tables, lanes, tol, derivative)
+        rows[nodes] = evaluate(tables.sign * prefactor[nodes], blocks)
     return rows, widths
 
 
@@ -783,8 +739,9 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
 
     The nested tanh-sinh xi rule is refined first at the initial
     truncation.  The per-|m| rows of ln det on that grid then bound the
-    truncation error, and the truncation grows straight to where that bound
-    meets its share of rel_tol.  At each new truncation the converged level
+    truncation error, and while the bound exceeds its share of rel_tol the
+    truncation grows toward where the bound meets it, to at most 2N + 1
+    per step.  At each new truncation the converged level
     is assembled once and checked again against the level below, read off
     its even nodes, and refined only if the two no longer agree.  The
     reported value is that level's sum at the final truncation; err_est is

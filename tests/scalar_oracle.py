@@ -3,11 +3,10 @@
 One scaled element S_mn at a time, its p-sum walked outward from the peak
 term by term.  The package's matrix route cuts the p-window once from the
 log-envelope of the whole matrix instead, so the matrix tests can check the
-parity blocks element by element against an independent summation.  What
-it shares with that route is its inputs, not its sum: the log-Bessel tables
-(`_XiTables`), the default p cap (`_default_p_cap`), the p-peak guess it
-starts the walk from (`_p_center`) and the scalar-pair check
-(`geometry.neumann`).
+parity blocks element by element against an independent summation.  It
+states its own p cap and the p-peak guess it starts the walk from, and
+builds its own tables; what it shares with that route is the log-Bessel
+tables of `bessel` and the scalar-pair check (`geometry.neumann`).
 """
 from __future__ import annotations
 
@@ -15,11 +14,25 @@ import math
 
 import numpy as np
 
+from casimir_cylinders.bessel import (
+    log_i_prime_scaled_table,
+    log_i_scaled_table,
+    log_k_prime_scaled_table,
+    log_k_scaled_table,
+)
 from casimir_cylinders.errors import DomainError, PSumNoConvergence
 from casimir_cylinders.geometry import BoundaryPair, CylinderPair, Kind, neumann
-from casimir_cylinders.scattering import _XiTables, _default_p_cap, _p_center
 
 _SMALL_RUN = 10            # consecutive negligible p-terms that end the sum
+
+
+def _letter_tables(z: float, prime: bool):
+    """One-argument tables n_max -> (ln I, ln K) at z over n = 0..n_max,
+    scaled; the primed pair for an N letter."""
+    log_i, log_k = ((log_i_prime_scaled_table, log_k_prime_scaled_table)
+                    if prime else (log_i_scaled_table, log_k_scaled_table))
+    return lambda n_max: (log_i(np.array([z]), n_max)[0],
+                          log_k(np.array([z]), n_max)[0])
 
 
 def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
@@ -31,39 +44,52 @@ def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
     than tol of the running total; all terms share one sign, so the total
     grows monotonically and the stopping test is safe.
     """
-    neumann(bc)     # DomainError for a composite pair
+    inner, outer = neumann(bc)     # DomainError for a composite pair
     if not xi > 0:
         raise DomainError("xi must be positive")
     if not tol > 0:
         raise DomainError("tol must be positive")
     m, n = int(m), int(n)
-    tables = _XiTables(pair, bc, np.array([xi]))
-    zd = float(tables.zd[0])
-    cap = int(_default_p_cap(zd, m, n) if p_cap is None else p_cap)
-    flip = -1 if pair.kind is Kind.INTERIOR else 1   # translation index p -+ m
+    interior = pair.kind is Kind.INTERIOR
+    zd = pair.delta * xi
+    cap = (math.floor(10.0 * (zd + abs(m) + abs(n) + 50.0)) if p_cap is None
+           else int(p_cap))
+    flip = -1 if interior else 1   # translation index p -+ m
+    far = _letter_tables(pair.b * xi, outer)
+
+    def ratio_table(p_max: int) -> np.ndarray:
+        li, lk = far(p_max)
+        return (lk - li) if interior else (li - lk)
+
+    def trans_table(j_max: int) -> np.ndarray:
+        z = np.array([zd])
+        return (log_i_scaled_table(z, j_max) if interior
+                else log_k_scaled_table(z, j_max))[0]
 
     # summand support: translation factors die superexponentially once the
     # index outruns zd, so the peak lives inside this box whatever the
-    # saddle estimate says; never stop before the walk has covered it
+    # saddle estimate says; never stop before the walk has covered it.  The
+    # factors peak where the far-cylinder order tracks (b/a) m; side-by-side
+    # cylinders couple dominantly through p near 0
     span = int(math.ceil(zd)) + 20
     box_lo = min(-flip * m, -flip * n, 0) - span
     box_hi = max(-flip * m, -flip * n, 0) + span
-    center = _p_center(pair, m, box_lo, box_hi)
+    center = (min(max(round(pair.b / pair.a * m), box_lo), box_hi)
+              if interior else 0)
     k_min = (box_hi - box_lo) // 2 + 1
 
-    num, den = tables.prefactor_logs(max(abs(m), abs(n)))
-    base = num[0, abs(n)] - den[0, abs(m)]
+    num, den = _letter_tables(pair.a * xi, inner)(max(abs(m), abs(n)))
+    base = num[abs(n)] - den[abs(m)]
 
-    ratio = tables.ratio_log(max(abs(box_lo), abs(box_hi), 8))[0]
-    trans = tables.trans_log(max(abs(box_lo), abs(box_hi), 8)
-                             + max(abs(m), abs(n)))[0]
+    ratio = ratio_table(max(abs(box_lo), abs(box_hi), 8))
+    trans = trans_table(max(abs(box_lo), abs(box_hi), 8) + max(abs(m), abs(n)))
 
     def term_log(p: int) -> float:
         need = max(abs(p), abs(p + flip * m), abs(p + flip * n))
         nonlocal ratio, trans
         if need >= len(ratio) or need >= len(trans):
-            ratio = tables.ratio_log(2 * need)[0]
-            trans = tables.trans_log(2 * need)[0]
+            ratio = ratio_table(2 * need)
+            trans = trans_table(2 * need)
         return (ratio[abs(p)] + trans[abs(p + flip * m)]
                 + trans[abs(p + flip * n)])
 
@@ -95,4 +121,5 @@ def matrix_element(pair: CylinderPair, bc: BoundaryPair, m: int, n: int,
             f"p-sum window exceeded cap {cap} at m={m}, n={n}, xi={xi}")
     if l_ref == -math.inf:
         return 0.0
-    return tables.sign * math.exp(base + l_ref + math.log(acc))
+    sign = -1.0 if inner != outer else 1.0
+    return sign * math.exp(base + l_ref + math.log(acc))

@@ -99,5 +99,5 @@ def test_letter_rule_reproduces_the_pair_tables(alpha):
     pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
     for bc, sign, factor in ((DD, 1.0, 1.0), (NN, 1.0, 1.0),
                              (DN, -1.0, -0.875), (ND, -1.0, -0.875)):
-        assert _XiTables(pair, bc, np.array([1.0])).sign == sign
+        assert _XiTables(pair, bc, np.array([1.0]), 0).sign == sign
         assert _pair_factor(bc) == factor

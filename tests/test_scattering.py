@@ -24,6 +24,7 @@ from casimir_cylinders.errors import (
 )
 from casimir_cylinders.scattering import (
     _MAX_QUAD_LEVEL,
+    _N_CAP,
     RoundTripMatrix,
     _XiTables,
     _force_lanes,
@@ -32,7 +33,6 @@ from casimir_cylinders.scattering import (
     _initial_half_width,
     _integral_at,
     _log_det_lanes,
-    _pass_tables,
     _row_logs,
     _tail_bound,
     _window_blocks,
@@ -171,9 +171,20 @@ def test_matrix_leading_block_stable_under_widening():
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
-def test_matrix_argument_validation():
+def test_matrix_argument_validation(monkeypatch):
+    # every bad argument is rejected before any Bessel table is built, a
+    # half_width past the truncation cap too
+    def no_table(*args):
+        raise AssertionError("a Bessel table was built")
+
+    for name in ("log_i_scaled_table", "log_k_scaled_table",
+                 "log_i_prime_scaled_table", "log_k_prime_scaled_table"):
+        monkeypatch.setattr(scattering, name, no_table)
     one, dd = np.array([1.0]), BoundaryPair.DD
+    cap = rf"half_width .*\b{_N_CAP}\b"
     bad = [(lambda: build_matrix(INT_05, dd, 1.0, -1), "half_width"),
+           (lambda: build_matrix(INT_05, dd, 1.0, _N_CAP + 1), cap),
+           (lambda: xi_rows(INT_05, dd, one, _N_CAP + 1), cap),
            (lambda: build_matrix(INT_05, dd, -1.0, 2), "xi must be"),
            (lambda: xi_rows(INT_05, BoundaryPair.PCPC, one, 2), "composite"),
            (lambda: xi_rows(INT_05, dd, one, -1), "half_width"),
@@ -226,21 +237,16 @@ def _one_node(pair, bc, xi, half_width, tol, quantity="energy"):
 def _lane_blocks(pair, bc, xi, half_width, tol, derivative=False):
     """[G_even, G_odd] (then H_even, H_odd) of one node over its envelope
     window, and the window width."""
-    tables, _, windows = _pass_tables(pair, bc, np.array([xi]), half_width)
-    _, blocks, widths = _window_blocks(pair, tables, slice(None), windows,
-                                       half_width, tol, derivative)
+    tables = _XiTables(pair, bc, np.array([xi]), half_width)
+    blocks, widths = _window_blocks(tables, slice(None), tol, derivative)
     parts = [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
     return parts, int(widths[0])
 
 
 def _uncut_blocks(pair, bc, xi, half_width, p_to, derivative=False):
     """Parity blocks summed over every row p = 0..p_to, with no cut."""
-    tables = _XiTables(pair, bc, np.array([xi]))
-    num, den = tables.prefactor_logs(half_width)
-    half = 0.5 * (num[:, :half_width + 1] - den[:, :half_width + 1])
-    flip = -1 if pair.kind is Kind.INTERIOR else 1
-    blocks = _gram_blocks(_row_logs(tables, slice(None), p_to, half, flip,
-                                    derivative))
+    tables = _XiTables(pair, bc, np.array([xi]), half_width)
+    blocks = _gram_blocks(_row_logs(tables, slice(None), p_to, derivative))
     return [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
 
 
@@ -432,10 +438,9 @@ def test_logdet_tail_lanes_match_mpmath(bc):
     mp = pytest.importorskip("mpmath")
     pair, n = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1), 20
     xi = np.sort(_xi_grid(pair.d, 1)[0])[-16:]
-    tables, _, windows = _pass_tables(pair, bc, xi, n)
-    sign, (g,), _ = _window_blocks(pair, tables, slice(None), windows, n,
-                                   1e-12, False)
-    scale = sign * np.exp(-2.0 * pair.d * xi)
+    tables = _XiTables(pair, bc, xi, n)
+    (g,), _ = _window_blocks(tables, slice(None), 1e-12, False)
+    scale = tables.sign * np.exp(-2.0 * pair.d * xi)
     got = _log_det_lanes(scale, [g]).sum(axis=1)
     with mp.workdps(60):
         for lane, c in enumerate(scale.tolist()):
@@ -614,11 +619,11 @@ def _counted_lanes(monkeypatch) -> dict:
     builds = {}
     inner = scattering._window_blocks
 
-    def counted(pair, tables, lanes, windows, half_width, *args):
-        sign, blocks, widths = inner(pair, tables, lanes, windows, half_width,
-                                     *args)
-        builds[half_width] = builds.get(half_width, 0) + widths.size
-        return sign, blocks, widths
+    def counted(tables, lanes, *args):
+        blocks, widths = inner(tables, lanes, *args)
+        builds[tables.half_width] = (builds.get(tables.half_width, 0)
+                                     + widths.size)
+        return blocks, widths
 
     monkeypatch.setattr(scattering, "_window_blocks", counted)
     return builds
@@ -710,7 +715,7 @@ def test_lane_windows_match_the_scalar_rule(pair):
     # past it, and the cap 10 (zd + 2N + 50) + 2 p_hi
     xi = np.append(_xi_grid(pair.d, 0)[0], 1e-9)
     for n in (0, 12, 61):
-        _, _, windows = _pass_tables(pair, BoundaryPair.DD, xi, n)
+        windows = _XiTables(pair, BoundaryPair.DD, xi, n).windows
         want = []
         for zd in (pair.delta * xi).tolist():
             box = math.ceil(zd) + 20
@@ -740,13 +745,12 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
     # own one-lane build
     n, tol = 12, 1e-12
     xi = _MIXED_XI_D / pair.d
-    tables, _, windows = _pass_tables(pair, bc, xi, n)
+    tables = _XiTables(pair, bc, xi, n)
     force = quantity == "force"
-    sign, blocks, widths = _window_blocks(pair, tables, slice(None), windows,
-                                          n, tol, force)
-    scale = sign * np.exp(-2.0 * pair.d * xi)
+    blocks, widths = _window_blocks(tables, slice(None), tol, force)
+    scale = tables.sign * np.exp(-2.0 * pair.d * xi)
     rows = (_force_lanes if force else _log_det_lanes)(scale, blocks)
-    doubled = (widths - 1) // 2 >= windows[0]
+    doubled = (widths - 1) // 2 >= tables.windows[0]
     assert doubled.any() and not doubled.all()
     if quantity == "energy":
         chol = np.linalg.cholesky(np.eye(n + 1)
@@ -770,12 +774,11 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
     from casimir_cylinders import scattering
     n, tol, bc = 12, 1e-12, BoundaryPair.DD
     xi = _MIXED_XI_D / pair.d
-    tables, _, windows = _pass_tables(pair, bc, xi, n)
-    _, _, widths = _window_blocks(pair, tables, slice(None), windows, n, tol,
-                                  False)
+    tables = _XiTables(pair, bc, xi, n)
+    _, widths = _window_blocks(tables, slice(None), tol, False)
     checked = 0
     for lane, (z, f, w) in enumerate(zip(tables.zd.tolist(),
-                                         windows[0].tolist(),
+                                         tables.windows[0].tolist(),
                                          widths.tolist())):
         cut = (w - 1) // 2
         if cut < f:
@@ -784,12 +787,11 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
         for cap, fails in ((reached - 1, True), (reached, False)):
             monkeypatch.setattr(
                 scattering, "_default_p_cap",
-                lambda zd, m, k, z=z, base=cap - 2 * f:
+                lambda zd, k, z=z, base=cap - 2 * f:
                     np.where(zd == z, base, 1e9))
             for build in (
-                    lambda: _window_blocks(
-                        pair, tables, slice(None),
-                        _pass_tables(pair, bc, xi, n)[2], n, tol, False),
+                    lambda: _window_blocks(_XiTables(pair, bc, xi, n),
+                                           slice(None), tol, False),
                     lambda: _one_node(pair, bc, xi[lane], n, tol)):
                 if fails:
                     with pytest.raises(PSumNoConvergence):
@@ -798,6 +800,31 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
                     build()
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("quantity", ["energy", "force"])
+@pytest.mark.parametrize("pair", [CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1),
+                                  EXT_08], ids=["interior", "exterior"])
+def test_regrown_tables_match_wide_ones(pair, quantity):
+    # a one-node set that regrows its tables as its rows double builds the
+    # same blocks and width, bit for bit, as one grown first to 4x its first
+    # window: a table's head does not depend on its length.  The set's
+    # first window is its one lane's, so the low-xi nodes regrow it
+    n, tol, force = 12, 1e-12, quantity == "force"
+    regrown = 0
+    for x in (_MIXED_XI_D / pair.d).tolist():
+        fresh, wide = (_XiTables(pair, BoundaryPair.DD, np.array([x]), n)
+                       for _ in range(2))
+        first = fresh.p_hi
+        wide.grow(4 * first)
+        got, width = _window_blocks(fresh, slice(None), tol, force)
+        want, wide_width = _window_blocks(wide, slice(None), tol, force)
+        assert fresh.p_hi < wide.p_hi
+        regrown += fresh.p_hi > first
+        assert np.array_equal(width, wide_width)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert 0 < regrown < _MIXED_XI_D.size
 
 
 def test_stacked_nonpositive_lane_raises():

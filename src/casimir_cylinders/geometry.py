@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import DomainError, InvalidGeometry
 
@@ -57,6 +58,8 @@ def neumann(bc: BoundaryPair) -> tuple[bool, bool]:
     Every constant of a scalar pair is read off these two letters; a
     composite pair has no letters of its own and raises DomainError.
     """
+    if not isinstance(bc, BoundaryPair):
+        raise DomainError(f"bc must be a BoundaryPair, got {bc!r}")
     if bc not in SCALAR_PAIRS:
         raise DomainError(
             f"{bc} is a composite pairing; compose it from scalar results")
@@ -66,7 +69,8 @@ def neumann(bc: BoundaryPair) -> tuple[bool, bool]:
 @dataclass(frozen=True)
 class CylinderPair:
     """Geometry of the pair; every result in the package is reported per
-    unit cylinder length."""
+    unit cylinder length.  a, b and d may be any real numbers but bools,
+    numpy scalars included, and are stored as floats."""
 
     kind: Kind
     a: float
@@ -74,10 +78,14 @@ class CylinderPair:
     d: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, Kind):
+            raise InvalidGeometry(f"kind must be a Kind, got {self.kind!r}")
         for name in ("a", "b", "d"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if (isinstance(v, bool) or not isinstance(v, Real)
+                    or not (math.isfinite(v) and v > 0)):
                 raise InvalidGeometry(f"{name} must be a positive finite number, got {v!r}")
+            object.__setattr__(self, name, float(v))   # no float32 arithmetic
         if self.kind == Kind.INTERIOR and self.a + self.d >= self.b:
             raise InvalidGeometry(
                 f"interior pair needs a + d < b, got a={self.a}, d={self.d}, b={self.b}")

@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -57,8 +58,11 @@ class PerturbationPoint:
     alpha: float | np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.s, int) or self.s < 0:
-            raise DomainError("s must be a nonnegative integer")
+        if (isinstance(self.s, bool) or not isinstance(self.s, Integral)
+                or self.s < 0):
+            raise DomainError(
+                f"s must be a nonnegative integer, got {self.s!r}")
+        object.__setattr__(self, "s", int(self.s))
         shapes = set()
         for name in ("m", "tau", "eps", "alpha"):
             value = getattr(self, name)

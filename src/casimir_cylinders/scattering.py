@@ -40,14 +40,16 @@ ln L_kk^2 = log1p(-delta_k) with delta_k the pivot's deficit from 1.
 The p-window is cut once, before any exp: log Z is a sum of three table
 lookups, and the window ends at the last row whose largest exponent is
 within (1/2) ln(tol * 1e-14) of the largest exponent of Z.  The rows are
-formed again twice as far only while that cut reaches the last one formed.
+formed again twice as far only while that cut reaches the last one formed,
+up to the fixed p cap ``_P_CAP``: the envelope decays like (delta/b)^p
+interior and (b/delta)^p exterior, so only memory needs a bound.
 
 The lookups depend on xi only, so the nodes of one ``xi_rows`` call are
 one assembly pass, one ``_XiTables``: it holds the tables, each one batched
 call across those nodes (the drivers pass at most ``_LANES`` at a time)
 sized from the widest first window of the set, the lanes' first windows
-and p caps, and the lane groups; a node whose window doubles past the
-tables grows them once for all, through ``_XiTables.grow``.
+and the lane groups; a node whose window doubles past the tables grows
+them once for all, through ``_XiTables.grow``.
 
 The unit of assembly is a group of consecutive lanes of a table set,
 stacked along a leading lane axis, so one numpy call serves every node of
@@ -122,6 +124,7 @@ _MAX_QUAD_LEVEL = 5     # h = 1/128, 769 nodes
 _LANES = 64             # xi nodes per table set: a few MB at p-windows ~4000
 _GROUP_ELEMENTS = 1 << 15   # stacked exponent entries per lane group: 256 KB
 _N_CAP = 4096           # largest matrix truncation N a run may grow to
+_P_CAP = 1 << 16        # last p-window row a lane may form
 _HALF_LN2 = 0.5 * math.log(2.0)
 
 
@@ -183,8 +186,8 @@ class _XiTables:
     the reflection ratio reaches the widest first window p_hi and the
     translation table p_hi + N + 1, one order on for the force's
     derivative, and ``grow`` is the one place those two regrow.
-    ``windows`` holds each lane's first window and p cap; ``groups`` are
-    the lane groups of the module notes, slices of consecutive lanes.
+    ``first`` holds each lane's first window, at most the p cap; ``groups``
+    are the lane groups of the module notes, slices of consecutive lanes.
     """
 
     def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi,
@@ -199,13 +202,12 @@ class _XiTables:
         self.sign = -1.0 if inner != self._outer else 1.0
         num, den = _letter_logs(pair.a * xi, half_width, inner)
         self.half = 0.5 * (num - den)
-        first = _first_rows(pair, self.zd, half_width)
-        caps = _default_p_cap(self.zd, half_width) + 2.0 * first
-        self.windows = np.stack([first, caps]).astype(np.int64)  # integral
+        self.first = np.minimum(_first_rows(pair, self.zd, half_width),
+                                _P_CAP).astype(np.int64)     # integral
         self.p_hi = 0
-        self.grow(int(first.max()))
+        self.grow(int(self.first.max()))
         self.groups, start, widest = [], 0, 0
-        for lane, rows in enumerate(self.windows[0].tolist()):
+        for lane, rows in enumerate(self.first.tolist()):
             widest = max(widest, rows)
             if lane > start and (lane - start + 1) * (widest + 1) \
                     * (2 * half_width + 1) > _GROUP_ELEMENTS:
@@ -215,11 +217,11 @@ class _XiTables:
 
     def grow(self, p_hi: int) -> None:
         """Past the tables' end, rebuild the ratio table to p_hi and the
-        translation table to p_hi + N + 1, for every lane, at least doubling.
-        """
+        translation table to p_hi + N + 1 for every lane, at least doubling
+        up to the p cap."""
         if p_hi <= self.p_hi:
             return
-        self.p_hi = p_hi = max(p_hi, 2 * self.p_hi)
+        self.p_hi = p_hi = max(p_hi, min(2 * self.p_hi, _P_CAP))
         j_max = p_hi + self.half_width + 1
         self.trans = (log_i_scaled_table(self.zd, j_max) if self.interior
                       else log_k_scaled_table(self.zd, j_max))
@@ -244,12 +246,6 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
     return xi
-
-
-def _default_p_cap(zd, half_width: int):
-    # the per-element cap 10 (zd + |m| + |n| + 50) at |m| = |n| = N: an
-    # integral float, or one per lane for an array zd
-    return np.floor(10.0 * (zd + half_width + half_width + 50.0))
 
 
 def _first_rows(pair: CylinderPair, zd, half_width: int) -> np.ndarray:
@@ -373,18 +369,15 @@ def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
     ends at the last row whose envelope is within (1/2) ln(tol * 1e-14) of
     the top, so every dropped product is below tol * 1e-14 of the largest
     one.  The group forms its rows to the widest first window of its lanes
-    and doubles them while any lane's cut reaches the last row formed; rows
-    past a lane's own cut become exact zeros before the Gram products.
-
-    A lane alone would double its window f, 2f, 4f, ... from its own first
-    window f while its cut reaches the window, and fail once a window it
-    still needs passes its cap.  The group checks each lane against the
-    widest window of that sequence at or below its cut, so whether a lane
-    fails does not depend on the lanes it is grouped with.
+    and doubles them, to at most the p cap ``_P_CAP``, while any lane's cut
+    reaches the last row formed; rows past a lane's own cut become exact
+    zeros before the Gram products.  It raises ``PSumNoConvergence`` when a
+    cut reaches the cap.  Every window sequence ends on the cap itself, so a
+    lane fails exactly when its cut reaches the cap, whatever lanes it is
+    grouped with.
     """
-    first, caps = tables.windows[:, lanes]
     floor = 0.5 * math.log(tol * 1e-14)
-    p_hi = int(first.max())
+    p_hi = int(tables.first[lanes].max())
     while True:
         logs = _row_logs(tables, lanes, p_hi, derivative)
         rows = [np.maximum(parity[0].max(axis=1),
@@ -393,20 +386,15 @@ def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
         envelope = np.max([r - r.max(axis=1, keepdims=True) for r in rows],
                           axis=0)
         cut = p_hi - np.argmax(envelope[:, ::-1] >= floor, axis=1)
-        # 2**(e-1) <= cut // first < 2**e: first << (e-1) is the lane's own
-        # widest window at or below its cut (none when e = 0)
-        e = np.frexp(cut // first)[1]
-        over = np.flatnonzero((e > 0)
-                              & (first << np.maximum(e - 1, 0) > caps))
-        if over.size:
-            lane = int(over[0])
-            raise PSumNoConvergence(
-                f"matrix p-window exceeded cap {caps[lane]} at "
-                f"xi={tables.xi[lanes][lane]}, N={tables.half_width}")
         if cut.max() < p_hi:
             break
+        if p_hi >= _P_CAP:
+            raise PSumNoConvergence(
+                f"matrix p-window reached cap {_P_CAP} at "
+                f"xi={tables.xi[lanes][np.argmax(cut)]}, "
+                f"N={tables.half_width}")
         del logs, rows, envelope
-        p_hi *= 2
+        p_hi = min(2 * p_hi, _P_CAP)
     top = int(cut.max())
     kept = [(parity[..., :top + 1], minus[..., :top + 1])
             for parity, minus in logs]
@@ -555,8 +543,9 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     at xi[i] (N = half_width), of ln det(1 - M) for ``quantity="energy"``
     and of tr[(1 - M)^{-1} d_d M] for ``"force"``; r[:N'+1] sums to the
     term of the N' truncation.  widths[i] is the node's p-window width; tol cuts
-    the window as in ``build_matrix``.  The nodes share one table set and
-    are assembled in lane groups.  Where the round-trip prefactor
+    the window as in ``build_matrix``, and a node whose cut reaches the p
+    cap ``_P_CAP`` raises ``PSumNoConvergence``.  The nodes share one table
+    set and are assembled in lane groups.  Where the round-trip prefactor
     e^{-2 d xi} is an exact 0, M is exactly 0: such a node gets zero rows
     and width 0, and builds no table.
     """

@@ -41,10 +41,31 @@ def test_span_is_the_center_distance_at_contact():
     dict(a=1.0, b=2.0, d=0.0),
     dict(a=1.0, b=2.0, d=math.inf),
     dict(a=1.0, b=2.0, d=math.nan),
+    dict(a=True, b=2.0, d=0.1),
+    dict(a=1.0, b=2.0, d=True),
+    dict(a="1.0", b=2.0, d=0.1),
+    dict(a=1.0, b=None, d=0.1),
+    dict(a=1.0, b=2.0, d=0.1j),
 ])
 def test_positive_finite_required(bad):
     with pytest.raises(InvalidGeometry):
         CylinderPair(Kind.INTERIOR, **bad)
+
+
+def test_numpy_scalars_are_accepted_as_floats():
+    # one rule for numeric arguments: any real but bool, stored as a float,
+    # so a float32 radius does no float32 arithmetic
+    pair = CylinderPair(Kind.INTERIOR, np.int64(1), np.float32(2.0), 0.1)
+    assert pair == CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
+    assert all(type(v) is float for v in (pair.a, pair.b, pair.d))
+    assert type(pair.delta) is float
+
+
+def test_kind_must_be_a_kind():
+    # a string kind used to pass every check and then fail every
+    # `is Kind.INTERIOR` test, computing the exterior pair in silence
+    with pytest.raises(InvalidGeometry, match="kind must be a Kind"):
+        CylinderPair("interior", 1.0, 2.0, 0.1)
 
 
 def test_interior_needs_room_for_the_gap():
@@ -80,7 +101,10 @@ def test_neumann_letters():
     assert [neumann(bc) for bc in SCALAR_PAIRS] == [
         (False, False), (True, True), (False, True), (True, False)]
     for bc in COMPOSITE_PAIRS:
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="composite"):
+            neumann(bc)
+    for bc in ("DD", None):
+        with pytest.raises(DomainError, match="bc must be a BoundaryPair"):
             neumann(bc)
 
 

@@ -53,7 +53,8 @@ def test_point_beta_defaults_to_alpha_plus_one():
 
 
 @pytest.mark.parametrize("kw", [
-    dict(s=-1), dict(s=1.5), dict(m=0.0), dict(m=-2.0),
+    dict(s=-1), dict(s=1.5), dict(s=True), dict(s=np.int64(-1)),
+    dict(m=0.0), dict(m=-2.0),
     dict(tau=0.0), dict(tau=1.2), dict(eps=-0.1), dict(alpha=0.0),
     dict(m=math.nan), dict(m=math.inf), dict(tau=math.nan),
     dict(eps=math.nan), dict(eps=math.inf), dict(alpha=math.nan),
@@ -74,6 +75,12 @@ def test_batched_point_validation(kw):
     # numpy's ambiguous truth value
     with pytest.raises(DomainError):
         pt(**kw)
+
+
+def test_integral_order_is_stored_as_int():
+    # numpy integers are integers, as in bessel's length check
+    assert type(pt(s=np.int64(2)).s) is int
+    assert pt(s=np.int64(2)) == pt(s=2)
 
 
 def test_batched_point_fields_are_read_only_arrays():

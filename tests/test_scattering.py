@@ -25,6 +25,7 @@ from casimir_cylinders.errors import (
 from casimir_cylinders.scattering import (
     _MAX_QUAD_LEVEL,
     _N_CAP,
+    _P_CAP,
     RoundTripMatrix,
     _XiTables,
     _force_lanes,
@@ -708,22 +709,27 @@ def test_xi_node_budget(monkeypatch, run, budget):
     CylinderPair(Kind.INTERIOR, 1.0, 100.0, 0.99),
     CylinderPair(Kind.EXTERIOR, 1.0, 1.5, 0.8)],
     ids=["interior", "near-plate", "exterior"])
-def test_lane_windows_match_the_scalar_rule(pair):
-    # the first windows and p caps of a table set, formed over all lanes
-    # at once, equal the one-node rule in Python integers: the p-centre
-    # round(b/a N) clamped to N + ceil(zd) + 20, the window ceil(zd) + 40
-    # past it, and the cap 10 (zd + 2N + 50) + 2 p_hi
+def test_lane_windows_match_the_scalar_rule(monkeypatch, pair):
+    # the first windows of a table set, formed over all lanes at once,
+    # equal the one-node rule in Python integers: the p-centre round(b/a N)
+    # clamped to N + ceil(zd) + 20, the window ceil(zd) + 40 past it, and
+    # no window past the p cap
+    from casimir_cylinders import scattering
     xi = np.append(_xi_grid(pair.d, 0)[0], 1e-9)
     for n in (0, 12, 61):
-        windows = _XiTables(pair, BoundaryPair.DD, xi, n).windows
         want = []
         for zd in (pair.delta * xi).tolist():
             box = math.ceil(zd) + 20
             center = (min(max(round(pair.b / pair.a * n), -n - box), n + box)
                       if pair.kind is Kind.INTERIOR else 0)
-            first = center + n + math.ceil(zd) + 40
-            want.append((first, int(10.0 * (zd + n + n + 50.0)) + 2 * first))
-        assert windows.T.tolist() == [list(w) for w in want]
+            want.append(center + n + math.ceil(zd) + 40)
+        assert _XiTables(pair, BoundaryPair.DD, xi, n).first.tolist() == want
+        cap = sorted(want)[len(want) // 2]
+        with monkeypatch.context() as patch:
+            patch.setattr(scattering, "_P_CAP", cap)
+            tables = _XiTables(pair, BoundaryPair.DD, xi, n)
+        assert tables.first.tolist() == [min(w, cap) for w in want]
+        assert tables.p_hi == cap
 
 
 # xi d from the far low-frequency end, where interior d=0.1 and exterior
@@ -750,7 +756,7 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
     blocks, widths = _window_blocks(tables, slice(None), tol, force)
     scale = tables.sign * np.exp(-2.0 * pair.d * xi)
     rows = (_force_lanes if force else _log_det_lanes)(scale, blocks)
-    doubled = (widths - 1) // 2 >= tables.windows[0]
+    doubled = (widths - 1) // 2 >= tables.first
     assert doubled.any() and not doubled.all()
     if quantity == "energy":
         chol = np.linalg.cholesky(np.eye(n + 1)
@@ -767,39 +773,33 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
 @pytest.mark.parametrize("pair", [CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1),
                                   EXT_08], ids=["interior", "exterior"])
 def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
-    # near its cap, a lane whose window doubles fails in the group exactly
-    # when it fails alone: its cap set one row below, then at, the widest
-    # window f, 2f, 4f, ... that its own sequence reaches, while the
-    # group's windows run from the widest first window of all its lanes
+    # at a p cap on either side of each lane's cut, a lane alone fails
+    # exactly when its cut reaches the cap, and the stacked group fails
+    # exactly when one of its lanes fails alone: every window sequence ends
+    # on the cap itself, so no lane's outcome depends on its group
     from casimir_cylinders import scattering
     n, tol, bc = 12, 1e-12, BoundaryPair.DD
     xi = _MIXED_XI_D / pair.d
-    tables = _XiTables(pair, bc, xi, n)
-    _, widths = _window_blocks(tables, slice(None), tol, False)
-    checked = 0
-    for lane, (z, f, w) in enumerate(zip(tables.zd.tolist(),
-                                         tables.windows[0].tolist(),
-                                         widths.tolist())):
-        cut = (w - 1) // 2
-        if cut < f:
-            continue
-        reached = f << (cut // f).bit_length() - 1
-        for cap, fails in ((reached - 1, True), (reached, False)):
-            monkeypatch.setattr(
-                scattering, "_default_p_cap",
-                lambda zd, k, z=z, base=cap - 2 * f:
-                    np.where(zd == z, base, 1e9))
-            for build in (
-                    lambda: _window_blocks(_XiTables(pair, bc, xi, n),
-                                           slice(None), tol, False),
-                    lambda: _one_node(pair, bc, xi[lane], n, tol)):
-                if fails:
-                    with pytest.raises(PSumNoConvergence):
-                        build()
-                else:
-                    build()
-        checked += 1
-    assert checked
+    _, widths = _window_blocks(_XiTables(pair, bc, xi, n), slice(None), tol,
+                               False)
+    cuts = ((widths - 1) // 2).tolist()
+
+    def fails(build):
+        try:
+            build()
+        except PSumNoConvergence as exc:
+            assert f"cap {scattering._P_CAP} " in str(exc)
+            return True
+        return False
+
+    for cap in sorted({10, *cuts, *(cut + 1 for cut in cuts)}):
+        monkeypatch.setattr(scattering, "_P_CAP", cap)
+        alone = [fails(lambda x=x: _one_node(pair, bc, x, n, tol))
+                 for x in xi.tolist()]
+        assert alone == [cut >= cap for cut in cuts]
+        assert fails(lambda: _window_blocks(_XiTables(pair, bc, xi, n),
+                                            slice(None), tol, False)) \
+            == any(alone)
 
 
 @pytest.mark.parametrize("quantity", ["energy", "force"])
@@ -843,12 +843,29 @@ def test_stacked_nonpositive_lane_raises():
     assert np.all(np.isfinite(_log_det_lanes(scale[::2], [g[:, ::2]])))
 
 
-def test_near_plate_limit_raises_typed_error():
-    # interior a=1, b=100, d=0.99: the envelope of Z decays only like
-    # (delta/b)^p ~ 0.98^p, so a lane still needs rows at a window of its
-    # own sequence past its cap
-    with pytest.raises(PSumNoConvergence):
-        casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 100.0, 0.99),
+def test_near_plate_limit_converges():
+    # interior a=1, b=100, d=0.99, toward the cylinder-plate limit: the
+    # envelope of Z decays only like (delta/b)^p ~ 0.98^p, so the widest
+    # window runs to ~6700 rows, well inside the p cap
+    pair = CylinderPair(Kind.INTERIOR, 1.0, 100.0, 0.99)
+    rel_tol = 1e-3
+    # DD and NN attract, DN and ND repel
+    runs = [(casimir_energy_exact(pair, bc, rel_tol), attract)
+            for bc, attract in ((BoundaryPair.DD, True),
+                                (BoundaryPair.NN, True),
+                                (BoundaryPair.DN, False),
+                                (BoundaryPair.ND, False))]
+    runs.append((casimir_force_exact(pair, BoundaryPair.DD, rel_tol), True))
+    for res, attract in runs:
+        assert res.err_est <= rel_tol * abs(res.value_per_length)
+        assert (res.value_per_length < 0) == attract
+
+
+def test_far_plate_limit_raises_at_the_p_cap():
+    # at b=1e4 the envelope decays like (delta/b)^p ~ 0.9998^p, and a
+    # lane's cut still reaches the p cap: a typed error that names the cap
+    with pytest.raises(PSumNoConvergence, match=rf"cap {_P_CAP} at xi="):
+        casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 1e4, 0.99),
                              BoundaryPair.DD, 1e-3)
 
 

@@ -215,8 +215,10 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad --d-grid: {exc}") from None
-    if count < 1 or not (0.0 < start < math.inf and 0.0 < stop < math.inf):
-        raise UsageError("--d-grid needs finite positive endpoints and count >= 1")
+    if not (1 <= count <= 100_000 and 0.0 < start < math.inf
+            and 0.0 < stop < math.inf):
+        raise UsageError("--d-grid needs finite positive endpoints and a "
+                         "count in 1..100000")
     if count == 1:
         return [start]
     return [float(x) for x in np.geomspace(start, stop, count)]

@@ -52,6 +52,12 @@ def scalar_parts(bc: BoundaryPair) -> tuple[BoundaryPair, ...]:
     return COMPOSITE_PAIRS.get(bc, (bc,))
 
 
+def finite_real(value) -> bool:
+    """True for a finite real number but a bool, numpy scalars included."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def neumann(bc: BoundaryPair) -> tuple[bool, bool]:
     """Whether the letter on cylinder a, and on cylinder b, is Neumann.
 
@@ -82,8 +88,7 @@ class CylinderPair:
             raise InvalidGeometry(f"kind must be a Kind, got {self.kind!r}")
         for name in ("a", "b", "d"):
             v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, Real)
-                    or not (math.isfinite(v) and v > 0)):
+            if not (finite_real(v) and v > 0):
                 raise InvalidGeometry(f"{name} must be a positive finite number, got {v!r}")
             object.__setattr__(self, name, float(v))   # no float32 arithmetic
         if self.kind == Kind.INTERIOR and self.a + self.d >= self.b:

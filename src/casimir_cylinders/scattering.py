@@ -80,8 +80,10 @@ per-xi terms are sums of per-|m| rows: ln L_kk^2 for the energy and
 2 sign e^{-2 d xi} (L^{-1} H L^{-T})_kk for the force (row k of the
 even block and row k - 1 of the odd one carry |m| = k), and the sum of the
 first N' + 1 rows is the term of the N' truncation.  Energy and force share
-one adaptive xi / truncation driver, which reads the truncation error of a
-build off the decay of its xi-integrated rows.
+one adaptive xi / truncation driver, ``_adaptive_integral``: it bounds the
+truncation error by a geometric tail fitted to the decay of the
+xi-integrated rows, and grows N in one step to where that bound meets its
+share of rel_tol.
 
 Frequency rule.  xi runs over a tanh-sinh trapezoid rule on the map
 u = e^{-2 d xi} = t^2: the map takes the round-trip decay e^{-2 d xi}
@@ -89,11 +91,8 @@ into the endpoint t -> 0, where it leaves a t ln t factor, and K_0 adds
 its logarithm at xi -> 0; the double-exponential rule integrates both
 endpoints to rounding with a few dozen nodes, where Gauss-Legendre on the
 same map gains only ~16x per doubling.  The rule is nested: halving the
-step keeps every node, so a refinement halves the sum it has and assembles
-only the new nodes.  A change of N changes every node's term, so it
-reassembles the whole level once; the level below is read off its even
-nodes, so the two are compared again at the new N without assembling a
-deeper level, and the run reports the finest level it checked there.
+step keeps every node, so a refinement assembles only the new nodes, and
+the level below a whole level is read off its even nodes.
 """
 from __future__ import annotations
 
@@ -116,7 +115,7 @@ from .errors import (
     NonPositiveDeterminant,
     PSumNoConvergence,
 )
-from .geometry import BoundaryPair, CylinderPair, Kind, neumann
+from .geometry import BoundaryPair, CylinderPair, Kind, finite_real, neumann
 
 _BASE_NODES = 24        # steps of the level-0 xi rule: h = 1/4, 25 nodes
 _XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
@@ -243,8 +242,8 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     if xi.ndim != 1 or not xi.size or not np.all(np.isfinite(xi) & (xi > 0)):
         raise DomainError(
             "xi must be a nonempty 1-D array of positive finite nodes")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if not (finite_real(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     return xi
 
 
@@ -569,67 +568,6 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     return rows, widths
 
 
-def _integral_at(pair: CylinderPair, bc: BoundaryPair, half_width: int,
-                 level: int, tol_elem: float, stats: dict, quantity: str,
-                 coarse: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows of (1/4 pi) int xi term(xi) d xi at one level and the level below.
-
-    Both are on the frozen grids of one half_width.  The term is the
-    energy's or the force's, as ``quantity`` names it; its per-|m| rows come
-    from ``xi_rows`` in sets of at most ``_LANES`` nodes, so each set builds
-    its Bessel tables once.  ``coarse`` holds the rows of the level below;
-    with it only the nodes new to this level are assembled, since the
-    trapezoid sum at h/2 is half the sum at h plus the new odd-k nodes at
-    their weights, and it is returned as the level below.  Without it every
-    node of the level is assembled, and the level below is read off the
-    same nodes: its nodes are the even k, at twice their weight here (None
-    at level 0).
-    """
-    xi, wt = _xi_grid(pair.d, level, new_only=coarse is not None)
-    weight = wt * xi
-    # row 0 weighs the level; row 1 the level below, whose nodes are the
-    # even k, the even indices of a grid of an even number of steps
-    weights = np.stack([weight, np.where(np.arange(xi.size) % 2, 0.0,
-                                         2.0 * weight)])
-    sums = np.zeros((2, half_width + 1))
-    for nodes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
-        terms, widths = xi_rows(pair, bc, xi[nodes], half_width, tol_elem,
-                                quantity)
-        stats["p_max"] = max(stats["p_max"], int(widths.max()))
-        sums += weights[:, nodes] @ terms
-    rows, below = sums / (4.0 * math.pi)
-    if coarse is not None:
-        return 0.5 * coarse + rows, coarse
-    return rows, below if level else None
-
-
-def _converged_level(pair: CylinderPair, bc: BoundaryPair, half_width: int,
-                     level: int, tol_elem: float, stats: dict, quantity: str,
-                     quad_tol: float) -> tuple[np.ndarray, int, float]:
-    """(rows, level, |sum of rows - sum of the level below|) at half_width.
-
-    Assembles ``level`` once and refines it, assembling only the new nodes
-    of each deeper level, until its sum is within quad_tol of the level
-    below at this half_width.
-    """
-    rows, below = _integral_at(pair, bc, half_width, level, tol_elem, stats,
-                               quantity)
-    while True:
-        value = float(np.sum(rows))
-        if below is not None:
-            err_quad = abs(value - float(np.sum(below)))
-            if err_quad <= quad_tol * abs(value):
-                return rows, level, err_quad
-        if level == _MAX_QUAD_LEVEL:
-            raise NoConvergence(
-                f"xi-quadrature not converged at "
-                f"{_xi_node_count(_MAX_QUAD_LEVEL)} nodes (N={half_width})")
-        level += 1
-        rows, below = _integral_at(pair, bc, half_width, level, tol_elem,
-                                   stats, quantity, rows)
-
-
 def _tail_bound(rows: np.ndarray) -> tuple[float, float]:
     """(bound on the rows past the last one, slowest decay ratio q).
 
@@ -653,11 +591,11 @@ def _tail_bound(rows: np.ndarray) -> tuple[float, float]:
 
 def _grown_half_width(n_half: int, bound: float, q: float,
                       target: float) -> int:
-    """Truncation at which the geometric tail bound meets target, <= 2N + 1."""
+    """Truncation at which the geometric tail bound meets target, in one
+    step; 2N + 1 where the rows give no decay to extrapolate."""
     if not (q < 1.0 and target > 0.0):
         return 2 * n_half + 1
-    extra = math.ceil(math.log(target / bound) / math.log(q))
-    return n_half + min(max(extra, 1), n_half + 1)
+    return n_half + max(math.ceil(math.log(target / bound) / math.log(q)), 1)
 
 
 def _initial_half_width(pair: CylinderPair) -> int:
@@ -674,33 +612,57 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
                        quantity: str) -> EnergyResult:
     """(1/4 pi) int xi term(xi) d xi for the energy or the force term.
 
-    The xi quadrature is refined at the initial truncation N0 until two
-    levels agree to a quarter of rel_tol; each refinement assembles only the
-    nodes new to its level.  The xi-integrated rows of that level then bound
-    the truncation error (``_tail_bound``); while the bound exceeds half of
-    rel_tol, N grows to where the geometric bound meets it (at most doubling
-    per step).  Each growth assembles the converged level once at the new
-    N, reads the level below off its even nodes and checks the two again,
-    refining only where they no longer agree.  So no level past the one
-    reported is assembled: the value is the sum of the finest level checked
-    at the final N, err_est is its difference from the level below there
-    plus the tail bound of its rows, and xi_nodes counts its nodes.  rel_tol
-    must be finite and at least 1e-10.
+    One loop over (N, xi level) from N0 and level 0.  After a change of N a
+    pass assembles the whole level and reads the level below off its even
+    nodes; at the same N it assembles only the level's new nodes.  The loop
+    refines until two levels agree to a quarter of rel_tol; then, while the
+    tail bound of the level's per-|m| rows (``_tail_bound``) exceeds half of
+    rel_tol, N grows in one step to where the bound meets it
+    (``_grown_half_width``).  The value is the level's sum at the final N,
+    err_est its difference from the level below plus the tail bound, and
+    xi_nodes counts its nodes; no finer level is assembled.  rel_tol is a
+    finite real number of at least 1e-10.
     """
     neumann(bc)     # DomainError for a composite pair
-    if not (math.isfinite(rel_tol) and rel_tol >= 1e-10):
-        raise DomainError(f"rel_tol must be finite and >= 1e-10, got {rel_tol}")
+    if not (finite_real(rel_tol) and rel_tol >= 1e-10):
+        raise DomainError(
+            f"rel_tol must be finite and >= 1e-10, got {rel_tol!r}")
+    rel_tol = float(rel_tol)
     tol_elem = max(1e-13, 1e-3 * rel_tol)
     quad_tol = 0.25 * rel_tol
     trunc_tol = 0.5 * rel_tol
-    stats = {"p_max": 0}
+    p_max = 0
 
     n_half = _initial_half_width(pair)
-    level = 0
+    level, rows = 0, None       # rows: the level's sums at n_half, if any
     while True:
-        rows, level, err_quad = _converged_level(
-            pair, bc, n_half, level, tol_elem, stats, quantity, quad_tol)
+        xi, wt = _xi_grid(pair.d, level, new_only=rows is not None)
+        # row 0 weighs the level; row 1 the level below, whose nodes are the
+        # even k, the even indices of a grid of an even number of steps
+        weight = wt * xi
+        weights = np.stack([weight, np.where(np.arange(xi.size) % 2, 0.0,
+                                             2.0 * weight)])
+        sums = np.zeros((2, n_half + 1))
+        for nodes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
+            terms, widths = xi_rows(pair, bc, xi[nodes], n_half, tol_elem,
+                                    quantity)
+            p_max = max(p_max, int(widths.max()))
+            sums += weights[:, nodes] @ terms
+        sums /= 4.0 * math.pi
+        if rows is None:
+            rows, below = sums[0], sums[1] if level else None
+        else:
+            rows, below = 0.5 * rows + sums[0], rows
         value = float(np.sum(rows))
+        err_quad = None if below is None \
+            else abs(value - float(np.sum(below)))
+        if err_quad is None or not err_quad <= quad_tol * abs(value):
+            if level == _MAX_QUAD_LEVEL:
+                raise NoConvergence(
+                    f"xi-quadrature not converged at "
+                    f"{_xi_node_count(_MAX_QUAD_LEVEL)} nodes (N={n_half})")
+            level += 1
+            continue
         bound, q = _tail_bound(rows)
         target = trunc_tol * abs(value)
         if bound <= target:
@@ -709,14 +671,16 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
             raise NoConvergence(
                 f"matrix truncation tail {bound:.3e} above {target:.3e} at "
                 f"N={n_half} ({_xi_node_count(level)} xi nodes); cap {_N_CAP}")
-        n_half = min(_grown_half_width(n_half, bound, q, target), _N_CAP)
+        n_half = min(_grown_half_width(n_half, bound, q, target),
+                     _N_CAP)
+        rows = None
 
     err_est = err_quad + bound
     return EnergyResult(
         value_per_length=value,
         err_est=err_est,
         n_matrix=n_half,
-        p_terms_max=stats["p_max"],
+        p_terms_max=p_max,
         xi_nodes=_xi_node_count(level),
         converged=bool(err_est <= rel_tol * abs(value)),
     )
@@ -726,15 +690,9 @@ def casimir_energy_exact(pair: CylinderPair, bc: BoundaryPair,
                          rel_tol: float = 1e-6) -> EnergyResult:
     """Interaction energy per unit length; negative for DD and NN.
 
-    The nested tanh-sinh xi rule is refined first at the initial
-    truncation.  The per-|m| rows of ln det on that grid then bound the
-    truncation error, and while the bound exceeds its share of rel_tol the
-    truncation grows toward where the bound meets it, to at most 2N + 1
-    per step.  At each new truncation the converged level
-    is assembled once and checked again against the level below, read off
-    its even nodes, and refined only if the two no longer agree.  The
-    reported value is that level's sum at the final truncation; err_est is
-    its difference from the level below there plus the truncation bound.
+    (1/4 pi) int xi ln det(1 - M) d xi, from the adaptive xi / truncation
+    driver ``_adaptive_integral``, which says how rel_tol is shared and
+    what err_est adds up.
     """
     return _adaptive_integral(pair, bc, rel_tol, "energy")
 
@@ -744,11 +702,9 @@ def casimir_force_exact(pair: CylinderPair, bc: BoundaryPair,
     """Force per unit length, F = -dE/dd, from the trace formula.
 
     F/L = (1/4 pi) int_0^inf xi tr[(1 - M)^{-1} d_d M] d xi, with d_d M
-    assembled next to M from the derivative of the translation factors.
-    The run is the energy's adaptive driver with this per-xi term, at the
-    same rel_tol, on the same nested xi levels, so err_est comes from the
-    same estimates as an energy's: the reported level's difference from the
-    level below at the final truncation, plus the truncation bound.
-    Negative (attractive) for DD and NN.
+    assembled next to M from the derivative of the translation factors,
+    on the energy's driver ``_adaptive_integral`` with this per-xi term, so
+    err_est comes from the same estimates.  Negative (attractive) for DD
+    and NN.
     """
     return _adaptive_integral(pair, bc, rel_tol, "force")

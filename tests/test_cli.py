@@ -134,6 +134,8 @@ def test_compute_composite_doubles_scalar():
      "--d-grid", "0.01:inf:3"),
     ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
      "--d-grid", "nan:0.5:3"),
+    ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
+     "--d-grid", "0.1:0.2:1000000000000"),
 ])
 def test_invalid_input_exits_2(args):
     proc = run_cli(*args)

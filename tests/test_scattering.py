@@ -2,6 +2,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from casimir_cylinders.scattering import (
     _gram_blocks,
     _grown_half_width,
     _initial_half_width,
-    _integral_at,
     _log_det_lanes,
     _row_logs,
     _tail_bound,
@@ -201,7 +201,7 @@ def test_matrix_argument_validation(monkeypatch):
         bad += [(lambda w=width: build_matrix(INT_05, dd, 1.0, w),
                  "half_width"),
                 (lambda w=width: xi_rows(INT_05, dd, one, w), "half_width")]
-    for tol in (0.0, -1.0, math.nan, math.inf):
+    for tol in (0.0, -1.0, math.nan, math.inf, "x", None, True):
         bad += [(lambda t=tol: build_matrix(INT_05, dd, 1.0, 2, t),
                  "tol must be finite"),
                 (lambda t=tol: xi_rows(INT_05, dd, one, 2, t),
@@ -505,7 +505,16 @@ def test_energy_argument_validation():
         casimir_energy_exact(INT_05, BoundaryPair.DD, rel_tol=1e-11)
 
 
-@pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+def test_real_rel_tol_runs_as_its_float():
+    # any real number but a bool, numpy scalars and fractions included, runs
+    # as the float it stands for
+    for rel_tol in (np.float32(0.01), np.float64(0.01), Fraction(1, 100)):
+        assert casimir_energy_exact(INT_05, BoundaryPair.DD, rel_tol) \
+            == casimir_energy_exact(INT_05, BoundaryPair.DD, float(rel_tol))
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, "1e-3", None, True,
+                                     1e-3j])
 @pytest.mark.parametrize("run", [casimir_energy_exact, casimir_force_exact])
 def test_nonfinite_rel_tol_rejected(run, rel_tol):
     with pytest.raises(DomainError, match="rel_tol must be finite"):
@@ -594,24 +603,69 @@ def test_xi_span_end_nodes_negligible(pair):
             <= 1e-20 * abs(np.sum(terms))
 
 
-@pytest.mark.parametrize("quantity", ["energy", "force"])
-def test_refinement_matches_full_level(quantity):
-    # the rows a level refines from the level below equal its full sum, and
-    # the level below read off the full level's even nodes equals its own
-    stats = {"p_max": 0}
-    coarse, none = _integral_at(EXT_08, BoundaryPair.DN, 8, 0, 1e-12, stats,
-                                quantity)
-    assert none is None
-    mid, below = _integral_at(EXT_08, BoundaryPair.DN, 8, 1, 1e-12, stats,
-                              quantity, coarse)
-    assert below is coarse
-    fine, _ = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12, stats,
-                           quantity, mid)
-    full, full_below = _integral_at(EXT_08, BoundaryPair.DN, 8, 2, 1e-12,
-                                    stats, quantity)
-    scale = np.max(np.abs(full))
-    assert np.max(np.abs(fine - full)) <= 1e-14 * scale
-    assert np.max(np.abs(full_below - mid)) <= 1e-14 * scale
+def _level_rows(pair, bc, half_width, level, tol, quantity="energy"):
+    """Rows of (1/4 pi) int xi term(xi) d xi on every node of one xi level,
+    and the rows of the level below read off its even nodes, summed here
+    from one ``xi_rows`` set over the frozen grid."""
+    xi, wt = _xi_grid(pair.d, level)
+    rows, _ = xi_rows(pair, bc, xi, half_width, tol, quantity)
+    terms = (wt * xi)[:, None] * rows / (4.0 * math.pi)
+    return terms.sum(axis=0), 2.0 * terms[::2].sum(axis=0)
+
+
+def _recorded_passes(monkeypatch) -> list:
+    """(half_width, nodes) of every ``xi_rows`` set the driver assembles."""
+    passes = []
+    inner = scattering.xi_rows
+
+    def recorded(pair, bc, xi, half_width, *args):
+        passes.append((half_width, np.array(xi)))
+        return inner(pair, bc, xi, half_width, *args)
+
+    monkeypatch.setattr(scattering, "xi_rows", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("quantity,rel_tol", [("energy", 1e-8),
+                                              ("force", 1e-9)],
+                         ids=["energy", "force"])
+def test_refinement_matches_full_level(monkeypatch, quantity, rel_tol):
+    # from N0 = 8 the run assembles level 0, then only the new nodes of
+    # levels 1 and 2; at the grown N it assembles level 2 whole, in two
+    # sets, and stops on it.  At both N the rows it hands the tail bound
+    # equal the full level-2 sum; at the grown N the level below, which the
+    # run reads off level 2's even nodes, is the full level-1 sum, so err_est
+    # less the tail bound is the difference of the two sums
+    monkeypatch.setattr(scattering, "_initial_half_width", lambda pair: 8)
+    passes = _recorded_passes(monkeypatch)
+    seen, bounds = [], []
+    inner = scattering._tail_bound
+
+    def tail(rows):
+        seen.append(rows.copy())
+        bounds.append(inner(rows))
+        return bounds[-1]
+
+    monkeypatch.setattr(scattering, "_tail_bound", tail)
+    run = casimir_energy_exact if quantity == "energy" else casimir_force_exact
+    res = run(EXT_08, BoundaryPair.DN, rel_tol)
+    n, tol = res.n_matrix, max(1e-13, 1e-3 * rel_tol)
+    assert n > 8 and res.xi_nodes == _xi_node_count(2)
+    assert [(w, x.size) for w, x in passes] \
+        == [(8, 25), (8, 24), (8, 48), (n, 49), (n, 48)]
+    assert len(seen) == 2 and res.value_per_length == float(np.sum(seen[1]))
+    for rows, half_width in zip(seen, (8, n)):
+        full, full_below = _level_rows(EXT_08, BoundaryPair.DN, half_width,
+                                       2, tol, quantity)
+        mid, _ = _level_rows(EXT_08, BoundaryPair.DN, half_width, 1, tol,
+                             quantity)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(rows - full)) <= 1e-14 * scale
+        assert np.max(np.abs(full_below - mid)) <= 1e-14 * scale
+    value = res.value_per_length
+    assert abs(res.err_est - bounds[1][0]
+               - abs(float(np.sum(full)) - float(np.sum(mid)))) \
+        <= 1e-13 * abs(value)
 
 
 def _counted_lanes(monkeypatch) -> dict:
@@ -635,17 +689,16 @@ def test_final_grid_built_once(monkeypatch, pair):
     # nested levels: at every N the run assembles the nodes of the finest
     # level it reaches there once, and nothing past it; at the final N that
     # level is the reported grid
-    from casimir_cylinders import scattering
     builds = _counted_lanes(monkeypatch)
-    finest = {}
-    inner = scattering._integral_at
-
-    def levels(pair, bc, half_width, level, *args):
-        finest[half_width] = max(finest.get(half_width, 0), level)
-        return inner(pair, bc, half_width, level, *args)
-
-    monkeypatch.setattr(scattering, "_integral_at", levels)
+    passes = _recorded_passes(monkeypatch)
     res = casimir_energy_exact(pair, BoundaryPair.DD, 1e-4)
+    # the nodes assembled at each N are those of one level, each once
+    finest = {}
+    for n in {n for n, _ in passes}:
+        nodes = np.sort(np.concatenate([x for w, x in passes if w == n]))
+        finest[n] = next(level for level in range(_MAX_QUAD_LEVEL + 1)
+                         if _xi_node_count(level) == nodes.size)
+        assert np.array_equal(nodes, np.sort(_xi_grid(pair.d, finest[n])[0]))
     assert builds[res.n_matrix] == res.xi_nodes
     n0 = _initial_half_width(pair)
     assert builds[n0] == _xi_node_count(finest[n0])
@@ -656,22 +709,24 @@ def test_final_grid_built_once(monkeypatch, pair):
     ("energy_dd_01", "energy", 1e-4), ("force_dd_01", "force", 1e-3)])
 def test_final_level_checked_at_final_n(request, fixture, quantity, rel_tol):
     # the reported value is the level-L sum at the final N, that level agrees
-    # with the level below at the same N, and err_est covers the difference
+    # with the level below at the same N, and err_est adds up from them
     res, _ = request.getfixturevalue(fixture)
     pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
     level = next(level for level in range(_MAX_QUAD_LEVEL + 1)
                  if _xi_node_count(level) == res.xi_nodes)
     assert level >= 1
     tol_elem = max(1e-13, 1e-3 * rel_tol)     # the driver's element tolerance
-    stats = {"p_max": 0}
-    sums = [float(np.sum(_integral_at(pair, BoundaryPair.DD, res.n_matrix,
-                                      at, tol_elem, stats, quantity)[0]))
-            for at in (level, level - 1)]
+    rows = [_level_rows(pair, BoundaryPair.DD, res.n_matrix, at, tol_elem,
+                        quantity)[0] for at in (level, level - 1)]
+    sums = [float(np.sum(r)) for r in rows]
     value = res.value_per_length
     assert abs(value - sums[0]) <= 1e-13 * abs(value)
     diff = abs(sums[0] - sums[1])
     assert diff <= 0.25 * rel_tol * abs(value)
     assert res.err_est >= diff
+    # err_est is that difference plus the tail bound of the level's rows
+    assert abs(res.err_est - _tail_bound(rows[0])[0] - diff) \
+        <= 1e-13 * abs(value)
 
 
 def test_xi_rule_unconverged_at_final_n_raises(monkeypatch):
@@ -905,14 +960,14 @@ def test_tables_built_once_per_pass(monkeypatch):
             calls[0] += 1
             return _inner(*args)
         monkeypatch.setattr(scattering, name, counted)
-    inner_pass = scattering._integral_at
+    inner_pass = scattering.xi_rows
 
     def counted_pass(*args):
         before = calls[0]
         rows = inner_pass(*args)
         per_pass.append(calls[0] - before)
         return rows
-    monkeypatch.setattr(scattering, "_integral_at", counted_pass)
+    monkeypatch.setattr(scattering, "xi_rows", counted_pass)
     res = casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3)
     assert res.err_est <= 1e-3 * abs(res.value_per_length)
     assert per_pass and max(per_pass) <= 6
@@ -925,15 +980,36 @@ def test_tail_bound_geometric_rows():
     assert bound == 2.0 * 0.5 ** 40     # twice the true tail
     grown = _grown_half_width(40, bound, q, bound / 100.0)
     assert grown == 47                  # 0.5^7 <= 1/100 < 0.5^6
+    # q is the slowest ratio of the last max(4, N/8) = 5 rows: rows whose
+    # decay slows from 0.5 to 0.9 there are extrapolated at 0.9, in one step
+    rows = -np.concatenate([0.5 ** np.arange(36.0),
+                            0.5 ** 35 * 0.9 ** np.arange(1.0, 6.0)])
+    bound, q = _tail_bound(rows)
+    assert q == pytest.approx(0.9)
+    assert _grown_half_width(40, bound, q, bound * 0.9 ** 134.5) == 175
 
 
 def test_tail_bound_edge_rows():
     assert _tail_bound(np.array([-1.0, -0.5, 0.0])) == (0.0, 0.0)
     bound, q = _tail_bound(np.array([-1.0, -0.5, -0.5, -0.25, -0.2]))
     assert q == 1.0 and bound == math.inf      # a row that does not decay
-    assert _grown_half_width(4, bound, q, 1e-3) == 9
-    # however far the geometric bound reaches, one step at most doubles N
-    assert _grown_half_width(4, 1.0, 0.99, 1e-12) == 9
+    assert _grown_half_width(4, bound, q, 1e-3) == 9   # nothing to extrapolate
+    # however far the geometric bound reaches, one step gets there
+    assert _grown_half_width(4, 1.0, 0.99, 1e-12) \
+        == 4 + math.ceil(math.log(1e-12) / math.log(0.99)) == 2754
+    # and a step grows N by at least one row
+    assert _grown_half_width(4, 1.0, 0.5, 0.9) == 5
+
+
+def test_growth_takes_one_step(monkeypatch):
+    # interior DD d=0.05: N goes from N0 = 64 to where the tail bound of its
+    # rows meets rel_tol in one step, where a doubling step would assemble a
+    # third N (64, 129, 167)
+    passes = _recorded_passes(monkeypatch)
+    res = casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.05),
+                               BoundaryPair.DD, 1e-6)
+    assert res.err_est <= 1e-6 * abs(res.value_per_length)
+    assert list(dict.fromkeys(n for n, _ in passes)) == [64, res.n_matrix]
 
 
 def test_force_near_concentric_limit():

@@ -30,6 +30,7 @@ from .geometry import (
     BoundaryPair,
     CylinderPair,
     Kind,
+    finite_real,
     neumann,
     scalar_parts,
 )
@@ -124,10 +125,12 @@ def cylinder_plate_limit(a: float, bc: BoundaryPair) -> ExpansionResult:
     """b -> infinity limit: cylinder of radius a facing a plate.
 
     Both geometries collapse onto the same expansion; the amplitude field
-    carries the d-independent coefficient of d^(-7/2).
+    carries the d-independent coefficient of d^(-7/2).  a may be any real
+    number but a bool, as for ``CylinderPair``.
     """
-    if not (math.isfinite(a) and a > 0):
+    if not (finite_real(a) and a > 0):
         raise DomainError(f"radius a must be positive and finite, got {a!r}")
+    a = float(a)    # no float32 arithmetic
 
     def scalar_bracket(part: BoundaryPair) -> float:
         # span/(a*b) -> 1/a; the 1/span and 1/b terms vanish
@@ -163,9 +166,10 @@ def limit_consistency_check(a: float, b_large: float,
     dimensionless via the radius a since brackets scale as 1/length.
     Expected O(a/b_large).
     """
-    if b_large < 1e3 * a:
-        raise DomainError("b_large must be at least 10^3 a")
-    cp = cylinder_plate_limit(a, bc).bracket
+    cp = cylinder_plate_limit(a, bc).bracket   # DomainError for a bad a
+    if not (finite_real(b_large) and b_large >= 1e3 * a):
+        raise DomainError(
+            f"b_large must be finite and at least 10^3 a, got {b_large!r}")
     deviation = 0.0
     for kind in (Kind.INTERIOR, Kind.EXTERIOR):
         pair = CylinderPair(kind, a, b_large, a)

@@ -224,6 +224,18 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in np.geomspace(start, stop, count)]
 
 
+def _worker_count(text: str) -> int:
+    """The type of --parallel and CASIMIR_CYL_THREADS: an int of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r} (a worker count is at least 1)")
+    return count
+
+
 def cmd_sweep(args) -> int:
     workers = args.parallel
     if workers is None:
@@ -231,9 +243,9 @@ def cmd_sweep(args) -> int:
         # of sweep alone, worded as argparse words a bad --parallel
         text = os.environ.get("CASIMIR_CYL_THREADS", "1")
         try:
-            workers = int(text)
-        except ValueError:
-            args.error(f"argument --parallel: invalid int value: {text!r}")
+            workers = _worker_count(text)
+        except argparse.ArgumentTypeError as exc:
+            args.error(f"argument --parallel: {exc}")
     methods = _parse_methods(args.method)
     grid = _parse_grid(args.d_grid)
     return _run_points(args, [(d, method) for d in sorted(grid)
@@ -490,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--d-grid", required=True, help="start:stop:count")
     # None: cmd_sweep reads CASIMIR_CYL_THREADS, else 1
-    ps.add_argument("--parallel", type=int, default=None)
+    ps.add_argument("--parallel", type=_worker_count, default=None)
     ps.set_defaults(func=cmd_sweep, error=ps.error)
 
     pv = sub.add_parser("verify", help="run built-in validation suites")

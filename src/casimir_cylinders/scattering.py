@@ -80,10 +80,11 @@ per-xi terms are sums of per-|m| rows: ln L_kk^2 for the energy and
 2 sign e^{-2 d xi} (L^{-1} H L^{-T})_kk for the force (row k of the
 even block and row k - 1 of the odd one carry |m| = k), and the sum of the
 first N' + 1 rows is the term of the N' truncation.  Energy and force share
-one adaptive xi / truncation driver, ``_adaptive_integral``: it bounds the
-truncation error by a geometric tail fitted to the decay of the
-xi-integrated rows, and grows N in one step to where that bound meets its
-share of rel_tol.
+one adaptive xi / truncation driver, ``_adaptive_integral``: at every xi
+level it bounds the truncation error by a geometric tail fitted to the
+decay of the xi-integrated rows before it checks the xi rule, and grows N
+in one step to where that bound meets its share of rel_tol, back on
+level 0.
 
 Frequency rule.  xi runs over a tanh-sinh trapezoid rule on the map
 u = e^{-2 d xi} = t^2: the map takes the round-trip decay e^{-2 d xi}
@@ -92,7 +93,7 @@ its logarithm at xi -> 0; the double-exponential rule integrates both
 endpoints to rounding with a few dozen nodes, where Gauss-Legendre on the
 same map gains only ~16x per doubling.  The rule is nested: halving the
 step keeps every node, so a refinement assembles only the new nodes, and
-the level below a whole level is read off its even nodes.
+climbing levels 0..L assembles the 24 * 2^L + 1 nodes of level L once.
 """
 from __future__ import annotations
 
@@ -283,24 +284,23 @@ def _order_window(table: np.ndarray, p_to: int, n: int,
 
 
 def _row_logs(tables: _XiTables, lanes: slice, p_to: int, derivative: bool
-              ) -> list[tuple[np.ndarray, np.ndarray]]:
+              ) -> np.ndarray:
     """Exponents of the rows p = 0..p_to (p >= 0) of the window, unfolded.
 
-    One array per sign of k across the table lanes ``lanes``, with axes
-    (lane, k, p): Z transposed, so that reductions over k run across
-    contiguous rows; the set is grown to p_to first.  Returns
-    [(parity, Z at -k for k >= 1)], where parity[0] holds Z at +k
-    and parity[1] is room for the odd part of the fold, followed with
-    ``derivative`` by the same for W: Z with its translation factor
-    replaced by that factor's d-derivative (W = Z o D for the
-    log-derivative D).  Rows p > 0 carry a factor sqrt 2 standing in for
-    the mirror row -p, whose outer products are the same, and columns k > 0
-    the 1/sqrt 2 of the parity fold; both ride in the exponent.
+    One array on axes (array, slot, lane, k, p), grown to p_to first: array
+    0 is Z and, with ``derivative``, array 1 is W, Z with its translation
+    factor replaced by that factor's d-derivative (W = Z o D for the
+    log-derivative D).  Each array is Z transposed, so that reductions over
+    k run across contiguous rows.  Slot 0 holds the entries at +k, slot 2
+    those at -k (-inf at k = 0, which has no mirror), and slot 1 is room
+    for the odd part of the fold; until the fold, Z's slot 1 holds the base
+    exponents.  Rows p > 0 carry a factor sqrt 2 standing in for the mirror
+    row -p, whose outer products are the same, and columns k > 0 the
+    1/sqrt 2 of the parity fold; both ride in the exponent.
 
-    All of them are views of one allocation (the base exponents live in
-    the first odd slot until the fold), so a group takes one heap block and
-    returns it whole: malloc is left no freed top of the heap to trim and
-    fault in again at the next group, whatever references the caller keeps.
+    One allocation per group means the heap takes one block and returns it
+    whole: malloc is left no freed top of the heap to trim and fault in
+    again at the next group, whatever references the caller keeps.
     """
     tables.grow(p_to)
     n, half = tables.half_width, tables.half[lanes]
@@ -315,56 +315,53 @@ def _row_logs(tables: _XiTables, lanes: slice, p_to: int, derivative: bool
         # derivative is -xi |B'_j| for both, read off the table one order on
         trans.append(tables.log_xi[lanes, None]
                      + prime_logs(trans[0], p_to + n))
-    slots = np.empty((len(trans), 3, half.shape[0], n + 1, p_to + 1))
-    base = np.add(col[:, :, None], row[:, None, :], out=slots[0, 1])
-    logs = []
-    for table, arrays in zip(trans, slots):
+    logs = np.empty((len(trans), 3, half.shape[0], n + 1, p_to + 1))
+    base = np.add(col[:, :, None], row[:, None, :], out=logs[0, 1])
+    for table, arrays in zip(trans, logs):
         ahead, behind = _order_window(table, p_to, n, tables.flip)
         np.add(base, ahead, out=arrays[0])
         np.add(base[:, 1:], behind[:, 1:], out=arrays[2, :, 1:])
-        logs.append((arrays[:2], arrays[2, :, 1:]))
+    logs[:, 2, :, 0] = -np.inf
     return logs
 
 
-def _fold(parity: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """Even and odd parts of the exponentiated rows, in place on ``parity``.
+def _fold(logs: np.ndarray) -> np.ndarray:
+    """Even and odd parts of the exponentiated rows, on axes
+    (array, parity, lane, k, p), in place on ``logs``.
 
-    On axes (parity, ..., k, p): column k of the even part is
-    (Z[p, k] + Z[p, -k]) / sqrt 2 (Z[p, 0] for k = 0), of the odd part
-    (Z[p, k] - Z[p, -k]) / sqrt 2 for k >= 1 and 0 for k = 0.  The zero
-    column pads the odd block to the shape of the even one, so one stacked
-    call serves both and row k of either carries |m| = k.
+    Column k of the even part is (Z[p, k] + Z[p, -k]) / sqrt 2 (Z[p, 0] for
+    k = 0), of the odd part (Z[p, k] - Z[p, -k]) / sqrt 2 for k >= 1 and 0
+    for k = 0; W folds the same way.  The zero column pads the odd block to
+    the shape of the even one, so one stacked call serves both and row k of
+    either carries |m| = k.
     """
-    plus, odd = parity
-    np.exp(plus, out=plus)
-    np.exp(minus, out=minus)
-    np.subtract(plus[..., 1:, :], minus, out=odd[..., 1:, :])
-    odd[..., 0, :] = 0.0
-    plus[..., 1:, :] += minus
-    return parity
+    signed = logs[:, ::2]
+    np.exp(signed, out=signed)
+    plus, odd, minus = (logs[:, slot, ..., 1:, :] for slot in range(3))
+    np.subtract(plus, minus, out=odd)
+    logs[:, 1, ..., 0, :] = 0.0
+    plus += minus
+    return logs[:, :2]
 
 
-def _gram_blocks(logs: list[tuple[np.ndarray, np.ndarray]]
-                 ) -> list[np.ndarray]:
-    """[G] from the row exponents of Z, then H = Z^T W when ``logs``
-    carries W; each is stacked on axes (parity, lane), with the odd block
-    padded by a zero row and column at k = 0."""
-    z = _fold(*logs[0])
-    blocks = [z @ np.swapaxes(z, -1, -2)]
-    if len(logs) > 1:
-        w = _fold(*logs[1])     # the derivative is negative
-        blocks.append(-(z @ np.swapaxes(w, -1, -2)))
+def _gram_blocks(logs: np.ndarray) -> np.ndarray:
+    """G = Z^T Z from the row exponents of ``_row_logs``, then H = Z^T W
+    when they carry W, stacked on axes (array, parity, lane), with the odd
+    block padded by a zero row and column at k = 0."""
+    folded = _fold(logs)
+    blocks = folded[0] @ np.swapaxes(folded, -1, -2)
+    blocks[1:] *= -1.0      # the derivative is negative
     return blocks
 
 
 def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
-                   derivative: bool) -> tuple[list[np.ndarray], np.ndarray]:
+                   derivative: bool) -> tuple[np.ndarray, np.ndarray]:
     """([G] or [G, H] over each lane's envelope window, window widths).
 
-    Assembles the table lanes ``lanes`` as one stacked group: G and H are
-    stacked on axes (parity, lane), as ``_gram_blocks`` returns them.  Each
-    row's envelope is its largest exponent, less the largest exponent of
-    its lane's array (Z or W).  A lane's window
+    Assembles the table lanes ``lanes`` as one stacked group: the blocks
+    are stacked on axes (array, parity, lane), as ``_gram_blocks`` returns
+    them.  Each row's envelope is its largest exponent, less the largest
+    exponent of its lane's array (Z or W).  A lane's window
     ends at the last row whose envelope is within (1/2) ln(tol * 1e-14) of
     the top, so every dropped product is below tol * 1e-14 of the largest
     one.  The group forms its rows to the widest first window of its lanes
@@ -379,11 +376,8 @@ def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
     p_hi = int(tables.first[lanes].max())
     while True:
         logs = _row_logs(tables, lanes, p_hi, derivative)
-        rows = [np.maximum(parity[0].max(axis=1),
-                           minus.max(axis=1, initial=-np.inf))
-                for parity, minus in logs]
-        envelope = np.max([r - r.max(axis=1, keepdims=True) for r in rows],
-                          axis=0)
+        rows = logs[:, ::2].max(axis=(1, 3))
+        envelope = (rows - rows.max(axis=2, keepdims=True)).max(axis=0)
         cut = p_hi - np.argmax(envelope[:, ::-1] >= floor, axis=1)
         if cut.max() < p_hi:
             break
@@ -395,13 +389,10 @@ def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
         del logs, rows, envelope
         p_hi = min(2 * p_hi, _P_CAP)
     top = int(cut.max())
-    kept = [(parity[..., :top + 1], minus[..., :top + 1])
-            for parity, minus in logs]
+    kept = logs[..., :top + 1]
     if cut.min() < top:
         past = (np.arange(top + 1) > cut[:, None])[:, None, :]
-        for parity, minus in kept:
-            np.copyto(parity[0], -np.inf, where=past)
-            np.copyto(minus, -np.inf, where=past)
+        np.copyto(kept[:, ::2], -np.inf, where=past)
     return _gram_blocks(kept), 2 * cut + 1
 
 
@@ -438,15 +429,14 @@ def log_det_one_minus(mat: RoundTripMatrix) -> float:
     stack[0, 0] = mat.even
     stack[1, 0, 1:, 1:] = mat.odd
     scale = np.array([mat.sign * math.exp(mat.prefactor_log)])
-    return float(np.sum(_log_det_lanes(scale, [stack])))
+    return float(np.sum(_log_det_lanes(scale, stack[None])))
 
 
-def _log_det_lanes(scale: np.ndarray, blocks: list[np.ndarray]
-                   ) -> np.ndarray:
+def _log_det_lanes(scale: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Per-|m| rows of ln det(1 - M) for a stack of lanes, one row per lane.
 
     M = scale * G in each lane, with the sign folded into ``scale`` and
-    ``blocks`` = [G] stacked on axes (parity, lane); the zero row and
+    ``blocks`` = [G] stacked on axes (array, parity, lane); the zero row and
     column that pad the odd block leave a 1 on the diagonal of 1 - M,
     which adds nothing.  Each block of 1 - M is factored by Cholesky,
     1 - M = L L^T, and row k holds ln L_kk^2 summed over both parities; a
@@ -512,11 +502,11 @@ def _xi_grid(d: float, level: int, new_only: bool = False
     return xi, weight
 
 
-def _force_lanes(scale: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+def _force_lanes(scale: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Per-|m| rows of tr[(1 - M)^{-1} d_d M] for a stack of lanes.
 
     ``scale`` is sign e^{-2 d xi} per lane and ``blocks`` = [G, H] stacked
-    on axes (parity, lane), the odd blocks padded like G's in
+    on axes (array, parity, lane), the odd blocks padded like G's in
     ``_log_det_lanes``; a padded row of H is zero and adds nothing.  With
     the unscaled
     translation derivative the e^{-2 d xi} of M cancels against the scaling
@@ -612,16 +602,17 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
                        quantity: str) -> EnergyResult:
     """(1/4 pi) int xi term(xi) d xi for the energy or the force term.
 
-    One loop over (N, xi level) from N0 and level 0.  After a change of N a
-    pass assembles the whole level and reads the level below off its even
-    nodes; at the same N it assembles only the level's new nodes.  The loop
-    refines until two levels agree to a quarter of rel_tol; then, while the
-    tail bound of the level's per-|m| rows (``_tail_bound``) exceeds half of
-    rel_tol, N grows in one step to where the bound meets it
-    (``_grown_half_width``).  The value is the level's sum at the final N,
-    err_est its difference from the level below plus the tail bound, and
-    xi_nodes counts its nodes; no finer level is assembled.  rel_tol is a
-    finite real number of at least 1e-10.
+    One loop over (N, xi level) from N0 and level 0.  A pass at level 0
+    assembles the level; a pass at level L > 0 assembles only its new nodes
+    and adds them to half the level below.  Every pass first bounds the
+    truncation tail of the level's per-|m| rows (``_tail_bound``): above
+    half of rel_tol, N grows in one step to where the bound meets it
+    (``_grown_half_width``) and the level goes back to 0.  Otherwise the
+    run stops once the level agrees with the one below to a quarter of
+    rel_tol, and moves up one level if not.  The value is the level's sum
+    at the final N, err_est its difference from the level below plus the
+    tail bound, and xi_nodes counts its nodes; no finer level is assembled.
+    rel_tol is a finite real number of at least 1e-10.
     """
     neumann(bc)     # DomainError for a composite pair
     if not (finite_real(rel_tol) and rel_tol >= 1e-10):
@@ -634,46 +625,39 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     p_max = 0
 
     n_half = _initial_half_width(pair)
-    level, rows = 0, None       # rows: the level's sums at n_half, if any
+    level = 0
     while True:
-        xi, wt = _xi_grid(pair.d, level, new_only=rows is not None)
-        # row 0 weighs the level; row 1 the level below, whose nodes are the
-        # even k, the even indices of a grid of an even number of steps
+        xi, wt = _xi_grid(pair.d, level, new_only=level > 0)
         weight = wt * xi
-        weights = np.stack([weight, np.where(np.arange(xi.size) % 2, 0.0,
-                                             2.0 * weight)])
-        sums = np.zeros((2, n_half + 1))
+        sums = np.zeros(n_half + 1)
         for nodes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
             terms, widths = xi_rows(pair, bc, xi[nodes], n_half, tol_elem,
                                     quantity)
             p_max = max(p_max, int(widths.max()))
-            sums += weights[:, nodes] @ terms
+            sums += weight[nodes] @ terms
         sums /= 4.0 * math.pi
-        if rows is None:
-            rows, below = sums[0], sums[1] if level else None
-        else:
-            rows, below = 0.5 * rows + sums[0], rows
+        below, rows = (rows, 0.5 * rows + sums) if level else (None, sums)
         value = float(np.sum(rows))
-        err_quad = None if below is None \
-            else abs(value - float(np.sum(below)))
-        if err_quad is None or not err_quad <= quad_tol * abs(value):
-            if level == _MAX_QUAD_LEVEL:
-                raise NoConvergence(
-                    f"xi-quadrature not converged at "
-                    f"{_xi_node_count(_MAX_QUAD_LEVEL)} nodes (N={n_half})")
-            level += 1
-            continue
         bound, q = _tail_bound(rows)
         target = trunc_tol * abs(value)
-        if bound <= target:
-            break
-        if n_half >= _N_CAP:
+        if not bound <= target:
+            if n_half >= _N_CAP:
+                raise NoConvergence(
+                    f"matrix truncation tail {bound:.3e} above {target:.3e} "
+                    f"at N={n_half} ({_xi_node_count(level)} xi nodes); "
+                    f"cap {_N_CAP}")
+            n_half = min(_grown_half_width(n_half, bound, q, target), _N_CAP)
+            level = 0
+            continue
+        if below is not None:
+            err_quad = abs(value - float(np.sum(below)))
+            if err_quad <= quad_tol * abs(value):
+                break
+        if level == _MAX_QUAD_LEVEL:
             raise NoConvergence(
-                f"matrix truncation tail {bound:.3e} above {target:.3e} at "
-                f"N={n_half} ({_xi_node_count(level)} xi nodes); cap {_N_CAP}")
-        n_half = min(_grown_half_width(n_half, bound, q, target),
-                     _N_CAP)
-        rows = None
+                f"xi-quadrature not converged at "
+                f"{_xi_node_count(_MAX_QUAD_LEVEL)} nodes (N={n_half})")
+        level += 1
 
     err_est = err_quad + bound
     return EnergyResult(

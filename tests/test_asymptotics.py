@@ -219,7 +219,8 @@ def test_cylinder_plate_amplitudes():
     assert nd == dn
     assert amp[BoundaryPair.PCPC] == dd + nn
     assert amp[BoundaryPair.PCIP] == dn + nd
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # a bool, a string, None and a complex are not radii either
+    for bad in (0.0, -1.0, math.nan, math.inf, True, "1", None, 1j):
         with pytest.raises(DomainError):
             cylinder_plate_limit(bad, BoundaryPair.DD)
 
@@ -246,6 +247,8 @@ def test_limit_consistency():
     dn = force_expansion(CylinderPair(kind=Kind.INTERIOR, a=1.0, b=1e6, d=1.0),
                          BoundaryPair.DN).bracket
     assert abs(dn - 7.0 / 60.0) <= 2e-6
-    with pytest.raises(DomainError):
-        limit_consistency_check(1.0, 500.0, BoundaryPair.DD)
+    for a, b_large in ((1.0, 500.0), (1.0, "1e6"), (1.0, True), (1.0, None),
+                       (1.0, math.inf), (True, 1e6), ("1", 1e6)):
+        with pytest.raises(DomainError):
+            limit_consistency_check(a, b_large, BoundaryPair.DD)
 

@@ -136,6 +136,10 @@ def test_compute_composite_doubles_scalar():
      "--d-grid", "nan:0.5:3"),
     ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
      "--d-grid", "0.1:0.2:1000000000000"),
+    ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
+     "--d-grid", "0.1:0.2:2", "--parallel", "0"),
+    ("sweep", "--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
+     "--d-grid", "0.1:0.2:2", "--parallel", "-3"),
 ])
 def test_invalid_input_exits_2(args):
     proc = run_cli(*args)
@@ -261,17 +265,20 @@ def test_sweep_pool_no_wider_than_grid(monkeypatch, capsys):
 
 
 def test_thread_env_not_an_int(monkeypatch, capsys):
-    # a bad CASIMIR_CYL_THREADS is a usage error of sweep, the one command
-    # that reads it, and leaves the others alone
-    monkeypatch.setenv("CASIMIR_CYL_THREADS", "abc")
+    # a CASIMIR_CYL_THREADS that is not an int of at least 1 is a usage
+    # error of sweep, the one command that reads it, and leaves the others
+    # alone
     geometry = ["--kind", "interior", "--bc", "dd", "--a", "1", "--b", "2",
                 "--method", "pfa-leading", "--no-timing"]
-    assert cli.main(["compute", *geometry, "--d", "0.1"]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", *geometry, "--d-grid", "0.1:0.2:2"])
-    assert exc.value.code == 2
-    assert "invalid int value" in capsys.readouterr().err
+    for threads in ("abc", "0", "-4"):
+        monkeypatch.setenv("CASIMIR_CYL_THREADS", threads)
+        assert cli.main(["compute", *geometry, "--d", "0.1"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", *geometry, "--d-grid", "0.1:0.2:2"])
+        assert exc.value.code == 2
+        assert f"--parallel: invalid int value: '{threads}'" \
+            in capsys.readouterr().err
 
 
 def test_thread_env_read_on_every_sweep(monkeypatch, capsys):

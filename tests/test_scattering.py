@@ -605,12 +605,10 @@ def test_xi_span_end_nodes_negligible(pair):
 
 def _level_rows(pair, bc, half_width, level, tol, quantity="energy"):
     """Rows of (1/4 pi) int xi term(xi) d xi on every node of one xi level,
-    and the rows of the level below read off its even nodes, summed here
-    from one ``xi_rows`` set over the frozen grid."""
+    summed here from one ``xi_rows`` set over the frozen grid."""
     xi, wt = _xi_grid(pair.d, level)
     rows, _ = xi_rows(pair, bc, xi, half_width, tol, quantity)
-    terms = (wt * xi)[:, None] * rows / (4.0 * math.pi)
-    return terms.sum(axis=0), 2.0 * terms[::2].sum(axis=0)
+    return ((wt * xi)[:, None] * rows / (4.0 * math.pi)).sum(axis=0)
 
 
 def _recorded_passes(monkeypatch) -> list:
@@ -630,12 +628,11 @@ def _recorded_passes(monkeypatch) -> list:
                                               ("force", 1e-9)],
                          ids=["energy", "force"])
 def test_refinement_matches_full_level(monkeypatch, quantity, rel_tol):
-    # from N0 = 8 the run assembles level 0, then only the new nodes of
-    # levels 1 and 2; at the grown N it assembles level 2 whole, in two
-    # sets, and stops on it.  At both N the rows it hands the tail bound
-    # equal the full level-2 sum; at the grown N the level below, which the
-    # run reads off level 2's even nodes, is the full level-1 sum, so err_est
-    # less the tail bound is the difference of the two sums
+    # from N0 = 8 the tail bound rejects level 0, so N grows before any
+    # refinement; at the grown N the run climbs from level 0, assembling
+    # only each level's new nodes, and stops on level 2.  At every pass the
+    # rows it hands the tail bound equal the full level sum, so err_est less
+    # the tail bound is the difference of the level-2 and level-1 sums
     monkeypatch.setattr(scattering, "_initial_half_width", lambda pair: 8)
     passes = _recorded_passes(monkeypatch)
     seen, bounds = [], []
@@ -652,19 +649,17 @@ def test_refinement_matches_full_level(monkeypatch, quantity, rel_tol):
     n, tol = res.n_matrix, max(1e-13, 1e-3 * rel_tol)
     assert n > 8 and res.xi_nodes == _xi_node_count(2)
     assert [(w, x.size) for w, x in passes] \
-        == [(8, 25), (8, 24), (8, 48), (n, 49), (n, 48)]
-    assert len(seen) == 2 and res.value_per_length == float(np.sum(seen[1]))
-    for rows, half_width in zip(seen, (8, n)):
-        full, full_below = _level_rows(EXT_08, BoundaryPair.DN, half_width,
-                                       2, tol, quantity)
-        mid, _ = _level_rows(EXT_08, BoundaryPair.DN, half_width, 1, tol,
-                             quantity)
-        scale = np.max(np.abs(full))
-        assert np.max(np.abs(rows - full)) <= 1e-14 * scale
-        assert np.max(np.abs(full_below - mid)) <= 1e-14 * scale
+        == [(8, 25), (n, 25), (n, 24), (n, 48)]
+    assert len(seen) == 4 and res.value_per_length == float(np.sum(seen[-1]))
+    full = {}
+    for rows, half_width, level in zip(seen, (8, n, n, n), (0, 0, 1, 2)):
+        full[level] = _level_rows(EXT_08, BoundaryPair.DN, half_width, level,
+                                  tol, quantity)
+        assert np.max(np.abs(rows - full[level])) \
+            <= 1e-14 * np.max(np.abs(full[level]))
     value = res.value_per_length
-    assert abs(res.err_est - bounds[1][0]
-               - abs(float(np.sum(full)) - float(np.sum(mid)))) \
+    assert abs(res.err_est - bounds[-1][0]
+               - abs(float(np.sum(full[2])) - float(np.sum(full[1])))) \
         <= 1e-13 * abs(value)
 
 
@@ -717,7 +712,7 @@ def test_final_level_checked_at_final_n(request, fixture, quantity, rel_tol):
     assert level >= 1
     tol_elem = max(1e-13, 1e-3 * rel_tol)     # the driver's element tolerance
     rows = [_level_rows(pair, BoundaryPair.DD, res.n_matrix, at, tol_elem,
-                        quantity)[0] for at in (level, level - 1)]
+                        quantity) for at in (level, level - 1)]
     sums = [float(np.sum(r)) for r in rows]
     value = res.value_per_length
     assert abs(value - sums[0]) <= 1e-13 * abs(value)
@@ -730,30 +725,31 @@ def test_final_level_checked_at_final_n(request, fixture, quantity, rel_tol):
 
 
 def test_xi_rule_unconverged_at_final_n_raises(monkeypatch):
-    # from N0 = 0 the exterior DN d=0.2 run passes the level-1 check at
-    # N = 0, then needs level 2 once N grows; without it the run raises at
-    # the grown N instead of returning an unconverged result
+    # from N0 = 0 the exterior DN d=0.2 run grows N four times on level 0
+    # and converges on level 1 at N = 59; with no level past 0 the run
+    # raises there, at the grown N, instead of returning an unconverged
+    # result
     from casimir_cylinders import scattering
     pair = CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.2)
     monkeypatch.setattr(scattering, "_initial_half_width", lambda pair: 0)
     res = casimir_energy_exact(pair, BoundaryPair.DN, 1e-6)
     assert res.err_est <= 1e-6 * abs(res.value_per_length)
-    assert res.xi_nodes == _xi_node_count(2)
-    monkeypatch.setattr(scattering, "_MAX_QUAD_LEVEL", 1)
-    with pytest.raises(NoConvergence, match=r"xi-quadrature .*\(N=1\)"):
+    assert res.n_matrix == 59 and res.xi_nodes == _xi_node_count(1)
+    monkeypatch.setattr(scattering, "_MAX_QUAD_LEVEL", 0)
+    with pytest.raises(NoConvergence, match=r"xi-quadrature .*\(N=59\)"):
         casimir_energy_exact(pair, BoundaryPair.DN, 1e-6)
 
 
 @pytest.mark.parametrize("run,budget", [
     (lambda: casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1),
-                                  BoundaryPair.DD, 1e-4), 98),
-    (lambda: casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3), 98),
+                                  BoundaryPair.DD, 1e-4), 74),
+    (lambda: casimir_force_exact(INT_05, BoundaryPair.DD, 1e-3), 74),
     (lambda: casimir_energy_exact(CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.2),
                                   BoundaryPair.DD, 1e-4), 49),
 ], ids=["energy-interior-d0.1", "force-interior-d0.5", "energy-exterior-d0.2"])
 def test_xi_node_budget(monkeypatch, run, budget):
-    # the ladder at N0 and one converged level at the final N: no level
-    # past the reported one is assembled (146, 146 and 97 lanes when one was)
+    # level 0 alone at a rejected N0 and one converged level at the final
+    # N: no node is assembled twice, and no level past the reported one
     builds = _counted_lanes(monkeypatch)
     run()
     assert sum(builds.values()) <= budget
@@ -1001,6 +997,45 @@ def test_tail_bound_edge_rows():
     assert _grown_half_width(4, 1.0, 0.5, 0.9) == 5
 
 
+@pytest.mark.parametrize("run,pair,rel_tol,n0", [
+    (casimir_energy_exact, CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1), 1e-4,
+     34),
+    (casimir_force_exact, INT_05, 1e-3, 10),
+], ids=["energy-interior-d0.1", "force-interior-d0.5"])
+def test_rejected_n0_assembles_level_0_only(monkeypatch, run, pair, rel_tol,
+                                            n0):
+    # the tail bound is checked before the xi rule: where it rejects N0,
+    # the run assembles one set of the 25 level-0 nodes there and grows N
+    passes = _recorded_passes(monkeypatch)
+    res = run(pair, BoundaryPair.DD, rel_tol)
+    assert _initial_half_width(pair) == n0 < res.n_matrix
+    at_n0 = [x for w, x in passes if w == n0]
+    assert len(at_n0) == 1
+    assert np.array_equal(at_n0[0], _xi_grid(pair.d, 0)[0])
+
+
+def test_growth_above_level_0_restarts_at_level_0(monkeypatch):
+    # exterior DD d=0.2 at 1e-4 stops on level 1 at N0 = 34; a tail bound
+    # that rejects that level's rows grows N (to 2 N0 + 1, as for rows
+    # with no decay), and the run climbs again from a whole level 0 there
+    passes = _recorded_passes(monkeypatch)
+    calls = []
+    inner = scattering._tail_bound
+
+    def tail(rows):
+        calls.append(rows.size)
+        return (math.inf, math.inf) if len(calls) == 2 else inner(rows)
+
+    monkeypatch.setattr(scattering, "_tail_bound", tail)
+    pair = CylinderPair(Kind.EXTERIOR, 1.0, 2.0, 0.2)
+    res = casimir_energy_exact(pair, BoundaryPair.DD, 1e-4)
+    assert res.err_est <= 1e-4 * abs(res.value_per_length)
+    assert [(w, x.size) for w, x in passes][:3] \
+        == [(34, 25), (34, 24), (69, 25)]
+    assert np.array_equal(passes[2][1], _xi_grid(pair.d, 0)[0])
+    assert res.n_matrix == 69 and calls[:3] == [35, 35, 70]
+
+
 def test_growth_takes_one_step(monkeypatch):
     # interior DD d=0.05: N goes from N0 = 64 to where the tail bound of its
     # rows meets rel_tol in one step, where a doubling step would assemble a
@@ -1010,6 +1045,27 @@ def test_growth_takes_one_step(monkeypatch):
                                BoundaryPair.DD, 1e-6)
     assert res.err_est <= 1e-6 * abs(res.value_per_length)
     assert list(dict.fromkeys(n for n, _ in passes)) == [64, res.n_matrix]
+
+
+@pytest.mark.parametrize("kind,bc", [(Kind.INTERIOR, BoundaryPair.DD),
+                                     (Kind.INTERIOR, BoundaryPair.NN),
+                                     (Kind.EXTERIOR, BoundaryPair.DN)],
+                         ids=["interior-DD", "interior-NN", "exterior-DN"])
+@pytest.mark.parametrize("d", [0.1, 0.05])
+def test_err_est_bounds_grown_runs(kind, bc, d):
+    # small gaps, where N grows past N0 at rel_tol 1e-5 (and at 1e-3 and
+    # 1e-4 on the interior pairs): err_est still bounds the distance to a
+    # run at rel_tol 1e-8, whose own err_est is below 5e-9 of the value
+    pair = CylinderPair(kind, 1.0, 2.0, d)
+    ref = casimir_energy_exact(pair, bc, 1e-8)
+    grown = False
+    for rel_tol in (1e-3, 1e-4, 1e-5):
+        res = casimir_energy_exact(pair, bc, rel_tol)
+        grown |= res.n_matrix > _initial_half_width(pair)
+        assert res.err_est <= rel_tol * abs(res.value_per_length)
+        assert abs(res.value_per_length - ref.value_per_length) \
+            + ref.err_est <= res.err_est
+    assert grown
 
 
 def test_force_near_concentric_limit():

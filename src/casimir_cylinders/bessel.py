@@ -41,11 +41,11 @@ entries do not depend on n_max.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError
+from .geometry import integer
 
 _LOG2 = math.log(2.0)
 # x + _ROUND - _ROUND rounds x to a multiple of 2^-20 for |x| < 2^31
@@ -108,7 +108,7 @@ def _check_arguments(z, positive: bool) -> np.ndarray:
 
 
 def _check_length(n_max) -> None:
-    if isinstance(n_max, bool) or not isinstance(n_max, (Integral, np.integer)):
+    if not integer(n_max):
         raise DomainError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
@@ -135,6 +135,13 @@ def _cumulate(seed: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     return table.T
 
 
+def miller_start(n_max: int, top: float) -> int:
+    """First order of Miller's downward recurrence for I orders 0..n_max at
+    arguments up to top: far enough past n_max, some sqrt(42 top) orders at
+    large top, that the r = 0 it starts from decays out of the table."""
+    return int(math.ceil(math.sqrt((n_max + 12.0) ** 2 + 42.0 * top))) + 16
+
+
 def log_i_scaled_table(z, n_max: int) -> np.ndarray:
     """ln itilde_n(z) for n = 0..n_max; one row per argument of a 1-D z.
 
@@ -146,8 +153,7 @@ def log_i_scaled_table(z, n_max: int) -> np.ndarray:
     """
     lanes = _check_arguments(z, positive=False)
     _check_length(n_max)
-    top = lanes.max(initial=0.0)
-    start = int(math.ceil(math.sqrt((n_max + 12.0) ** 2 + 42.0 * top))) + 16
+    start = miller_start(n_max, lanes.max(initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.multiply.outer(2.0 * np.arange(start + 2), 1.0 / lanes)
     ratios[start + 1] = 0.0

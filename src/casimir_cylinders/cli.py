@@ -36,7 +36,7 @@ from .bessel import (
     log_k_prime_scaled_table,
     log_k_scaled_table,
 )
-from .errors import CasimirCylError, NoConvergence
+from .errors import CasimirCylError, InvalidGeometry, NoConvergence
 from .geometry import (
     SCALAR_PAIRS,
     BoundaryPair,
@@ -105,21 +105,19 @@ def _check_combo(method: str, bc: BoundaryPair, quantity: str) -> None:
 
 
 def _run_task(task: tuple) -> tuple[dict, int, str]:
-    """Evaluate one (geometry, method) point.  Returns (record, exit, diag).
+    """Evaluate one checked (geometry, method) point.  Returns (record, exit,
+    diag); ``record`` holds the point's fields, which lead the output one.
 
     Top-level so sweep workers can pickle it; never raises, so a failed point
     degrades to a NaN record and exit code instead of killing the pool.
     """
-    kind_s, bc_s, a, b, d, method, quantity, rel_tol, timing = task
+    pair, bc, method, quantity, rel_tol, timing, record = task
     t0 = time.perf_counter()
     value = err = math.nan
     n_matrix = p_terms = xi_nodes = 0
     code = 0
     diag = ""
     try:
-        pair = CylinderPair(Kind(kind_s), a, b, d)
-        bc = _parse_bc(bc_s)
-        _check_combo(method, bc, quantity)
         if method == "exact":
             fn = casimir_energy_exact if quantity == "energy" else casimir_force_exact
             res = fn(pair, bc, rel_tol)
@@ -136,17 +134,17 @@ def _run_task(task: tuple) -> tuple[dict, int, str]:
         else:
             exp = (energy_expansion if quantity == "energy"
                    else force_expansion)(pair, bc)
-            value = exp.amplitude * (1.0 + exp.bracket * d)
+            value = exp.amplitude * (1.0 + exp.bracket * pair.d)
             err = 0.0
     except NoConvergence as exc:
         code, diag = 3, str(exc)
-    except (UsageError, CasimirCylError) as exc:
+    except CasimirCylError as exc:
         code, diag = 2, str(exc)
     wall = time.perf_counter() - t0 if timing else 0.0
     record = {
-        "kind": kind_s, "bc": bc_s, "a": a, "b": b, "d": d, "method": method,
-        "value_per_length": value, "err_est": err, "n_matrix": n_matrix,
-        "p_terms_max": p_terms, "xi_nodes": xi_nodes, "wall_seconds": wall,
+        **record, "value_per_length": value, "err_est": err,
+        "n_matrix": n_matrix, "p_terms_max": p_terms, "xi_nodes": xi_nodes,
+        "wall_seconds": wall,
     }
     return record, code, diag
 
@@ -172,15 +170,24 @@ def _run_points(args, points: list[tuple[float, str]],
                 workers: int = 1) -> int:
     """Run the (d, method) points of the geometry in args and emit them.
 
-    Every combination is checked before any point runs.  Each diagnostic is
-    printed as ``d=<d> <method>: <diag>``; returns 2 at the first invalid
-    point, else the worst exit code of the points.
+    Every combination and every point's geometry is checked before any
+    point runs.  Each diagnostic is printed as ``d=<d> <method>: <diag>``;
+    returns 2 at the first invalid point, else the worst exit code of the
+    points.
     """
     bc = _parse_bc(args.bc)
-    for _, method in points:
+    tasks = []
+    for d, method in points:
         _check_combo(method, bc, args.quantity)
-    tasks = [(args.kind, args.bc, args.a, args.b, d, method, args.quantity,
-              args.rel_tol, not args.no_timing) for d, method in points]
+        try:
+            pair = CylinderPair(Kind(args.kind), args.a, args.b, d)
+        except InvalidGeometry as exc:
+            print(f"d={d} {method}: {exc}", file=sys.stderr)
+            return 2
+        record = {"kind": args.kind, "bc": args.bc, "a": args.a,
+                  "b": args.b, "d": d, "method": method}
+        tasks.append((pair, bc, method, args.quantity, args.rel_tol,
+                      not args.no_timing, record))
     # the pool forks all of its workers at once, so start no more than
     # there are points or cores
     workers = min(workers, len(tasks), os.cpu_count() or 1)

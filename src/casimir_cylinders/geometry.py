@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import DomainError, InvalidGeometry
 
@@ -56,6 +56,11 @@ def finite_real(value) -> bool:
     """True for a finite real number but a bool, numpy scalars included."""
     return (isinstance(value, Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def integer(value) -> bool:
+    """True for an integer but a bool, numpy integers included."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def neumann(bc: BoundaryPair) -> tuple[bool, bool]:

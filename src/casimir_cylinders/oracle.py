@@ -29,12 +29,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Real
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .geometry import BoundaryPair, CylinderPair, Kind, neumann
+from .geometry import BoundaryPair, CylinderPair, Kind, integer, neumann
 from .quadrature import _hermgauss
 
 _GH_NODES = 12  # polynomial-exact through degree 23
@@ -48,7 +48,8 @@ class PerturbationPoint:
 
     m, tau, eps and alpha are each a float or an array; the arrays share
     one shape, one entry per point, and a float is shared by every point.
-    s is one int for the whole batch.
+    s is one int for the whole batch.  Anything else, a bool included,
+    raises DomainError.
     """
 
     s: int
@@ -58,8 +59,7 @@ class PerturbationPoint:
     alpha: float | np.ndarray
 
     def __post_init__(self):
-        if (isinstance(self.s, bool) or not isinstance(self.s, Integral)
-                or self.s < 0):
+        if not (integer(self.s) and self.s >= 0):
             raise DomainError(
                 f"s must be a nonnegative integer, got {self.s!r}")
         object.__setattr__(self, "s", int(self.s))
@@ -67,10 +67,17 @@ class PerturbationPoint:
         for name in ("m", "tau", "eps", "alpha"):
             value = getattr(self, name)
             if np.ndim(value):
-                value = np.array(value, dtype=float)
+                value = np.array(value)
+                if value.dtype.kind not in "fiu":
+                    raise DomainError(
+                        f"{name} must be a real array, got {value.dtype}")
+                value = value.astype(float)
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
                 shapes.add(value.shape)
+            elif isinstance(value, bool) or not isinstance(value, Real):
+                raise DomainError(
+                    f"{name} must be a real number, got {value!r}")
         if len(shapes) > 1:
             raise DomainError("m, tau, eps and alpha arrays must share one "
                               f"shape, got {sorted(shapes)}")
@@ -390,7 +397,7 @@ def b_s_numeric(bc: BoundaryPair, pt: PerturbationPoint):
 
 def i_term_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int):
     """Single chain-average <Hhat_i>, uniform in i (endpoints included)."""
-    if not 0 <= i <= pt.s:
+    if not (integer(i) and 0 <= i <= pt.s):
         raise DomainError("term index must satisfy 0 <= i <= s")
     return _chain_mean(pt, lambda n: h_hat_closed(bc, pt, n[i], n[i + 1]))
 
@@ -404,7 +411,7 @@ def i_endpoint_numeric(bc: BoundaryPair, pt: PerturbationPoint, i: int):
     the normalization.
     """
     s = pt.s
-    if i not in (0, s):
+    if not (integer(i) and i in (0, s)):
         raise DomainError("reduced route applies to the chain endpoints only")
     if s == 0:
         return _point_value(h_hat_closed(bc, pt, 0.0, 0.0))
@@ -454,7 +461,7 @@ def e0_coefficient_check(chi: int) -> float:
     sum must converge to pi^4/90 (chi = 0, like-sign reflections) or
     7 pi^4/720 (chi = 1, alternating).
     """
-    if chi not in (0, 1):
+    if not (integer(chi) and chi in (0, 1)):
         raise DomainError("chi must be 0 or 1")
     gamma_52 = math.gamma(2.5)
     s_cut = 50

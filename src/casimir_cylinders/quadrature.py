@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NoConvergence
+from .geometry import finite_real
 
 _BASE_NODES = 32        # first rung of the Gauss-Legendre doubling ladder
 _MAX_DOUBLINGS = 12     # last rung: 32 * 2^12 = 131072 nodes
@@ -84,8 +85,8 @@ def integrate_finite(f: Callable, lo: float, hi: float,
     to rel_tol; err_est is the last doubling difference.  A rung whose sum
     is not finite ends the ladder at once, since no finer rule repairs it.
     """
-    if not rel_tol > 0:
-        raise DomainError("rel_tol must be > 0")
+    if not (finite_real(rel_tol) and rel_tol > 0):
+        raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     width = math.sqrt(hi - lo)

@@ -44,12 +44,12 @@ formed again twice as far only while that cut reaches the last one formed,
 up to the fixed p cap ``_P_CAP``: the envelope decays like (delta/b)^p
 interior and (b/delta)^p exterior, so only memory needs a bound.
 
-The lookups depend on xi only, so the nodes of one ``xi_rows`` call are
-one assembly pass, one ``_XiTables``: it holds the tables, each one batched
-call across those nodes (the drivers pass at most ``_LANES`` at a time)
-sized from the widest first window of the set, the lanes' first windows
-and the lane groups; a node whose window doubles past the tables grows
-them once for all, through ``_XiTables.grow``.
+The lookups depend on xi only.  ``xi_rows`` splits its nodes into
+near-equal table sets of at most ``_LANES`` nodes, and each set,
+one ``_XiTables``, holds the tables, each one batched call across its
+nodes sized from the widest first window of the set, the lanes' first
+windows and the lane groups; a node whose window doubles past the tables
+grows them once for all, through ``_XiTables.grow``.
 
 The unit of assembly is a group of consecutive lanes of a table set,
 stacked along a leading lane axis, so one numpy call serves every node of
@@ -60,19 +60,19 @@ lanes x (widest first window + 1) x (2N + 1) stays within
 of one.  The exponents are laid out (lane, k, p), so the envelope's
 reductions over k run across contiguous rows, and they live in one
 allocation per group, so the heap takes and returns one block per group
-whatever references the caller keeps.  Each lane keeps its own cut: its
-rows past it are set to -inf before the exp and add exact zeros to the
-Gram products.  The odd block is padded by a zero row and column to the
-size of the even one, so both parities share one stacked axis through the
-Gram products, the factors and the rows; the pad puts a 1 on the diagonal
-of 1 - M and adds nothing.
+whatever references the caller keeps.  Each lane keeps its own cut and
+width, but the group forms one window, up to its widest cut: a lane's rows
+past its own cut are negligible by the rule above.  The odd block is
+padded by a zero row and column to the size of the even one, so both
+parities share one stacked axis through the Gram products, the factors and
+the rows; the pad puts a 1 on the diagonal of 1 - M and adds nothing.
 
-Only the translation factors depend on the gap d.  The force builds
-W = Z o D next to Z, with D the log-derivative of the unscaled translation
-factor of each entry, cuts its rows against its own largest exponent like
-those of Z, folds it the same way and sums H = Z^T W next to G; then
-d_d M = sign e^{-2 d xi} (H + H^T), and each block contributes
-2 sign e^{-2 d xi} tr[L^{-1} H L^{-T}].
+Only the translation factors depend on the gap d.  A force set holds the
+translation table of W = Z o D next to Z's (D the log-derivative of each
+entry's unscaled translation factor); W's rows are cut against its own
+largest exponent like those of Z and folded the same way, and H = Z^T W
+is summed next to G; then d_d M = sign e^{-2 d xi} (H + H^T), and each
+block contributes 2 sign e^{-2 d xi} tr[L^{-1} H L^{-T}].
 
 Truncation.  Both blocks are ordered by |m|, and the Cholesky factor of a
 leading principal block is the leading block of the full factor.  So the
@@ -99,7 +99,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -108,6 +107,7 @@ from .bessel import (
     log_i_scaled_table,
     log_k_prime_scaled_table,
     log_k_scaled_table,
+    miller_start,
     prime_logs,
 )
 from .errors import (
@@ -116,7 +116,14 @@ from .errors import (
     NonPositiveDeterminant,
     PSumNoConvergence,
 )
-from .geometry import BoundaryPair, CylinderPair, Kind, finite_real, neumann
+from .geometry import (
+    BoundaryPair,
+    CylinderPair,
+    Kind,
+    finite_real,
+    integer,
+    neumann,
+)
 
 _BASE_NODES = 24        # steps of the level-0 xi rule: h = 1/4, 25 nodes
 _XI_SPAN = 3.0          # tanh-sinh nodes s = k h run over |s| <= _XI_SPAN
@@ -178,25 +185,26 @@ def _letter_logs(z, n_max: int, prime: bool
 
 
 class _XiTables:
-    """One assembly pass over the nodes xi, the lanes: tables, windows, groups.
+    """One table set: the tables, windows and groups of the nodes xi, the lanes.
 
     Each table has one row per lane and is built by one call across all
     lanes; orders enter through their absolute value, so tables run over
-    nonnegative orders only.  ``half`` is (num - den)/2 over k = 0..N;
-    the reflection ratio reaches the widest first window p_hi and the
-    translation table p_hi + N + 1, one order on for the force's
-    derivative, and ``grow`` is the one place those two regrow.
-    ``first`` holds each lane's first window, at most the p cap; ``groups``
-    are the lane groups of the module notes, slices of consecutive lanes.
+    nonnegative orders only.  ``half`` is (num - den)/2 over k = 0..N.
+    The reflection ratio reaches the widest first window p_hi, and
+    ``trans``, Z's translation table and, for a force set (``derivative``),
+    W's next to it, reaches p_hi + N + 1; ``grow`` is the one place those
+    regrow.  ``first`` holds each lane's first window, at most the p cap;
+    ``groups`` are the lane groups of the module notes, slices of
+    consecutive lanes.
     """
 
     def __init__(self, pair: CylinderPair, bc: BoundaryPair, xi,
-                 half_width: int):
+                 half_width: int, derivative: bool = False):
         self.xi = xi = np.asarray(xi, dtype=float)
         self.interior = pair.kind is Kind.INTERIOR
         self.flip = -1 if self.interior else 1   # translation index p -+ m
         self.half_width = half_width
-        self.log_xi = np.log(xi)
+        self.derivative = derivative
         self.zb, self.zd = pair.b * xi, pair.delta * xi
         inner, self._outer = neumann(bc)
         self.sign = -1.0 if inner != self._outer else 1.0
@@ -217,14 +225,21 @@ class _XiTables:
 
     def grow(self, p_hi: int) -> None:
         """Past the tables' end, rebuild the ratio table to p_hi and the
-        translation table to p_hi + N + 1 for every lane, at least doubling
+        translation tables to p_hi + N + 1 for every lane, at least doubling
         up to the p cap."""
         if p_hi <= self.p_hi:
             return
         self.p_hi = p_hi = max(p_hi, min(2 * self.p_hi, _P_CAP))
         j_max = p_hi + self.half_width + 1
-        self.trans = (log_i_scaled_table(self.zd, j_max) if self.interior
-                      else log_k_scaled_table(self.zd, j_max))
+        trans = (log_i_scaled_table(self.zd, j_max) if self.interior
+                 else log_k_scaled_table(self.zd, j_max))
+        # ln|d/dd B_j(delta xi)|: B = I (d delta/dd = -1) for interior pairs
+        # and B = K (d delta/dd = +1, K' < 0) for exterior ones, so the
+        # derivative is -xi |B'_j| for both, read off the table one order on
+        self.trans = (trans,)
+        if self.derivative:
+            self.trans += (np.log(self.xi)[:, None]
+                           + prime_logs(trans, j_max - 1),)
         # log of the reflection ratio magnitude at the far cylinder, built
         # last so that its I and K tables are not held while trans is built
         li, lk = _letter_logs(self.zb, p_hi, self._outer)
@@ -236,8 +251,7 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     """The nodes xi as a 1-D float array, once the arguments are checked."""
     neumann(bc)     # DomainError for a composite pair
     xi = np.asarray(xi, dtype=float)
-    if (isinstance(half_width, bool) or not isinstance(half_width, Integral)
-            or not 0 <= half_width <= _N_CAP):
+    if not (integer(half_width) and 0 <= half_width <= _N_CAP):
         raise DomainError(f"half_width must be an int in [0, {_N_CAP}] "
                           f"(the truncation cap), got {half_width!r}")
     if xi.ndim != 1 or not xi.size or not np.all(np.isfinite(xi) & (xi > 0)):
@@ -246,6 +260,18 @@ def _checked_nodes(bc: BoundaryPair, xi, half_width: int,
     if not (finite_real(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     return xi
+
+
+def _check_miller_start(pair: CylinderPair, xi: np.ndarray,
+                        half_width: int) -> None:
+    """The p cap's ``PSumNoConvergence``, before any table is built, where
+    Miller's start for I at z = max(b, delta) xi passes the cap: such a
+    table holds ~sqrt(42 z) orders a lane (terabytes at b = 1e20)."""
+    top = float(xi.max())
+    if miller_start(0, max(pair.b, pair.delta) * top) > _P_CAP:
+        raise PSumNoConvergence(
+            f"Bessel tables would start past p-window cap {_P_CAP} at "
+            f"xi={top}, N={half_width}")
 
 
 def _first_rows(pair: CylinderPair, zd, half_width: int) -> np.ndarray:
@@ -283,15 +309,14 @@ def _order_window(table: np.ndarray, p_to: int, n: int,
     return (ahead, behind) if flip > 0 else (behind, ahead)
 
 
-def _row_logs(tables: _XiTables, lanes: slice, p_to: int, derivative: bool
-              ) -> np.ndarray:
+def _row_logs(tables: _XiTables, lanes: slice, p_to: int) -> np.ndarray:
     """Exponents of the rows p = 0..p_to (p >= 0) of the window, unfolded.
 
-    One array on axes (array, slot, lane, k, p), grown to p_to first: array
-    0 is Z and, with ``derivative``, array 1 is W, Z with its translation
-    factor replaced by that factor's d-derivative (W = Z o D for the
-    log-derivative D).  Each array is Z transposed, so that reductions over
-    k run across contiguous rows.  Slot 0 holds the entries at +k, slot 2
+    One array on axes (array, slot, lane, k, p), grown to p_to first, an
+    array per translation table: Z and, for a force set, W = Z o D, Z with
+    its translation factor replaced by that factor's d-derivative (D the
+    log-derivative).  Each array is Z transposed, so that reductions over k
+    run across contiguous rows.  Slot 0 holds the entries at +k, slot 2
     those at -k (-inf at k = 0, which has no mirror), and slot 1 is room
     for the odd part of the fold; until the fold, Z's slot 1 holds the base
     exponents.  Rows p > 0 carry a factor sqrt 2 standing in for the mirror
@@ -308,17 +333,10 @@ def _row_logs(tables: _XiTables, lanes: slice, p_to: int, derivative: bool
     row = 0.5 * tables.ratio[lanes, :p_to + 1] \
         + np.where(ps > 0, _HALF_LN2, 0.0)
     col = half - np.where(np.arange(n + 1) > 0, _HALF_LN2, 0.0)
-    trans = [tables.trans[lanes]]
-    if derivative:
-        # ln|d/dd B_j(delta xi)|: B = I (d delta/dd = -1) for interior pairs
-        # and B = K (d delta/dd = +1, K' < 0) for exterior ones, so the
-        # derivative is -xi |B'_j| for both, read off the table one order on
-        trans.append(tables.log_xi[lanes, None]
-                     + prime_logs(trans[0], p_to + n))
-    logs = np.empty((len(trans), 3, half.shape[0], n + 1, p_to + 1))
+    logs = np.empty((len(tables.trans), 3, half.shape[0], n + 1, p_to + 1))
     base = np.add(col[:, :, None], row[:, None, :], out=logs[0, 1])
-    for table, arrays in zip(trans, logs):
-        ahead, behind = _order_window(table, p_to, n, tables.flip)
+    for table, arrays in zip(tables.trans, logs):
+        ahead, behind = _order_window(table[lanes], p_to, n, tables.flip)
         np.add(base, ahead, out=arrays[0])
         np.add(base[:, 1:], behind[:, 1:], out=arrays[2, :, 1:])
     logs[:, 2, :, 0] = -np.inf
@@ -354,28 +372,28 @@ def _gram_blocks(logs: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
-                   derivative: bool) -> tuple[np.ndarray, np.ndarray]:
-    """([G] or [G, H] over each lane's envelope window, window widths).
+def _window_blocks(tables: _XiTables, lanes: slice, tol: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """([G] or, for a force set, [G, H] over the group's window; widths).
 
     Assembles the table lanes ``lanes`` as one stacked group: the blocks
     are stacked on axes (array, parity, lane), as ``_gram_blocks`` returns
     them.  Each row's envelope is its largest exponent, less the largest
-    exponent of its lane's array (Z or W).  A lane's window
-    ends at the last row whose envelope is within (1/2) ln(tol * 1e-14) of
-    the top, so every dropped product is below tol * 1e-14 of the largest
-    one.  The group forms its rows to the widest first window of its lanes
-    and doubles them, to at most the p cap ``_P_CAP``, while any lane's cut
-    reaches the last row formed; rows past a lane's own cut become exact
-    zeros before the Gram products.  It raises ``PSumNoConvergence`` when a
-    cut reaches the cap.  Every window sequence ends on the cap itself, so a
+    exponent of its lane's array (Z or W).  A lane's cut is the last row
+    whose envelope is within (1/2) ln(tol * 1e-14) of the top, so every
+    product past it is below tol * 1e-14 of the lane's largest one; its
+    width is 2 cut + 1.  The group forms its rows to the widest first
+    window of its lanes and doubles them, to at most the p cap ``_P_CAP``,
+    while any lane's cut reaches the last row formed, then sums one window,
+    up to its widest cut.  It raises ``PSumNoConvergence`` when a cut
+    reaches the cap.  Every window sequence ends on the cap itself, so a
     lane fails exactly when its cut reaches the cap, whatever lanes it is
     grouped with.
     """
     floor = 0.5 * math.log(tol * 1e-14)
     p_hi = int(tables.first[lanes].max())
     while True:
-        logs = _row_logs(tables, lanes, p_hi, derivative)
+        logs = _row_logs(tables, lanes, p_hi)
         rows = logs[:, ::2].max(axis=(1, 3))
         envelope = (rows - rows.max(axis=2, keepdims=True)).max(axis=0)
         cut = p_hi - np.argmax(envelope[:, ::-1] >= floor, axis=1)
@@ -388,12 +406,7 @@ def _window_blocks(tables: _XiTables, lanes: slice, tol: float,
                 f"N={tables.half_width}")
         del logs, rows, envelope
         p_hi = min(2 * p_hi, _P_CAP)
-    top = int(cut.max())
-    kept = logs[..., :top + 1]
-    if cut.min() < top:
-        past = (np.arange(top + 1) > cut[:, None])[:, None, :]
-        np.copyto(kept[:, ::2], -np.inf, where=past)
-    return _gram_blocks(kept), 2 * cut + 1
+    return _gram_blocks(logs[..., :cut.max() + 1]), 2 * cut + 1
 
 
 def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
@@ -405,9 +418,10 @@ def build_matrix(pair: CylinderPair, bc: BoundaryPair, xi: float,
     dropped term of G is below tol * 1e-14 of the largest term.  The
     one-node case of the assembly ``xi_rows`` runs.
     """
-    tables = _XiTables(pair, bc, _checked_nodes(bc, [xi], half_width, tol),
-                       half_width)
-    (g,), _ = _window_blocks(tables, slice(None), tol, False)
+    nodes = _checked_nodes(bc, [xi], half_width, tol)
+    _check_miller_start(pair, nodes, half_width)
+    tables = _XiTables(pair, bc, nodes, half_width)
+    (g,), _ = _window_blocks(tables, slice(None), tol)
     return RoundTripMatrix(half_width=half_width, even=g[0, 0],
                            odd=g[1, 0, 1:, 1:], sign=tables.sign,
                            prefactor_log=-2.0 * pair.d * xi)
@@ -449,7 +463,7 @@ def _log_det_lanes(scale: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     Rows with delta_k >= 1/2 keep 2 log L_kk, as 1 - delta_k cancels there.
     """
     g, = blocks
-    chol = _cholesky(np.eye(g.shape[-1]) - scale[:, None, None] * g)
+    chol = _cholesky(scale, g)
     pivots = np.einsum("slkk->slk", chol)   # a view of L's diagonal
     rows = 2.0 * np.log(pivots)
     pivots[...] = 0.0
@@ -459,11 +473,12 @@ def _log_det_lanes(scale: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return rows.sum(axis=0)
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a stack of blocks of 1 - M; every eigenvalue of
-    every lane is checked."""
+def _cholesky(scale: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cholesky factors of 1 - M = 1 - scale G over the (parity, lane)
+    stack g, one scale per lane; every eigenvalue of every lane is checked."""
     try:
-        return np.linalg.cholesky(a)
+        return np.linalg.cholesky(np.eye(g.shape[-1])
+                                  - scale[:, None, None] * g)
     except np.linalg.LinAlgError:
         raise NonPositiveDeterminant(
             "1 - M not positive definite; truncation too small or "
@@ -517,8 +532,7 @@ def _force_lanes(scale: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     cancellation in the far tail, so it needs no pivot deficits.
     """
     g, h = blocks
-    inv = np.linalg.inv(_cholesky(np.eye(g.shape[-1])
-                                  - scale[:, None, None] * g))
+    inv = np.linalg.inv(_cholesky(scale, g))
     rows = np.einsum("slij,slij->li", inv @ h, inv)   # summed over parity
     return 2.0 * scale[:, None] * rows
 
@@ -531,12 +545,13 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     ``xi`` is a 1-D array of positive finite nodes.  Row i holds r[0..N]
     at xi[i] (N = half_width), of ln det(1 - M) for ``quantity="energy"``
     and of tr[(1 - M)^{-1} d_d M] for ``"force"``; r[:N'+1] sums to the
-    term of the N' truncation.  widths[i] is the node's p-window width; tol cuts
-    the window as in ``build_matrix``, and a node whose cut reaches the p
-    cap ``_P_CAP`` raises ``PSumNoConvergence``.  The nodes share one table
-    set and are assembled in lane groups.  Where the round-trip prefactor
-    e^{-2 d xi} is an exact 0, M is exactly 0: such a node gets zero rows
-    and width 0, and builds no table.
+    term of the N' truncation.  widths[i] is the node's p-window width; tol
+    cuts the window as in ``build_matrix``, and a node whose cut, or whose
+    tables' Miller start, reaches the p cap ``_P_CAP`` raises
+    ``PSumNoConvergence``.  The nodes make ceil(n / ``_LANES``) near-equal
+    table sets, each assembled in lane groups.  Where the round-trip
+    prefactor e^{-2 d xi} is an exact 0, M is exactly 0: such a node gets
+    zero rows and width 0, and builds no table.
     """
     if quantity not in ("energy", "force"):
         raise DomainError(
@@ -550,11 +565,14 @@ def xi_rows(pair: CylinderPair, bc: BoundaryPair, xi: np.ndarray,
     widths = np.zeros(xi.size, dtype=int)
     if not live.size:
         return rows, widths
-    tables = _XiTables(pair, bc, xi[live], half_width)
-    for lanes in tables.groups:
-        nodes = live[lanes]
-        blocks, widths[nodes] = _window_blocks(tables, lanes, tol, derivative)
-        rows[nodes] = evaluate(tables.sign * prefactor[nodes], blocks)
+    _check_miller_start(pair, xi[live], half_width)
+    for nodes in np.array_split(live, -(-live.size // _LANES)):
+        tables = _XiTables(pair, bc, xi[nodes], half_width, derivative)
+        for lanes in tables.groups:
+            group = nodes[lanes]
+            blocks, widths[group] = _window_blocks(tables, lanes, tol)
+            rows[group] = evaluate(tables.sign * prefactor[group], blocks)
+        del tables, blocks      # before the next set's tables are built
     return rows, widths
 
 
@@ -589,9 +607,10 @@ def _grown_half_width(n_half: int, bound: float, q: float,
 
 
 def _initial_half_width(pair: CylinderPair) -> int:
-    # dominant angular momentum scales like (cylinder radius)/(gap)
-    radius = pair.a if pair.kind is Kind.INTERIOR else max(pair.a, pair.b)
-    width = 4.0 + 3.0 * radius / pair.d     # inf at a subnormal gap
+    # m lives on cylinder a, so N0 scales like a/d; the factors are measured
+    # (3 exterior takes one more growth step at b = 2a than 6 does)
+    factor = 3.0 if pair.kind is Kind.INTERIOR else 6.0
+    width = 4.0 + factor * pair.a / pair.d     # inf at a subnormal gap
     if width > _N_CAP:
         raise NoConvergence(
             f"initial truncation N={width:.3g} exceeds cap {_N_CAP}")
@@ -628,14 +647,9 @@ def _adaptive_integral(pair: CylinderPair, bc: BoundaryPair, rel_tol: float,
     level = 0
     while True:
         xi, wt = _xi_grid(pair.d, level, new_only=level > 0)
-        weight = wt * xi
-        sums = np.zeros(n_half + 1)
-        for nodes in np.array_split(np.arange(xi.size), -(-xi.size // _LANES)):
-            terms, widths = xi_rows(pair, bc, xi[nodes], n_half, tol_elem,
-                                    quantity)
-            p_max = max(p_max, int(widths.max()))
-            sums += weight[nodes] @ terms
-        sums /= 4.0 * math.pi
+        terms, widths = xi_rows(pair, bc, xi, n_half, tol_elem, quantity)
+        p_max = max(p_max, int(widths.max()))
+        sums = (wt * xi) @ terms / (4.0 * math.pi)
         below, rows = (rows, 0.5 * rows + sums) if level else (None, sums)
         value = float(np.sum(rows))
         bound, q = _tail_bound(rows)

@@ -264,6 +264,26 @@ def test_sweep_pool_no_wider_than_grid(monkeypatch, capsys):
     assert sizes == [2]
 
 
+def test_sweep_checks_every_geometry_first(monkeypatch, capsys):
+    # the last point of the grid is no interior pair (a + d >= b): the
+    # sweep says so and exits 2 before any point runs, emitting no records
+    calls, inner = [], cli.casimir_energy_exact
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cli, "casimir_energy_exact", counted)
+    code = cli.main(["sweep", "--kind", "interior", "--bc", "dd", "--a", "1",
+                     "--b", "2", "--d-grid", "0.3:1.2:4", "--method",
+                     "exact", "--rel-tol", "1e-3"])
+    captured = capsys.readouterr()
+    assert code == 2 and calls == []
+    assert captured.out == ""
+    assert captured.err == ("d=1.2 exact: interior pair needs a + d < b, "
+                            "got a=1.0, d=1.2, b=2.0\n")
+
+
 def test_thread_env_not_an_int(monkeypatch, capsys):
     # a CASIMIR_CYL_THREADS that is not an int of at least 1 is a usage
     # error of sweep, the one command that reads it, and leaves the others

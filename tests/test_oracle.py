@@ -59,6 +59,9 @@ def test_point_beta_defaults_to_alpha_plus_one():
     dict(m=math.nan), dict(m=math.inf), dict(tau=math.nan),
     dict(eps=math.nan), dict(eps=math.inf), dict(alpha=math.nan),
     dict(alpha=math.inf),
+    dict(m="1"), dict(m=None), dict(m=1j), dict(m=True), dict(tau=True),
+    dict(alpha=False), dict(m=["1", "2"]), dict(eps=[1j, 0.1]),
+    dict(alpha=[True, True]),
 ])
 def test_point_validation(kw):
     with pytest.raises(DomainError):
@@ -493,6 +496,12 @@ def test_term_index_bounds():
         i_term_numeric(BoundaryPair.DD, p, 3)
     with pytest.raises(DomainError):
         i_endpoint_numeric(BoundaryPair.DD, p, 1)
+    # an index is an integer: not a bool, and not a float of integral value
+    for bad in (True, False, 1.0, 0.0, "0", None):
+        with pytest.raises(DomainError):
+            i_term_numeric(BoundaryPair.DD, p, bad)
+        with pytest.raises(DomainError):
+            i_endpoint_numeric(BoundaryPair.DD, p, bad)
 
 
 # -- reflection sums ----------------------------------------------------------
@@ -504,8 +513,9 @@ def test_e0_zeta_sums():
     assert abs(like - math.pi ** 4 / 90.0) <= 1e-12
     assert abs(alt - 7.0 * math.pi ** 4 / 720.0) <= 1e-12
     assert abs(alt / like - 7.0 / 8.0) <= 1e-12
-    with pytest.raises(DomainError):
-        e0_coefficient_check(2)
+    for bad in (2, True, False, 0.0, "0", None):
+        with pytest.raises(DomainError):
+            e0_coefficient_check(bad)
 
 
 @pytest.mark.parametrize("k_start", [51, 202, 203])

@@ -42,7 +42,8 @@ def test_finite_rejects_empty_interval():
         integrate_finite(lambda x: x, 1.0, 1.0, 1e-8)
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan])
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan, math.inf, True,
+                                     "x", None])
 def test_finite_rejects_bad_tolerance(rel_tol):
     with pytest.raises(DomainError, match="rel_tol"):
         integrate_finite(lambda x: x, 0.0, 1.0, rel_tol)

@@ -24,6 +24,7 @@ from casimir_cylinders.errors import (
     PSumNoConvergence,
 )
 from casimir_cylinders.scattering import (
+    _LANES,
     _MAX_QUAD_LEVEL,
     _N_CAP,
     _P_CAP,
@@ -238,16 +239,16 @@ def _one_node(pair, bc, xi, half_width, tol, quantity="energy"):
 def _lane_blocks(pair, bc, xi, half_width, tol, derivative=False):
     """[G_even, G_odd] (then H_even, H_odd) of one node over its envelope
     window, and the window width."""
-    tables = _XiTables(pair, bc, np.array([xi]), half_width)
-    blocks, widths = _window_blocks(tables, slice(None), tol, derivative)
+    tables = _XiTables(pair, bc, np.array([xi]), half_width, derivative)
+    blocks, widths = _window_blocks(tables, slice(None), tol)
     parts = [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
     return parts, int(widths[0])
 
 
 def _uncut_blocks(pair, bc, xi, half_width, p_to, derivative=False):
     """Parity blocks summed over every row p = 0..p_to, with no cut."""
-    tables = _XiTables(pair, bc, np.array([xi]), half_width)
-    blocks = _gram_blocks(_row_logs(tables, slice(None), p_to, derivative))
+    tables = _XiTables(pair, bc, np.array([xi]), half_width, derivative)
+    blocks = _gram_blocks(_row_logs(tables, slice(None), p_to))
     return [part for b in blocks for part in (b[0, 0], b[1, 0, 1:, 1:])]
 
 
@@ -440,7 +441,7 @@ def test_logdet_tail_lanes_match_mpmath(bc):
     pair, n = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1), 20
     xi = np.sort(_xi_grid(pair.d, 1)[0])[-16:]
     tables = _XiTables(pair, bc, xi, n)
-    (g,), _ = _window_blocks(tables, slice(None), 1e-12, False)
+    (g,), _ = _window_blocks(tables, slice(None), 1e-12)
     scale = tables.sign * np.exp(-2.0 * pair.d * xi)
     got = _log_det_lanes(scale, [g]).sum(axis=1)
     with mp.workdps(60):
@@ -802,9 +803,9 @@ def test_stacked_group_matches_single_lanes(pair, bc, quantity):
     # own one-lane build
     n, tol = 12, 1e-12
     xi = _MIXED_XI_D / pair.d
-    tables = _XiTables(pair, bc, xi, n)
     force = quantity == "force"
-    blocks, widths = _window_blocks(tables, slice(None), tol, force)
+    tables = _XiTables(pair, bc, xi, n, force)
+    blocks, widths = _window_blocks(tables, slice(None), tol)
     scale = tables.sign * np.exp(-2.0 * pair.d * xi)
     rows = (_force_lanes if force else _log_det_lanes)(scale, blocks)
     doubled = (widths - 1) // 2 >= tables.first
@@ -831,8 +832,7 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
     from casimir_cylinders import scattering
     n, tol, bc = 12, 1e-12, BoundaryPair.DD
     xi = _MIXED_XI_D / pair.d
-    _, widths = _window_blocks(_XiTables(pair, bc, xi, n), slice(None), tol,
-                               False)
+    _, widths = _window_blocks(_XiTables(pair, bc, xi, n), slice(None), tol)
     cuts = ((widths - 1) // 2).tolist()
 
     def fails(build):
@@ -849,7 +849,7 @@ def test_stacked_cap_matches_single_lanes(monkeypatch, pair):
                  for x in xi.tolist()]
         assert alone == [cut >= cap for cut in cuts]
         assert fails(lambda: _window_blocks(_XiTables(pair, bc, xi, n),
-                                            slice(None), tol, False)) \
+                                            slice(None), tol)) \
             == any(alone)
 
 
@@ -864,12 +864,12 @@ def test_regrown_tables_match_wide_ones(pair, quantity):
     n, tol, force = 12, 1e-12, quantity == "force"
     regrown = 0
     for x in (_MIXED_XI_D / pair.d).tolist():
-        fresh, wide = (_XiTables(pair, BoundaryPair.DD, np.array([x]), n)
-                       for _ in range(2))
+        fresh, wide = (_XiTables(pair, BoundaryPair.DD, np.array([x]), n,
+                                 force) for _ in range(2))
         first = fresh.p_hi
         wide.grow(4 * first)
-        got, width = _window_blocks(fresh, slice(None), tol, force)
-        want, wide_width = _window_blocks(wide, slice(None), tol, force)
+        got, width = _window_blocks(fresh, slice(None), tol)
+        want, wide_width = _window_blocks(wide, slice(None), tol)
         assert fresh.p_hi < wide.p_hi
         regrown += fresh.p_hi > first
         assert np.array_equal(width, wide_width)
@@ -918,6 +918,87 @@ def test_far_plate_limit_raises_at_the_p_cap():
     with pytest.raises(PSumNoConvergence, match=rf"cap {_P_CAP} at xi="):
         casimir_energy_exact(CylinderPair(Kind.INTERIOR, 1.0, 1e4, 0.99),
                              BoundaryPair.DD, 1e-3)
+
+
+@pytest.mark.parametrize("kind", [Kind.INTERIOR, Kind.EXTERIOR])
+@pytest.mark.parametrize("b", [1e20, 1e300])
+def test_huge_b_raises_before_any_table(kind, b):
+    # the I tables' Miller start grows like sqrt(42 b xi) orders per lane:
+    # past the p cap the run raises the cap's typed error at once, and
+    # allocates nothing large (terabytes, or a bare error, if it tried)
+    pair = CylinderPair(kind, 1.0, b, 0.99)
+    for run in (casimir_energy_exact, casimir_force_exact):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PSumNoConvergence,
+                               match=rf"cap {_P_CAP} at xi="):
+                run(pair, BoundaryPair.DD, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
+
+def test_exterior_start_from_cylinder_a():
+    # the truncated index lives on cylinder a, so a far larger cylinder b
+    # does not set N0: exterior b=100, d=0.5 converges on a small N
+    pair = CylinderPair(Kind.EXTERIOR, 1.0, 100.0, 0.5)
+    res = casimir_energy_exact(pair, BoundaryPair.DD, 1e-3)
+    assert _initial_half_width(pair) == 16
+    assert res.n_matrix <= 20
+    assert res.err_est <= 1e-3 * abs(res.value_per_length)
+
+
+def test_xi_rows_splits_its_nodes(monkeypatch):
+    # a call on more than _LANES nodes builds near-equal table sets of at
+    # most _LANES lanes each, and its rows equal those of one call per set
+    from casimir_cylinders import scattering
+    sizes = []
+
+    class Recorded(_XiTables):
+        def __init__(self, pair, bc, xi, *args):
+            sizes.append(len(xi))
+            super().__init__(pair, bc, xi, *args)
+
+    xi = _xi_grid(INT_05.d, 3)[0]
+    whole, widths = xi_rows(INT_05, BoundaryPair.DD, xi, 6, 1e-12)
+    monkeypatch.setattr(scattering, "_XiTables", Recorded)
+    rows, _ = xi_rows(INT_05, BoundaryPair.DD, xi, 6, 1e-12)
+    assert xi.size > _LANES and sum(sizes) == xi.size
+    assert max(sizes) <= _LANES and max(sizes) - min(sizes) <= 1
+    assert np.array_equal(rows, whole)
+    parts = np.array_split(np.arange(xi.size), len(sizes))
+    for part in parts:
+        alone, alone_widths = xi_rows(INT_05, BoundaryPair.DD, xi[part], 6,
+                                      1e-12)
+        assert np.array_equal(rows[part], alone)
+        assert np.array_equal(widths[part], alone_widths)
+
+
+def test_force_derivative_table_once_per_build(monkeypatch):
+    # W's translation table is derived once per translation-table build,
+    # not once per lane group or window doubling
+    from casimir_cylinders import scattering
+    calls, builds = [0], [0]
+    inner_prime, inner_grow = scattering.prime_logs, _XiTables.grow
+
+    def prime(*args):
+        calls[0] += 1
+        return inner_prime(*args)
+
+    def grow(self, p_hi):
+        before = self.p_hi
+        inner_grow(self, p_hi)
+        builds[0] += self.p_hi > before
+
+    monkeypatch.setattr(scattering, "prime_logs", prime)
+    monkeypatch.setattr(_XiTables, "grow", grow)
+    pair = CylinderPair(Kind.INTERIOR, 1.0, 2.0, 0.1)
+    xi_rows(pair, BoundaryPair.DD, _MIXED_XI_D / pair.d, 12, 1e-12, "force")
+    assert calls[0] == builds[0] >= 1
+    calls[0] = builds[0] = 0
+    xi_rows(pair, BoundaryPair.DD, _MIXED_XI_D / pair.d, 12, 1e-12)
+    assert builds[0] >= 1 and calls[0] == 0
 
 
 def test_force_memory_bounded():
